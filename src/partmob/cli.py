@@ -30,7 +30,7 @@ from .model import (InvalidProblem, Potentials, Problem, linear_potential,
                     piecewise_constant_density, power_cap_mobility,
                     quadratic_potential, tabulated_mobility, uniform_density,
                     validate, zero_potential)
-from .quantile import quantile_partition
+from .quantile import ParticleState, quantile_partition
 from .reconstruct import ReconstructedFields, write_snapshots_csv
 from .solver import NonFiniteState, StepUnderflow, default_dt, integrate
 
@@ -281,14 +281,8 @@ def cmd_converge(cfg, args) -> int:
     if any(2 * a != b for a, b in zip(n_list[:-1], n_list[1:])):
         raise ConfigError("discretization.N_list entries must double")
     out = _out_dir(cfg, args)
-    # refinement runs are independent; fan them out, collect keyed by N so
-    # the table is deterministic regardless of completion order
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=min(4, len(n_list))) as pool:
-        futures = {n: pool.submit(_aligned_run, problem, n, t_end, 100,
-                                  dt if dt else 1e-3)
-                   for n in n_list}
-        runs = {n: fut.result() for n, fut in futures.items()}
+    runs = {n: _aligned_run(problem, n, t_end, 100, dt if dt else 1e-3)
+            for n in n_list}
     rows = []
     for a, b in zip(n_list[:-1], n_list[1:]):
         traj_a, fields_a = runs[a]
@@ -323,6 +317,12 @@ def cmd_oracle_compare(cfg, args) -> int:
         hi = problem.initial.x_max + pad
     compare_times = [float(t) for t in
                      _as_list(_get(cfg, "oracle.compare_times", [t_end]))]
+    for t in compare_times:
+        try:
+            fields.index_of(t)
+        except KeyError:
+            raise ConfigError(f"oracle.compare_times entry {t!r} is not a "
+                              "stored output time") from None
     _, fv_fields = fvmod.fv_solve(problem, (float(lo), float(hi)), dx, t_end,
                                   store_times=compare_times)
     out = _out_dir(cfg, args)
@@ -370,18 +370,19 @@ def cmd_entropy_check(cfg, args) -> int:
 def cmd_edb_check(cfg, args) -> int:
     problem, traj, fields = run_trajectory(cfg)
     out = _out_dir(cfg, args)
-    var.write_gradient_csv(var.gradient_records(traj, fields),
-                           out / "variational.csv")
-    residual = var.edb_residual(traj)
-    energies0 = var.free_energy(traj.state_at(0), problem.potentials)
-    tol = 1e-6 * (abs(energies0) + 1.0)
-
-    cfg_half = dict(cfg)
-    n_cells, t_end, scheme, dt, tol_i, store_every = _discretization(cfg)
+    records = var.gradient_records(traj, fields)
+    var.write_gradient_csv(records, out / "variational.csv")
+    residual = var.records_residual(records)
+    tol = 1e-6 * (abs(records[0].energy) + 1.0)
+    _, t_end, scheme, dt, tol_i, store_every = _discretization(cfg)
+    state0 = ParticleState(traj.positions[0].copy(), h=traj.h)
     if dt is None:
-        dt = default_dt(quantile_partition(problem.initial, n_cells), problem)
-    cfg_half["discretization.dt"] = dt / 2.0
-    _, traj_half, _ = run_trajectory(cfg_half)
+        dt = default_dt(state0, problem)
+    # the half-step run starts from the same particles and needs none of
+    # the main run's arrays
+    del traj, fields, records
+    traj_half = integrate(state0, problem, t_end, scheme=scheme, dt=dt / 2.0,
+                          tol=tol_i, store_every=store_every)
     residual_half = var.edb_residual(traj_half)
     ratio = residual / residual_half if residual_half > 0 else float("inf")
     print(f"edb residual: {residual:.6e} (tolerance {tol:.3e})")

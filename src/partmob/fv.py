@@ -9,13 +9,13 @@ reduction an exact Riemann solution is available as a second reference.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .forces import continuum_force
 from .model import Problem
+from .reconstruct import write_snapshot_table
 
 __all__ = [
     "CflViolation",
@@ -290,13 +290,7 @@ def l1_compare_exact(grid: FvGrid, exact_fn) -> float:
 def write_fv_snapshots_csv(fields: FvFields, path) -> None:
     """Same snapshot schema as the particle reconstruction (zero
     velocities: the reference solver is Eulerian)."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(("t", "x_left", "x_right", "rho", "u_left", "u_right"))
-        edges = fields.edges_1d
-        for k, t in enumerate(fields.times):
-            for i in range(len(edges) - 1):
-                out.writerow([repr(float(t)), repr(float(edges[i])),
-                              repr(float(edges[i + 1])),
-                              repr(float(fields.profiles[k, i])),
-                              repr(0.0), repr(0.0)])
+    edges = fields.edges_1d
+    zeros = np.zeros(len(edges))
+    write_snapshot_table(path, ((t, edges, rho, zeros)
+                                for t, rho in zip(fields.times, fields.profiles)))

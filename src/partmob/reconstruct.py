@@ -4,7 +4,6 @@ reconstruction on the moving cells, with a weak continuity-equation check.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,21 +136,32 @@ def continuity_residual(fields: ReconstructedFields, phi, dphi,
     return abs(lhs - rhs)
 
 
+def write_snapshot_table(path, snapshots) -> None:
+    """Snapshot CSV from ``(t, edges, densities, edge_velocities)`` tuples:
+    one row ``t, x_left, x_right, rho, u_left, u_right`` per cell.
+
+    Every value is formatted once with ``repr``; an edge or edge-velocity
+    string serves as the right end of one cell and the left end of the
+    next.  The bytes are those ``csv.writer`` writes for the same ``repr``
+    strings, which never need quoting.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(SNAPSHOT_COLUMNS) + "\r\n")
+        for t, edges, densities, velocities in snapshots:
+            stamp = repr(float(t)) + ","
+            x = list(map(repr, edges.tolist()))
+            u = list(map(repr, velocities.tolist()))
+            rows = map(",".join, zip(x, x[1:], map(repr, densities.tolist()),
+                                     u, u[1:]))
+            fh.write(stamp + ("\r\n" + stamp).join(rows) + "\r\n")
+
+
 def write_snapshots_csv(fields: ReconstructedFields, path,
                         time_indices=None) -> None:
     """One row per cell per stored time: t, x_left, x_right, rho, u_left,
     u_right."""
     if time_indices is None:
         time_indices = range(len(fields.times))
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(SNAPSHOT_COLUMNS)
-        for k in time_indices:
-            t = fields.times[k]
-            edges = fields.edges[k]
-            vel = fields.edge_velocities[k]
-            for i in range(fields.n_cells):
-                out.writerow([repr(float(t)),
-                              repr(float(edges[i])), repr(float(edges[i + 1])),
-                              repr(float(fields.densities[k, i])),
-                              repr(float(vel[i])), repr(float(vel[i + 1]))])
+    write_snapshot_table(path, ((fields.times[k], fields.edges[k],
+                                 fields.densities[k], fields.edge_velocities[k])
+                                for k in time_indices))

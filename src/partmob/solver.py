@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forces import ForceVector, newtonian_forces_fast, particle_forces
-from .model import Problem
+from .model import Mobility, Problem
 from .quantile import ParticleState
 
 __all__ = [
@@ -49,15 +49,19 @@ def forces_for(state: ParticleState, problem: Problem) -> ForceVector:
     return particle_forces(state, problem.potentials)
 
 
+def upwind_betas(densities: np.ndarray,
+                 mobility: Mobility) -> tuple[np.ndarray, np.ndarray]:
+    """Mobility of the cell left and right of every particle, with vacuum
+    ghost cells beyond both ends; one ``beta`` evaluation."""
+    beta = mobility.beta(np.concatenate([[0.0], densities, [0.0]]))
+    return beta[:-1], beta[1:]
+
+
 def _velocity(positions: np.ndarray, h: float, problem: Problem) -> np.ndarray:
     widths = np.diff(positions)
     if np.any(widths <= 0.0):
         raise _Unordered
-    rho = h / widths
-    beta = problem.mobility.beta
-    rho_ext = np.concatenate([[0.0], rho, [0.0]])
-    beta_left = beta(rho_ext[:-1])   # cell left of particle i; vacuum at i=0
-    beta_right = beta(rho_ext[1:])   # cell right of particle i; vacuum at i=N
+    beta_left, beta_right = upwind_betas(h / widths, problem.mobility)
     f = forces_for(ParticleState(positions, h=h), problem)
     return -beta_right * f.negative - beta_left * f.positive
 
@@ -186,7 +190,7 @@ def _integrate_rk45(x, t_end, velocity, tol, min_dt, store_every):
                 else min(0.9, max(0.2, 0.9 * err_norm ** -0.2))
             if dt < min_dt:
                 raise StepUnderflow(f"adaptive step underflow at t={t:.6g}")
-    return times, states, vels
+    return np.array(times), np.array(states), np.array(vels)
 
 
 def integrate(initial: ParticleState, problem: Problem, t_end: float,
@@ -201,6 +205,8 @@ def integrate(initial: ParticleState, problem: Problem, t_end: float,
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
+    if store_every < 1:
+        raise ValueError("store_every must be at least 1")
     x0 = np.asarray(initial.positions, dtype=float)
     if np.any(np.diff(x0) <= 0):
         raise ValueError("initial particles must be strictly increasing")
@@ -215,16 +221,18 @@ def integrate(initial: ParticleState, problem: Problem, t_end: float,
             dt = default_dt(initial, problem)
         n_steps = max(1, int(round(t_end / dt)))
         dt = t_end / n_steps
-        times = [0.0]
-        states = [x0.copy()]
-        vels = [velocity(x0)]
-        x = x0
+        # step 0, every store_every-th step, and the last step
+        n_store = 1 + -(-n_steps // store_every)
+        times = np.empty(n_store)
+        states = np.empty((n_store, x0.size))
+        vels = np.empty((n_store, x0.size))
+        times[0], states[0], vels[0] = 0.0, x0, velocity(x0)
+        x, k = x0, 1
         for step in range(n_steps):
             x = _advance(x, dt, velocity, min_dt, step * dt)
             if (step + 1) % store_every == 0 or step + 1 == n_steps:
-                times.append((step + 1) * dt)
-                states.append(x.copy())
-                vels.append(velocity(x))
+                times[k], states[k], vels[k] = (step + 1) * dt, x, velocity(x)
+                k += 1
     elif scheme == "rk45":
         if not (1e-12 < tol < 1e-2):
             raise ValueError("tolerance must lie in (1e-12, 1e-2)")
@@ -233,8 +241,7 @@ def integrate(initial: ParticleState, problem: Problem, t_end: float,
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    return Trajectory(np.array(times), np.array(states), np.array(vels),
-                      h=h, problem=problem, scheme=scheme)
+    return Trajectory(times, states, vels, h=h, problem=problem, scheme=scheme)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .forces import continuum_force
 from .model import Mobility, Potentials, Problem
 from .quantile import ParticleState
 from .reconstruct import ReconstructedFields
-from .solver import Trajectory, forces_for
+from .solver import Trajectory, forces_for, upwind_betas
 
 __all__ = [
     "free_energy",
@@ -37,6 +37,7 @@ __all__ = [
     "dissipation_rate",
     "edb_residual",
     "edb_series",
+    "records_residual",
     "continuous_dual_dissipation",
     "GradientRecord",
     "gradient_records",
@@ -46,12 +47,6 @@ __all__ = [
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(4)
 
 GRADIENT_COLUMNS = ("t", "F_h", "Fhat_h", "R_h", "R_h_star", "D_h", "edb_partial")
-
-
-def _padded_densities(state: ParticleState) -> np.ndarray:
-    """Cell densities with vacuum ghosts so index i-1 / i line up with the
-    cells left/right of particle i."""
-    return np.concatenate([[0.0], state.densities(), [0.0]])
 
 
 def free_energy(state: ParticleState, potentials: Potentials,
@@ -82,9 +77,7 @@ def dual_dissipation(state: ParticleState, mobility: Mobility,
     zeta = np.asarray(zeta, dtype=float)
     if len(zeta) != len(state.positions):
         raise ValueError("zeta must have one entry per particle")
-    rho_ext = _padded_densities(state)
-    beta_left = mobility.beta(rho_ext[:-1])
-    beta_right = mobility.beta(rho_ext[1:])
+    beta_left, beta_right = upwind_betas(state.densities(), mobility)
     zp = np.maximum(zeta, 0.0)
     zm = np.minimum(zeta, 0.0)
     return 0.5 * float(np.sum(beta_left * zm**2 + beta_right * zp**2))
@@ -101,9 +94,7 @@ def dissipation(state: ParticleState, mobility: Mobility,
     flux = np.asarray(flux, dtype=float)
     if len(flux) != len(state.positions):
         raise ValueError("flux must have one entry per particle")
-    rho_ext = _padded_densities(state)
-    beta_left = mobility.beta(rho_ext[:-1])
-    beta_right = mobility.beta(rho_ext[1:])
+    beta_left, beta_right = upwind_betas(state.densities(), mobility)
     jp = np.maximum(flux, 0.0)
     jm = np.minimum(flux, 0.0)
     if np.any((jp > 0) & (beta_right == 0.0)) or np.any((jm < 0) & (beta_left == 0.0)):
@@ -123,27 +114,35 @@ def dissipation_rate(state: ParticleState, problem: Problem,
     if force_values is None:
         force_values = forces_for(state, problem).values
     f = np.asarray(force_values, dtype=float)
-    rho_ext = _padded_densities(state)
-    beta_left = problem.mobility.beta(rho_ext[:-1])
-    beta_right = problem.mobility.beta(rho_ext[1:])
+    beta_left, beta_right = upwind_betas(state.densities(), problem.mobility)
     fp = np.maximum(f, 0.0)
     fm = np.minimum(f, 0.0)
     stop = len(f) if include_last else len(f) - 1
     return float(np.sum((beta_right * fm**2 + beta_left * fp**2)[:stop]))
 
 
-def _rate_series(traj: Trajectory):
-    """R_h(x, xdot) and R*(x, -f) at every stored time."""
+def _rate_series(traj: Trajectory, decay: bool = False,
+                 include_last: bool = True):
+    """R_h(x, xdot) and R*(x, -f) at every stored time, plus the decay rate
+    D when ``decay`` is set (else None), from one force evaluation per
+    time."""
     mob = traj.problem.mobility
     n = len(traj.times)
-    r = np.empty(n)
-    r_star = np.empty(n)
+    r, r_star = np.empty(n), np.empty(n)
+    d = np.empty(n) if decay else None
     for k in range(n):
         state = traj.state_at(k)
         f = forces_for(state, traj.problem).values
         r[k] = dissipation(state, mob, traj.velocities[k])
         r_star[k] = dual_dissipation(state, mob, -f)
-    return r, r_star
+        if decay:
+            d[k] = dissipation_rate(state, traj.problem, f, include_last)
+    return r, r_star, d
+
+
+def _balance_defect(times, r, r_star, f_start, f_end) -> float:
+    """``|int (R + R*) dr + F(end) - F(start)|`` by composite Simpson."""
+    return abs(float(simpson(r + r_star, x=times)) + f_end - f_start)
 
 
 def edb_residual(traj: Trajectory, s: float | None = None,
@@ -155,26 +154,35 @@ def edb_residual(traj: Trajectory, s: float | None = None,
     kt = len(times) - 1 if t is None else traj.index_of(t)
     if kt - ks < 2:
         raise ValueError("need at least three stored times between s and t")
-    r, r_star = _rate_series(traj)
+    r, r_star, _ = _rate_series(traj)
     sl = slice(ks, kt + 1)
-    integral = float(simpson((r + r_star)[sl], x=times[sl]))
     pots = traj.problem.potentials
     f_end = free_energy(traj.state_at(kt), pots, include_last=include_last)
     f_start = free_energy(traj.state_at(ks), pots, include_last=include_last)
-    return abs(integral + f_end - f_start)
+    return _balance_defect(times[sl], r[sl], r_star[sl], f_start, f_end)
+
+
+def records_residual(records) -> float:
+    """:func:`edb_residual` over the whole run, from the
+    :func:`gradient_records` of its trajectory (same arrays, same
+    quadrature, nothing recomputed)."""
+    if len(records) < 3:
+        raise ValueError("need at least three stored times between s and t")
+    times = np.array([rec.t for rec in records])
+    r = np.array([rec.rate for rec in records])
+    r_star = np.array([rec.dual_rate for rec in records])
+    return _balance_defect(times, r, r_star, records[0].energy,
+                           records[-1].energy)
 
 
 def edb_series(traj: Trajectory, include_last: bool = True):
     """Arrays (times, F, R, R*, D, running balance defect)."""
     times = traj.times
-    r, r_star = _rate_series(traj)
+    r, r_star, d = _rate_series(traj, decay=True, include_last=include_last)
     pots = traj.problem.potentials
     energies = np.array([free_energy(traj.state_at(k), pots,
                                      include_last=include_last)
                          for k in range(len(times))])
-    d = np.array([dissipation_rate(traj.state_at(k), traj.problem,
-                                   include_last=include_last)
-                  for k in range(len(times))])
     partial = cumulative_simpson(r + r_star, x=times, initial=0.0)
     defect = partial + energies - energies[0]
     return times, energies, r, r_star, d, defect

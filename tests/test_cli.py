@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+import partmob as pm
 from partmob.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, ConfigError,
                          build_problem, main, parse_config)
 
@@ -200,3 +201,35 @@ diagnostics.edb = false
     assert (out / "snapshots.csv").exists()
     assert not (out / "diagnostics.csv").exists()
     assert not (out / "variational.csv").exists()
+
+
+def test_oracle_compare_off_grid_time(tmp_path, capsys):
+    cfg_text = """
+problem.V.kind = linear
+problem.V.coeff = -1.0
+problem.W.kind = zero
+problem.initial.kind = parabolic_bump
+discretization.N = 20
+discretization.t_end = 0.2
+oracle.fv_dx = 0.02
+oracle.compare_times = 0.1234
+"""
+    path = write_config(tmp_path, cfg_text)
+    code = main(["--config", str(path), "--out-dir", str(tmp_path / "oc"),
+                 "oracle-compare"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:") and "0.1234" in err
+    assert "Traceback" not in err
+
+
+def test_edb_check_prints_fresh_residual(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["--config", str(path), "--out-dir", str(tmp_path / "edb"),
+                 "edb-check"]) == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()[0]
+    cfg = parse_config(path)
+    problem = build_problem(cfg)
+    state = pm.quantile_partition(problem.initial, 24)
+    traj = pm.integrate(state, problem, 0.05, dt=1e-3)
+    assert printed.startswith(f"edb residual: {pm.edb_residual(traj):.6e} ")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import partmob as pm
+from partmob.fv import write_fv_snapshots_csv
 from partmob.reconstruct import SNAPSHOT_COLUMNS, continuity_residual
 
 
@@ -112,3 +113,56 @@ def test_snapshot_csv_schema(tmp_path, short_attractive_run):
     assert len(rows) - 1 == 2 * fields.n_cells
     # rows reproduce the stored profile exactly via repr round-trip
     assert float(rows[1][3]) == fields.densities[0, 0]
+
+
+# reference: the csv.writer + per-cell repr formulation the snapshot
+# writers must keep reproducing byte for byte
+def csv_writer_snapshots(path, snapshots):
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(SNAPSHOT_COLUMNS)
+        for t, edges, rho, vel in snapshots:
+            for i in range(len(rho)):
+                out.writerow([repr(float(t)),
+                              repr(float(edges[i])), repr(float(edges[i + 1])),
+                              repr(float(rho[i])),
+                              repr(float(vel[i])), repr(float(vel[i + 1]))])
+
+
+def with_extreme_values(fields):
+    # signed zero, the smallest subnormal and a huge value in every column
+    edges = fields.edges.copy()
+    edges[0, :3] = [-0.0, 5e-324, 1e300]
+    rho = fields.densities.copy()
+    rho[-1, :3] = [1e300, -0.0, 5e-324]
+    vel = fields.edge_velocities.copy()
+    vel[1, -3:] = [5e-324, 1e300, -0.0]
+    times = fields.times.copy()
+    times[1] = 5e-324
+    return pm.ReconstructedFields(times, edges, rho, vel, fields.mass)
+
+
+@pytest.mark.parametrize("subset", [None, [0, 1, 7, 3, -1]])
+def test_snapshot_bytes_match_csv_writer(tmp_path, short_attractive_run,
+                                         subset):
+    _, fields = short_attractive_run
+    fields = with_extreme_values(fields)
+    path, ref = tmp_path / "snap.csv", tmp_path / "ref.csv"
+    pm.write_snapshots_csv(fields, path, time_indices=subset)
+    indices = range(len(fields.times)) if subset is None else subset
+    csv_writer_snapshots(ref, [(fields.times[k], fields.edges[k],
+                                fields.densities[k], fields.edge_velocities[k])
+                               for k in indices])
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def test_fv_snapshot_bytes_match_csv_writer(tmp_path):
+    edges = np.array([-0.0, 5e-324, 0.25, 1e300])
+    profiles = np.array([[0.5, -0.0, 1e300], [5e-324, 0.75, 1.0 / 3.0]])
+    fields = pm.FvFields(np.array([0.0, 0.1]), edges, profiles, mass=1.0)
+    path, ref = tmp_path / "fv.csv", tmp_path / "ref.csv"
+    write_fv_snapshots_csv(fields, path)
+    zeros = np.zeros(len(edges))
+    csv_writer_snapshots(ref, [(t, edges, rho, zeros)
+                               for t, rho in zip(fields.times, profiles)])
+    assert path.read_bytes() == ref.read_bytes()

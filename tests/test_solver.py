@@ -112,6 +112,28 @@ def test_rk4_step_count_and_storage(attractive_problem):
     assert np.allclose(traj.times, [0.0, 0.05, 0.1])
 
 
+@pytest.mark.parametrize("store_every", [1, 3, 4, 10, 11, 25])
+def test_rk4_storage_keeps_last_step(attractive_problem, store_every):
+    # 10 steps: every store_every-th step is kept, and the last one always
+    s = pm.quantile_partition(attractive_problem.initial, 12)
+    every = pm.integrate(s, attractive_problem, 0.1, dt=1e-2)
+    traj = pm.integrate(s, attractive_problem, 0.1, dt=1e-2,
+                        store_every=store_every)
+    kept = sorted({0, 10} | set(range(store_every, 11, store_every)))
+    assert len(traj.times) == len(kept)
+    assert traj.positions.shape == traj.velocities.shape == (len(kept), 13)
+    assert np.array_equal(traj.times, every.times[kept])
+    assert np.array_equal(traj.positions, every.positions[kept])
+    assert np.array_equal(traj.velocities, every.velocities[kept])
+    assert traj.times[-1] == pytest.approx(0.1)
+
+
+def test_store_every_validated(attractive_problem):
+    s = pm.quantile_partition(attractive_problem.initial, 10)
+    with pytest.raises(ValueError, match="store_every"):
+        pm.integrate(s, attractive_problem, 0.1, dt=0.01, store_every=0)
+
+
 def test_rk45_reaches_end(attractive_problem):
     s = pm.quantile_partition(attractive_problem.initial, 20)
     traj = pm.integrate(s, attractive_problem, 0.2, scheme="rk45", tol=1e-9)

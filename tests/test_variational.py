@@ -7,7 +7,7 @@ import partmob as pm
 from partmob.variational import (continuous_dual_dissipation, dissipation,
                                  dissipation_rate, dual_dissipation,
                                  edb_series, free_energy,
-                                 reconstructed_energy)
+                                 reconstructed_energy, records_residual)
 
 
 def quadratic_form_oracle(state, mobility, zeta):
@@ -167,6 +167,16 @@ def test_energy_balance_order(short_attractive_run, attractive_problem):
     r_coarse = pm.edb_residual(pm.integrate(s, p, 0.2, dt=4e-3))
     r_fine = pm.edb_residual(pm.integrate(s, p, 0.2, dt=2e-3))
     assert r_coarse / r_fine >= 8.0
+
+
+def test_records_residual_matches_edb_residual(short_attractive_run):
+    traj, fields = short_attractive_run
+    records = pm.gradient_records(traj, fields)
+    assert records_residual(records) == pm.edb_residual(traj)
+    _, _, _, _, d, _ = edb_series(traj)
+    assert np.array_equal(d, [dissipation_rate(traj.state_at(k),
+                                               traj.problem)
+                              for k in range(len(traj.times))])
 
 
 def test_energy_monotone_along_flow(short_attractive_run):
