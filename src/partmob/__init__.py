@@ -24,8 +24,8 @@ from .quantile import ParticleState, cell_densities, quantile_partition
 from .reconstruct import (ReconstructedFields, continuity_residual,
                           write_snapshots_csv)
 from .solver import (CellBoundReport, NonFiniteState, StepUnderflow,
-                     Trajectory, check_cell_bounds, default_dt, forces_for,
-                     integrate, rhs)
+                     Trajectory, UnorderedState, check_cell_bounds,
+                     default_dt, forces_for, integrate, rhs)
 from .variational import (GradientRecord, continuous_dual_dissipation,
                           dissipation, dissipation_rate, dual_dissipation,
                           edb_residual, edb_series, free_energy,

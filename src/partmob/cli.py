@@ -32,7 +32,8 @@ from .model import (InvalidProblem, Potentials, Problem, linear_potential,
                     validate, zero_potential)
 from .quantile import ParticleState, quantile_partition
 from .reconstruct import ReconstructedFields, write_snapshots_csv
-from .solver import NonFiniteState, StepUnderflow, default_dt, integrate
+from .solver import (NonFiniteState, StepUnderflow, UnorderedState,
+                     default_dt, integrate)
 
 __all__ = ["main", "parse_config", "build_problem", "ConfigError"]
 
@@ -428,7 +429,8 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         apply_overrides(cfg, args.override)
         return _COMMANDS[args.command](cfg, args)
-    except (StepUnderflow, NonFiniteState, fvmod.CflViolation) as exc:
+    except (StepUnderflow, NonFiniteState, UnorderedState,
+            fvmod.CflViolation, fvmod.WindowExceeded) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, InvalidProblem, FileNotFoundError, ValueError) as exc:

@@ -6,11 +6,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import simpson
 
 from .forces import continuum_force
-from .model import Problem
+from .model import GAUSS_NODES, GAUSS_WEIGHTS, Problem
 from .reconstruct import ReconstructedFields
 
 __all__ = [
@@ -27,8 +26,6 @@ __all__ = [
     "entropy_report",
     "write_entropy_csv",
 ]
-
-_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(4)
 
 DIAGNOSTICS_COLUMNS = ("t", "mass", "bv", "tv", "h1", "w1_from_initial",
                        "support", "max_density", "min_cell_ratio")
@@ -201,8 +198,8 @@ def _panel_nodes(edges, lo, hi, max_len):
     starts = a[seg] + k * width[seg]
     mids = starts + 0.5 * width[seg]
     halves = 0.5 * width[seg]
-    nodes = (mids[:, None] + halves[:, None] * _GAUSS_NODES[None, :]).ravel()
-    weights = (halves[:, None] * _GAUSS_WEIGHTS[None, :]).ravel()
+    nodes = (mids[:, None] + halves[:, None] * GAUSS_NODES[None, :]).ravel()
+    weights = (halves[:, None] * GAUSS_WEIGHTS[None, :]).ravel()
     return nodes, weights
 
 

@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .model import Potentials
+from .model import GAUSS_NODES, GAUSS_WEIGHTS, Potentials
 from .quantile import ParticleState
 
 __all__ = [
@@ -17,7 +16,20 @@ __all__ = [
     "continuum_force",
 ]
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(4)
+# Elements per temporary in the blocked pair loops: 128 KB of float64, the
+# default glibc mmap threshold.  Larger blocks are slower, not faster: a
+# temporary above the threshold is mapped afresh and page-faults on every
+# call.  2^13 and 2^15 measured a few per cent slower on the Morse workload.
+BLOCK_ELEMENTS = 1 << 14
+
+
+def row_blocks(n_rows: int, row_elements: int):
+    """Consecutive row slices covering ``range(n_rows)``, each with at most
+    ``BLOCK_ELEMENTS`` elements when a row holds ``row_elements`` (at least
+    one row per slice)."""
+    step = max(1, BLOCK_ELEMENTS // max(1, row_elements))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,17 +57,21 @@ class ForceVector:
 def particle_forces(state: ParticleState, potentials: Potentials) -> ForceVector:
     """Exact pairwise forces ``V'(x_i) + h * sum_{j != i} W'(x_i - x_j)``.
 
-    Direct double sum; the row-wise reduction order is fixed so repeated
-    runs are bit-identical.
+    Direct double sum over blocks of rows; each row is still reduced whole,
+    so the result does not depend on the block size and repeated runs are
+    bit-identical.
     """
     x = state.positions
     f = np.array(potentials.external.dv(x), dtype=float, copy=True)
     w = potentials.interaction
     if not w.is_zero:
-        diff = x[:, None] - x[None, :]
-        pair = w.dw(diff)
-        np.fill_diagonal(pair, 0.0)
-        f += state.h * pair.sum(axis=1)
+        n = len(x)
+        sums = np.empty(n)
+        for rows in row_blocks(n, n):
+            pair = w.dw(x[rows, None] - x[None, :])
+            np.fill_diagonal(pair[:, rows], 0.0)
+            sums[rows] = pair.sum(axis=1)
+        f += state.h * sums
     return ForceVector(f)
 
 
@@ -86,22 +102,42 @@ def _cell_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.clip(idx, -1, len(edges) - 2)
 
 
-def _kernel_cell_integrals(fn, x, edges, skip=None):
-    # per-cell values of int_{K_i} fn(x - y) dy by 4-point Gauss, splitting
-    # the cell that contains x at the kernel kink
-    contributions = np.zeros(len(edges) - 1)
-    for i in range(len(edges) - 1):
-        if skip is not None and i == skip:
-            continue
-        a, b = edges[i], edges[i + 1]
-        pieces = [(a, x), (x, b)] if a < x < b else [(a, b)]
-        acc = 0.0
-        for (lo, hi) in pieces:
-            half = 0.5 * (hi - lo)
-            nodes = 0.5 * (lo + hi) + half * _GAUSS_NODES
-            acc += half * float(np.dot(_GAUSS_WEIGHTS, fn(x - nodes)))
-        contributions[i] = acc
-    return contributions
+def _piece_integrals(kernels, x, lo, hi):
+    # half * sum_q w_q fn(x - y_q) for every kernel fn, with the Gauss nodes
+    # y_q of each interval [lo, hi]; x, lo and hi broadcast together
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[..., None] + half[..., None] * GAUSS_NODES
+    diff = x[..., None] - nodes
+    return [half * np.vecdot(fn(diff), GAUSS_WEIGHTS) for fn in kernels]
+
+
+def _kernel_convolutions(kernels, edges, densities, x, skip):
+    # sum_i rho_i int_{K_i} fn(x - y) dy for every kernel fn, cell by cell by
+    # 4-point Gauss; the cell strictly containing x is split there at the
+    # kernel kink, and cell skip[k] (if >= 0) is left out for point k.
+    # vecdot reduces each row with the same BLAS dot as a per-row np.dot,
+    # and "0.0 +" keeps the signed zeros of a running sum started at 0.0,
+    # so the sums match a scalar loop over (point, cell) bit for bit.
+    lo, hi = edges[:-1], edges[1:]
+    out = [np.empty(len(x)) for _ in kernels]
+    for rows in row_blocks(len(x), 4 * len(lo)):
+        xb = x[rows]
+        per_cell = [0.0 + v for v in _piece_integrals(kernels, xb[:, None],
+                                                      lo, hi)]
+        k, i = np.nonzero((lo < xb[:, None]) & (xb[:, None] < hi))
+        split = _piece_integrals(kernels, xb[k, None],
+                                 np.stack([lo[i], xb[k]], axis=1),
+                                 np.stack([xb[k], hi[i]], axis=1))
+        for vals, pieces in zip(per_cell, split):
+            vals[k, i] = (0.0 + pieces[:, 0]) + pieces[:, 1]
+        if skip is not None:
+            k = np.nonzero(skip[rows] >= 0)[0]
+            i = skip[rows][k]
+            for vals in per_cell:
+                vals[k, i] = 0.0
+        for dst, vals in zip(out, per_cell):
+            dst[rows] = np.vecdot(vals, densities)
+    return out
 
 
 def continuum_force(edges: np.ndarray, densities: np.ndarray, mass: float,
@@ -144,10 +180,8 @@ def continuum_force(edges: np.ndarray, densities: np.ndarray, mass: float,
             dforce -= np.where(inside, s * 2.0 * rho_at, 0.0)
         return force, dforce
 
-    for k, xk in enumerate(x):
-        skip = int(idx[k]) if (exclude_own_cell and idx[k] >= 0) else None
-        conv = _kernel_cell_integrals(w.dw, xk, edges, skip=skip)
-        dconv = _kernel_cell_integrals(w.d2w, xk, edges, skip=skip)
-        force[k] += float(np.dot(densities, conv))
-        dforce[k] += float(np.dot(densities, dconv))
+    conv, dconv = _kernel_convolutions((w.dw, w.d2w), edges, densities, x,
+                                       idx if exclude_own_cell else None)
+    force += conv
+    dforce += dconv
     return force, dforce

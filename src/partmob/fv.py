@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forces import continuum_force
-from .model import Problem
+from .model import GAUSS_NODES, GAUSS_WEIGHTS, Problem
 from .reconstruct import write_snapshot_table
 
 __all__ = [
     "CflViolation",
+    "WindowExceeded",
     "FvGrid",
     "make_grid",
     "fv_step",
@@ -38,6 +39,10 @@ class CflViolation(RuntimeError):
 
 class NonConcaveFlux(ValueError):
     pass
+
+
+class WindowExceeded(ValueError):
+    """Mass reached the edge cells of a vacuum-boundary window."""
 
 
 @dataclass(eq=False)
@@ -135,7 +140,7 @@ def fv_step(grid: FvGrid, problem: Problem, dt: float,
     new_rho = rho - dt / grid.dx * (flux[1:] - flux[:-1])
     if boundary == "vacuum" and (abs(new_rho[0]) > 1e-14
                                  or abs(new_rho[-1]) > 1e-14):
-        raise ValueError("support reached the window boundary; enlarge it")
+        raise WindowExceeded("support reached the window boundary; enlarge it")
     return FvGrid(grid.a, grid.b, new_rho, t=grid.t + dt)
 
 
@@ -278,13 +283,11 @@ def l1_compare(particle_fields, fv_fields, t: float) -> float:
 def l1_compare_exact(grid: FvGrid, exact_fn) -> float:
     """L1 distance between the grid and a pointwise reference, by 4-point
     Gauss per cell."""
-    from numpy.polynomial.legendre import leggauss
-    nodes_ref, weights_ref = leggauss(4)
     mids = grid.centers
     half = 0.5 * grid.dx
-    nodes = mids[:, None] + half * nodes_ref[None, :]
+    nodes = mids[:, None] + half * GAUSS_NODES[None, :]
     vals = np.abs(exact_fn(nodes) - grid.rho[:, None])
-    return float(np.sum(half * weights_ref[None, :] * vals))
+    return float(np.sum(half * GAUSS_WEIGHTS[None, :] * vals))
 
 
 def write_fv_snapshots_csv(fields: FvFields, path) -> None:

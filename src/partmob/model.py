@@ -13,6 +13,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "Mobility",
@@ -43,6 +44,9 @@ __all__ = [
 ]
 
 Array = np.ndarray
+
+# 4-point Gauss-Legendre rule on [-1, 1], shared by every per-cell quadrature
+GAUSS_NODES, GAUSS_WEIGHTS = leggauss(4)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +298,12 @@ def morse(c_attract: float, ell_attract: float,
 
 def regular_interaction(w, dw, d2w, c_growth, sup_dw, sup_d2w,
                         lip_d2w) -> InteractionPotential:
+    """Smooth even kernel from user callables.
+
+    ``w``, ``dw`` and ``d2w`` must act elementwise on float arrays of any
+    shape: the force and energy paths call them on 2-D and 3-D blocks of
+    pairwise differences.
+    """
     return InteractionPotential(InteractionKind.REGULAR, w, dw, d2w,
                                 float(c_growth), float(sup_dw),
                                 float(sup_d2w), float(lip_d2w))
@@ -467,8 +477,6 @@ class InvalidProblem(ValueError):
 def _integrate_density(initial: InitialDensity, panels_per_piece: int = 512) -> float:
     # composite Gauss aligned to declared breakpoints, so step profiles are
     # integrated exactly and smooth ones far beyond the check tolerance
-    from numpy.polynomial.legendre import leggauss
-    nodes_ref, weights_ref = leggauss(4)
     brk = initial.params.get("breakpoints")
     pieces = np.asarray(brk, dtype=float) if brk is not None \
         else np.array([initial.x_min, initial.x_max])
@@ -477,8 +485,8 @@ def _integrate_density(initial: InitialDensity, panels_per_piece: int = 512) -> 
         edges = np.linspace(a, b, panels_per_piece + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         halves = 0.5 * np.diff(edges)
-        nodes = mids[:, None] + halves[:, None] * nodes_ref[None, :]
-        weights = halves[:, None] * weights_ref[None, :]
+        nodes = mids[:, None] + halves[:, None] * GAUSS_NODES[None, :]
+        weights = halves[:, None] * GAUSS_WEIGHTS[None, :]
         total += float(np.sum(weights * initial.density(nodes)))
     return total
 

@@ -7,14 +7,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import simpson
 
+from .model import GAUSS_NODES, GAUSS_WEIGHTS
 from .solver import Trajectory
 
 __all__ = ["ReconstructedFields", "continuity_residual", "write_snapshots_csv"]
-
-_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(4)
 
 SNAPSHOT_COLUMNS = ("t", "x_left", "x_right", "rho", "u_left", "u_right")
 
@@ -93,8 +91,8 @@ class ReconstructedFields:
         edges = self.edges[k]
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * np.diff(edges)
-        nodes = mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]
-        weights = half[:, None] * _GAUSS_WEIGHTS[None, :]
+        nodes = mid[:, None] + half[:, None] * GAUSS_NODES[None, :]
+        weights = half[:, None] * GAUSS_WEIGHTS[None, :]
         return nodes, weights
 
     def integrate_density(self, t: float, fn) -> float:

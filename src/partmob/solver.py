@@ -19,6 +19,7 @@ from .quantile import ParticleState
 
 __all__ = [
     "StepUnderflow",
+    "UnorderedState",
     "NonFiniteState",
     "Trajectory",
     "rhs",
@@ -37,8 +38,8 @@ class NonFiniteState(RuntimeError):
     pass
 
 
-class _Unordered(RuntimeError):
-    pass
+class UnorderedState(ValueError):
+    """Particle positions are not strictly increasing."""
 
 
 def forces_for(state: ParticleState, problem: Problem) -> ForceVector:
@@ -60,18 +61,16 @@ def upwind_betas(densities: np.ndarray,
 def _velocity(positions: np.ndarray, h: float, problem: Problem) -> np.ndarray:
     widths = np.diff(positions)
     if np.any(widths <= 0.0):
-        raise _Unordered
+        raise UnorderedState("state is not strictly ordered")
     beta_left, beta_right = upwind_betas(h / widths, problem.mobility)
     f = forces_for(ParticleState(positions, h=h), problem)
     return -beta_right * f.negative - beta_left * f.positive
 
 
 def rhs(state: ParticleState, problem: Problem) -> np.ndarray:
-    """Particle velocities for the current configuration."""
-    try:
-        return _velocity(state.positions, state.h, problem)
-    except _Unordered:
-        raise ValueError("state is not strictly ordered") from None
+    """Particle velocities for the current configuration; raises
+    ``UnorderedState`` unless the positions strictly increase."""
+    return _velocity(state.positions, state.h, problem)
 
 
 @dataclass(eq=False)
@@ -119,7 +118,7 @@ def _advance(x, dt, velocity, min_dt, t_now):
             raise NonFiniteState(f"non-finite state near t={t_now:.6g}")
         if np.all(np.diff(y) > 0.0):
             return y
-    except _Unordered:
+    except UnorderedState:
         pass
     if 0.5 * dt < min_dt:
         widths = np.diff(x)
@@ -174,7 +173,7 @@ def _integrate_rk45(x, t_end, velocity, tol, min_dt, store_every):
             scale = tol * (1.0 + np.max(np.abs(x)))
             err_norm = float(np.max(np.abs(err))) / scale
             ordered = np.all(np.diff(x5) > 0.0) and np.all(np.isfinite(x5))
-        except _Unordered:
+        except UnorderedState:
             err_norm, ordered = np.inf, False
         if err_norm <= 1.0 and ordered:
             t += dt

@@ -20,11 +20,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import cumulative_simpson, simpson
 
-from .forces import continuum_force
-from .model import Mobility, Potentials, Problem
+from .forces import continuum_force, row_blocks
+from .model import GAUSS_NODES, GAUSS_WEIGHTS, Mobility, Potentials, Problem
 from .quantile import ParticleState
 from .reconstruct import ReconstructedFields
 from .solver import Trajectory, forces_for, upwind_betas
@@ -43,8 +42,6 @@ __all__ = [
     "gradient_records",
     "write_gradient_csv",
 ]
-
-_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(4)
 
 GRADIENT_COLUMNS = ("t", "F_h", "Fhat_h", "R_h", "R_h_star", "D_h", "edb_partial")
 
@@ -193,15 +190,19 @@ def edb_series(traj: Trajectory, include_last: bool = True):
 # ---------------------------------------------------------------------------
 
 def _cell_pair_kernel_means(edges: np.ndarray, w) -> np.ndarray:
-    """Matrix of cell-pair averages of ``W(x - y)`` (4x4 Gauss per pair)."""
+    """Matrix of cell-pair averages of ``W(x - y)`` (4x4 Gauss per pair),
+    built over blocks of rows ``i``."""
     mids = 0.5 * (edges[:-1] + edges[1:])
     halves = 0.5 * np.diff(edges)
-    nodes = mids[:, None] + halves[:, None] * _GAUSS_NODES[None, :]
-    # pairwise differences between all Gauss nodes: (i, a, j, b)
-    diff = nodes[:, :, None, None] - nodes[None, None, :, :]
-    vals = w(diff)
-    wts = _GAUSS_WEIGHTS * 0.5  # reference-interval averages
-    return np.einsum("a,b,iajb->ij", wts, wts, vals)
+    nodes = mids[:, None] + halves[:, None] * GAUSS_NODES[None, :]
+    wts = GAUSS_WEIGHTS * 0.5  # reference-interval averages
+    n = len(nodes)
+    means = np.empty((n, n))
+    for rows in row_blocks(n, 16 * n):
+        # differences between the Gauss nodes of cells i and j: (i, a, j, b)
+        vals = w(nodes[rows, :, None, None] - nodes[None, None, :, :])
+        means[rows] = np.einsum("a,b,iajb->ij", wts, wts, vals)
+    return means
 
 
 def reconstructed_energy(edges: np.ndarray, densities: np.ndarray,
@@ -214,8 +215,8 @@ def reconstructed_energy(edges: np.ndarray, densities: np.ndarray,
     mids = 0.5 * (edges[:-1] + edges[1:])
     halves = 0.5 * np.diff(edges)
     ext = potentials.external
-    nodes = mids[:, None] + halves[:, None] * _GAUSS_NODES[None, :]
-    weights = halves[:, None] * _GAUSS_WEIGHTS[None, :]
+    nodes = mids[:, None] + halves[:, None] * GAUSS_NODES[None, :]
+    weights = halves[:, None] * GAUSS_WEIGHTS[None, :]
     total = float(np.sum(densities[:, None] * weights * ext.v(nodes)))
     w = potentials.interaction
     if w.is_zero:
@@ -241,8 +242,8 @@ def continuous_dual_dissipation(edges: np.ndarray, densities: np.ndarray,
     mass = float(np.sum(densities * np.diff(edges)))
     mids = 0.5 * (edges[:-1] + edges[1:])
     halves = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + halves[:, None] * _GAUSS_NODES[None, :]).ravel()
-    weights = (halves[:, None] * _GAUSS_WEIGHTS[None, :]).ravel()
+    nodes = (mids[:, None] + halves[:, None] * GAUSS_NODES[None, :]).ravel()
+    weights = (halves[:, None] * GAUSS_WEIGHTS[None, :]).ravel()
     force, _ = continuum_force(edges, densities, mass, problem.potentials,
                                nodes, exclude_own_cell=exclude_own_cell)
     theta_vals = problem.mobility.theta(np.repeat(densities, 4))

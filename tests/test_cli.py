@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import partmob as pm
-from partmob.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, ConfigError,
-                         build_problem, main, parse_config)
+from partmob.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
+                         ConfigError, build_problem, main, parse_config)
 
 BASE_CONFIG = """
 # attractive kernel on the standard bump
@@ -220,6 +220,28 @@ oracle.compare_times = 0.1234
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith("config error:") and "0.1234" in err
+    assert "Traceback" not in err
+
+
+def test_oracle_window_too_small_is_numerical(tmp_path, capsys):
+    # the drifting bump leaves a window that barely covers its support
+    cfg_text = """
+problem.V.kind = linear
+problem.V.coeff = -1.0
+problem.W.kind = zero
+problem.initial.kind = parabolic_bump
+discretization.N = 20
+discretization.t_end = 0.2
+oracle.fv_dx = 0.02
+oracle.window_lo = -1.05
+oracle.window_hi = 1.05
+"""
+    path = write_config(tmp_path, cfg_text)
+    code = main(["--config", str(path), "--out-dir", str(tmp_path / "oc"),
+                 "oracle-compare"])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERICAL
+    assert err.startswith("numerical failure:") and "window" in err
     assert "Traceback" not in err
 
 

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.strategies import composite
 
 import partmob as pm
+from partmob import forces
 from partmob.forces import continuum_force
+from partmob.model import GAUSS_NODES, GAUSS_WEIGHTS
 
 
 @composite
@@ -154,3 +156,84 @@ def test_exclude_own_cell_drops_local_contribution():
     assert dpart[0] == pytest.approx(dfull[0] - 2.0)
     inside = quadrature_oracle(edges[:2], rho[:1], 0.25, lambda d: np.sign(d))
     assert part[0] == pytest.approx(full[0] - inside, abs=1e-5)
+
+
+# -- blocked kernels against their one-shot / per-cell references ----------
+
+def smooth_kernel():
+    return pm.regular_interaction(lambda x: np.cos(x), lambda x: -np.sin(x),
+                                  lambda x: -np.cos(x), 1.0, 1.0, 1.0, 1.0)
+
+
+def cell_loop_continuum_force(edges, densities, potentials, x,
+                              exclude_own_cell):
+    # per-(point, cell) 4-point Gauss loop, splitting the cell that strictly
+    # contains the point at the kink; the arithmetic continuum_force must
+    # reproduce bit for bit
+    w = potentials.interaction
+    force = np.array(potentials.external.dv(x), dtype=float, copy=True)
+    dforce = np.array(potentials.external.d2v(x), dtype=float, copy=True)
+    own = forces._cell_index(edges, x)
+    for k, xk in enumerate(x):
+        skip = own[k] if exclude_own_cell and own[k] >= 0 else None
+        for fn, out in ((w.dw, force), (w.d2w, dforce)):
+            contributions = np.zeros(len(edges) - 1)
+            for i in range(len(edges) - 1):
+                if i == skip:
+                    continue
+                a, b = edges[i], edges[i + 1]
+                pieces = [(a, xk), (xk, b)] if a < xk < b else [(a, b)]
+                acc = 0.0
+                for lo, hi in pieces:
+                    half = 0.5 * (hi - lo)
+                    nodes = 0.5 * (lo + hi) + half * GAUSS_NODES
+                    acc += half * float(np.dot(GAUSS_WEIGHTS, fn(xk - nodes)))
+                contributions[i] = acc
+            out[k] += float(np.dot(densities, contributions))
+    return force, dforce
+
+
+@pytest.mark.parametrize("kernel", [pm.morse(1.0, 1.0, 0.5, 0.3),
+                                    smooth_kernel()], ids=["morse", "smooth"])
+@pytest.mark.parametrize("n_cells", [7, 33])   # BLAS dot below / above 32
+@pytest.mark.parametrize("exclude_own_cell", [False, True])
+def test_continuum_force_matches_cell_loop(kernel, n_cells, exclude_own_cell):
+    rng = np.random.default_rng(n_cells)
+    edges = np.cumsum(rng.uniform(0.05, 0.3, n_cells + 1)) - 1.0
+    densities = rng.uniform(0.1, 2.0, n_cells)
+    pots = pm.Potentials(pm.quadratic_potential(0.5), kernel)
+    # edges, points outside the support, midpoints and enough interior
+    # points for about three blocks
+    n_points = 3 * forces.BLOCK_ELEMENTS // (4 * n_cells)
+    x = np.concatenate([edges, [edges[0] - 0.4, edges[-1] + 0.1],
+                        0.5 * (edges[:-1] + edges[1:]),
+                        rng.uniform(edges[0], edges[-1], n_points)])
+    got = continuum_force(edges, densities, 1.0, pots, x, exclude_own_cell)
+    want = cell_loop_continuum_force(edges, densities, pots, x,
+                                     exclude_own_cell)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def dense_particle_forces(state, potentials):
+    # the whole pair matrix at once, diagonal zeroed, rows summed
+    x = state.positions
+    pair = potentials.interaction.dw(x[:, None] - x[None, :])
+    np.fill_diagonal(pair, 0.0)
+    return potentials.external.dv(x) + state.h * pair.sum(axis=1)
+
+
+@pytest.mark.parametrize("kernel", [pm.morse(1.0, 1.0, 0.5, 0.3),
+                                    smooth_kernel()], ids=["morse", "smooth"])
+@pytest.mark.parametrize("n", [2, 50, 300])
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+def test_blocked_particle_forces_match_dense(kernel, n, one_row_blocks,
+                                             monkeypatch):
+    # n = 50 fits one block; 300 is not a multiple of the rows per block
+    if one_row_blocks:
+        monkeypatch.setattr(forces, "BLOCK_ELEMENTS", 1)
+    x = np.sort(np.random.default_rng(n).uniform(-2.0, 2.0, n))
+    state = pm.ParticleState(x, h=1.0 / n)
+    pots = pm.Potentials(pm.quadratic_potential(0.5), kernel)
+    assert np.array_equal(pm.particle_forces(state, pots).values,
+                          dense_particle_forces(state, pots))

@@ -189,3 +189,7 @@ def test_disordered_initial_state_rejected(attractive_problem):
     s = pm.ParticleState([1.0, 0.0], h=1.0)
     with pytest.raises(ValueError):
         pm.integrate(s, attractive_problem, 0.1, dt=0.01)
+    # a numerical failure, not bad input: the CLI maps it to exit code 3
+    with pytest.raises(pm.UnorderedState, match="strictly ordered"):
+        pm.rhs(s, attractive_problem)
+    assert issubclass(pm.UnorderedState, ValueError)

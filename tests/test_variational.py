@@ -4,7 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partmob as pm
-from partmob.variational import (continuous_dual_dissipation, dissipation,
+from partmob import forces
+from partmob.model import GAUSS_NODES, GAUSS_WEIGHTS
+from partmob.solver import upwind_betas
+from partmob.variational import (_cell_pair_kernel_means,
+                                 continuous_dual_dissipation, dissipation,
                                  dissipation_rate, dual_dissipation,
                                  edb_series, free_energy,
                                  reconstructed_energy, records_residual)
@@ -118,14 +122,21 @@ def test_legendre_dual_by_grid_search():
     zeta = np.array([0.7, -1.1, 0.4])
     target = dual_dissipation(state, mob, zeta)
     grid = np.linspace(-3.0, 3.0, 61)
-    best = -np.inf
-    for j0 in grid:
-        for j1 in grid:
-            for j2 in grid:
-                j = np.array([j0, j1, j2])
-                r = dissipation(state, mob, j)
-                if np.isfinite(r):
-                    best = max(best, float(np.dot(zeta, j)) - r)
+    flux = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    # R on the whole grid from the same upwind split, +inf where infeasible
+    beta_left, beta_right = upwind_betas(state.densities(), mob)
+    jp, jm = np.maximum(flux, 0.0), np.minimum(flux, 0.0)
+    infeasible = np.any(((jp > 0) & (beta_right == 0.0))
+                        | ((jm < 0) & (beta_left == 0.0)), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(jm < 0, jm**2 / beta_left, 0.0) \
+            + np.where(jp > 0, jp**2 / beta_right, 0.0)
+    r = np.where(infeasible, np.inf, 0.5 * terms.sum(axis=1))
+    sample = np.random.default_rng(0).choice(len(flux), 100, replace=False)
+    for k in sample:
+        assert r[k] == dissipation(state, mob, flux[k])
+    best = float(np.max(flux @ zeta - r))
     assert best == pytest.approx(target, abs=5e-3)
 
 
@@ -237,6 +248,30 @@ def test_reconstructed_energy_morse_matches_quadrature():
     o01 = gauss_pair_oracle(0.0, 0.6, 0.6, 1.5, w.w, n=400)
     expected = 0.5 * h * h * 2 * o01
     assert direct == pytest.approx(expected, abs=1e-6)
+
+
+def unblocked_pair_means(edges, w):
+    # every Gauss-node pair in one (N, 4, N, 4) array, reduced by one einsum
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halves = 0.5 * np.diff(edges)
+    nodes = mids[:, None] + halves[:, None] * GAUSS_NODES[None, :]
+    vals = w(nodes[:, :, None, None] - nodes[None, None, :, :])
+    wts = GAUSS_WEIGHTS * 0.5
+    return np.einsum("a,b,iajb->ij", wts, wts, vals)
+
+
+@pytest.mark.parametrize("n_cells", [20, 100, 130])
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+def test_blocked_pair_means_match_unblocked(n_cells, one_row_blocks,
+                                            monkeypatch):
+    # 20 cells fit one block; 130 is not a multiple of the rows per block
+    if one_row_blocks:
+        monkeypatch.setattr(forces, "BLOCK_ELEMENTS", 1)
+    w = pm.morse(1.0, 0.7, 0.4, 0.25).w
+    edges = np.cumsum(np.random.default_rng(n_cells).uniform(
+        0.01, 0.1, n_cells + 1))
+    assert np.array_equal(_cell_pair_kernel_means(edges, w),
+                          unblocked_pair_means(edges, w))
 
 
 def test_energy_consistency_under_refinement(attractive_problem):
