@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .forces import continuum_force
+from .forces import continuum_force, row_blocks
 from .model import GAUSS_NODES, GAUSS_WEIGHTS, Problem
-from .reconstruct import ReconstructedFields
+from .reconstruct import ReconstructedFields, profile_masses
 
 __all__ = [
     "bv_norm",
@@ -32,16 +32,45 @@ DIAGNOSTICS_COLUMNS = ("t", "mass", "bv", "tv", "h1", "w1_from_initial",
 ENTROPY_COLUMNS = ("c", "phi_id", "residual")
 
 
+def _total_variations(rho: np.ndarray) -> np.ndarray:
+    # total_variation of one profile or of every row of a block
+    return rho[..., 0] + np.sum(np.abs(np.diff(rho, axis=-1)), axis=-1) \
+        + rho[..., -1]
+
+
+def _h1_proxies(edges: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    # h1_proxy of one profile or of every row of a block
+    ends = np.zeros(rho.shape[:-1] + (1,))
+    mids = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    xs = np.concatenate([edges[..., :1], mids, edges[..., -1:]], axis=-1)
+    vals = np.concatenate([ends, rho, ends], axis=-1)
+    dx = np.diff(xs, axis=-1)
+    va, vb = vals[..., :-1], vals[..., 1:]
+    sq = np.sum(dx * (va**2 + va * vb + vb**2) / 3.0, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dsq = np.sum(np.where(dx > 0, (vb - va) ** 2 / dx, 0.0), axis=-1)
+    return np.sqrt(sq) + np.sqrt(dsq)
+
+
 def total_variation(densities: np.ndarray) -> float:
     """Jump sum of the piecewise-constant profile, boundary jumps included."""
-    rho = np.asarray(densities, dtype=float)
-    return float(rho[0] + np.sum(np.abs(np.diff(rho))) + rho[-1])
+    return float(_total_variations(np.asarray(densities, dtype=float)))
 
 
 def bv_norm(fields: ReconstructedFields, t: float) -> float:
     """L1 norm plus total variation at a stored time."""
     _, rho = fields.profile(t)
     return fields.mass_at(t) + total_variation(rho)
+
+
+def bv_norms(fields: ReconstructedFields) -> np.ndarray:
+    """:func:`bv_norm` at every stored time, over blocks of stored times."""
+    out = np.empty(len(fields.times))
+    for rows in row_blocks(len(fields.times), fields.n_cells + 1):
+        rho = fields.densities[rows]
+        out[rows] = profile_masses(fields.edges[rows], rho) \
+            + _total_variations(rho)
+    return out
 
 
 def h1_proxy(edges: np.ndarray, densities: np.ndarray) -> float:
@@ -51,16 +80,8 @@ def h1_proxy(edges: np.ndarray, densities: np.ndarray) -> float:
     ramps to zero over the first and last half-cells.  A stand-in for a
     Sobolev norm that is finite on piecewise-constant data.
     """
-    edges = np.asarray(edges, dtype=float)
-    rho = np.asarray(densities, dtype=float)
-    xs = np.concatenate([[edges[0]], 0.5 * (edges[:-1] + edges[1:]), [edges[-1]]])
-    vals = np.concatenate([[0.0], rho, [0.0]])
-    dx = np.diff(xs)
-    va, vb = vals[:-1], vals[1:]
-    sq = np.sum(dx * (va**2 + va * vb + vb**2) / 3.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dsq = np.sum(np.where(dx > 0, (vb - va) ** 2 / dx, 0.0))
-    return float(np.sqrt(sq) + np.sqrt(dsq))
+    return float(_h1_proxies(np.asarray(edges, dtype=float),
+                             np.asarray(densities, dtype=float)))
 
 
 def _segment_abs_integral(lengths, da, db):
@@ -101,25 +122,26 @@ class DiagnosticsRecord:
 
 def diagnostics_records(fields: ReconstructedFields,
                         problem: Problem) -> list[DiagnosticsRecord]:
-    records = []
+    """One record per stored time; every column but the W1 distance is
+    computed over blocks of stored times."""
     h = fields.mass / fields.n_cells
+    n = len(fields.times)
+    mass, tv, h1, support, max_rho, min_width = (np.empty(n) for _ in range(6))
+    # the widest temporaries are the n_cells + 2 interpolant nodes per row
+    for rows in row_blocks(n, fields.n_cells + 2):
+        edges, rho = fields.edges[rows], fields.densities[rows]
+        mass[rows] = profile_masses(edges, rho)
+        tv[rows] = _total_variations(rho)
+        h1[rows] = _h1_proxies(edges, rho)
+        support[rows] = edges[:, -1] - edges[:, 0]
+        max_rho[rows] = np.max(rho, axis=1)
+        min_width[rows] = np.min(np.diff(edges, axis=1), axis=1)
     t0 = float(fields.times[0])
-    for k, t in enumerate(fields.times):
-        edges, rho = fields.edges[k], fields.densities[k]
-        widths = np.diff(edges)
-        tv = total_variation(rho)
-        records.append(DiagnosticsRecord(
-            t=float(t),
-            l1_mass=fields.mass_at(float(t)),
-            bv_norm=fields.mass_at(float(t)) + tv,
-            tv_only=tv,
-            h1_proxy=h1_proxy(edges, rho),
-            w1_from_initial=w1_distance(fields, t0, float(t)),
-            support_measure=float(edges[-1] - edges[0]),
-            max_density=float(np.max(rho)),
-            min_cell_ratio=float(np.min(widths) * problem.M / h),
-        ))
-    return records
+    w1 = [w1_distance(fields, t0, t) for t in fields.times.tolist()]
+    return list(map(DiagnosticsRecord, fields.times.tolist(), mass.tolist(),
+                    (mass + tv).tolist(), tv.tolist(), h1.tolist(), w1,
+                    support.tolist(), max_rho.tolist(),
+                    (min_width * problem.M / h).tolist()))
 
 
 def write_diagnostics_csv(records, path) -> None:

@@ -86,12 +86,17 @@ def newtonian_forces_fast(state: ParticleState, potentials: Potentials,
     if sign is None:
         sign = potentials.interaction.newtonian_sign
     x = state.positions
-    n = len(x) - 1
     f = np.array(potentials.external.dv(x), dtype=float, copy=True)
     if sign:
-        ranks = np.arange(n + 1, dtype=float)
-        f += sign * state.h * (2.0 * ranks - n)
+        f += rank_term(sign, state.h, len(x))
     return ForceVector(f)
+
+
+def rank_term(sign: int, h: float, n_particles: int) -> np.ndarray:
+    """Interaction part ``s * h * (2 i - N)`` of the rank-sum force for
+    ``W(x) = s |x|`` on ``N + 1`` ordered particles."""
+    ranks = np.arange(n_particles, dtype=float)
+    return sign * h * (2.0 * ranks - (n_particles - 1))
 
 
 def _cell_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 from .forces import continuum_force
 from .model import GAUSS_NODES, GAUSS_WEIGHTS, Problem
 from .reconstruct import write_snapshot_table
+from .solver import StoredTimes
 
 __all__ = [
     "CflViolation",
@@ -145,7 +146,7 @@ def fv_step(grid: FvGrid, problem: Problem, dt: float,
 
 
 @dataclass(eq=False)
-class FvFields:
+class FvFields(StoredTimes):
     """Stored snapshots exposing the same profile protocol as the particle
     reconstruction."""
 
@@ -153,12 +154,6 @@ class FvFields:
     edges_1d: np.ndarray
     profiles: np.ndarray     # (n_times, n_cells)
     mass: float
-
-    def index_of(self, t: float) -> int:
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(self.times[-1])):
-            raise KeyError(f"time {t!r} is not a stored output time")
-        return k
 
     def profile_at_index(self, k: int):
         return self.edges_1d, self.profiles[k]
@@ -275,8 +270,8 @@ def l1_compare(particle_fields, fv_fields, t: float) -> float:
     edges_p, rho_p = particle_fields.profile(t)
     edges_f, rho_f = fv_fields.profile(t)
     if edges_p[0] < edges_f[0] - 1e-12 or edges_p[-1] > edges_f[-1] + 1e-12:
-        raise ValueError("window mismatch: particle support exceeds the "
-                         "finite-volume window")
+        raise WindowExceeded("window mismatch: particle support exceeds the "
+                             "finite-volume window")
     return l1_distance(edges_p, rho_p, edges_f, rho_f)
 
 

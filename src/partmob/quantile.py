@@ -48,11 +48,17 @@ class ParticleState:
 def cell_densities(state: ParticleState) -> np.ndarray:
     """Per-cell densities ``h / (x[i+1] - x[i])``; rejects coincident
     particles."""
-    widths = state.widths()
+    return row_densities(state.positions, state.h)
+
+
+def row_densities(positions: np.ndarray, h: float) -> np.ndarray:
+    """:func:`cell_densities` of one state or of every row of a
+    ``(n_times, n_particles)`` block of positions."""
+    widths = np.diff(positions, axis=-1)
     if np.any(widths <= 0):
-        bad = int(np.argmin(widths))
+        bad = int(np.argmin(widths)) % widths.shape[-1]
         raise QuantileError(f"coincident or disordered particles at cell {bad}")
-    return state.h / widths
+    return h / widths
 
 
 def _rightmost_quantile(cumulative, target, lo, hi, mass, span):

@@ -9,16 +9,23 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
+from .forces import row_blocks
 from .model import GAUSS_NODES, GAUSS_WEIGHTS
-from .solver import Trajectory
+from .solver import StoredTimes, Trajectory
 
 __all__ = ["ReconstructedFields", "continuity_residual", "write_snapshots_csv"]
 
 SNAPSHOT_COLUMNS = ("t", "x_left", "x_right", "rho", "u_left", "u_right")
 
 
+def profile_masses(edges: np.ndarray, densities: np.ndarray) -> np.ndarray:
+    """Mass ``sum_i rho_i (x_{i+1} - x_i)`` of one profile, or of every row
+    of a block of profiles."""
+    return np.sum(densities * np.diff(edges, axis=-1), axis=-1)
+
+
 @dataclass(eq=False)
-class ReconstructedFields:
+class ReconstructedFields(StoredTimes):
     """Density/flux pair built from a stored trajectory.
 
     At each stored time the density is ``h / width`` on every moving cell
@@ -43,12 +50,6 @@ class ReconstructedFields:
     @property
     def n_cells(self) -> int:
         return self.densities.shape[1]
-
-    def index_of(self, t: float) -> int:
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(self.times[-1])):
-            raise KeyError(f"time {t!r} is not a stored output time")
-        return k
 
     def profile(self, t: float):
         """(edges, densities) arrays at a stored time."""
@@ -78,8 +79,14 @@ class ReconstructedFields:
         return self.density_at(t, x) * self.velocity_at(t, x)
 
     def mass_at(self, t: float) -> float:
-        edges, rho = self.profile(t)
-        return float(np.sum(rho * np.diff(edges)))
+        return float(profile_masses(*self.profile(t)))
+
+    def masses(self) -> np.ndarray:
+        """:meth:`mass_at` every stored time, over blocks of stored times."""
+        out = np.empty(len(self.times))
+        for rows in row_blocks(len(self.times), self.n_cells + 1):
+            out[rows] = profile_masses(self.edges[rows], self.densities[rows])
+        return out
 
     def support_at(self, t: float) -> tuple[float, float]:
         k = self.index_of(t)

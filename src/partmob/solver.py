@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forces import ForceVector, newtonian_forces_fast, particle_forces
+from .forces import ForceVector, particle_forces, rank_term
 from .model import Mobility, Problem
 from .quantile import ParticleState
 
@@ -44,37 +44,86 @@ class UnorderedState(ValueError):
 
 def forces_for(state: ParticleState, problem: Problem) -> ForceVector:
     """Forces with the cheap rank-sum path whenever the kernel allows it."""
-    w = problem.potentials.interaction
-    if w.is_zero or w.is_newtonian:
-        return newtonian_forces_fast(state, problem.potentials)
-    return particle_forces(state, problem.potentials)
+    x = state.positions
+    return ForceVector(force_rows(problem, state.h, len(x))(x))
+
+
+def force_rows(problem: Problem, h: float, n_particles: int):
+    """Force function of positions with shape ``(..., n_particles)``, one
+    state or a block of stored times, built once per run.
+
+    For the |x| and zero kernels it is ``V'`` of the whole array plus the
+    rank term built here, as in :func:`newtonian_forces_fast`; other
+    kernels call :func:`particle_forces` once per row.  A row of a block
+    gets the same bits as the same state alone.
+    """
+    pots = problem.potentials
+    w = pots.interaction
+    if not (w.is_zero or w.is_newtonian):
+        def pair_forces(x):
+            return np.reshape([particle_forces(ParticleState(row, h=h),
+                                               pots).values
+                               for row in x.reshape(-1, n_particles)],
+                              x.shape)
+        return pair_forces
+    dv = pots.external.dv
+    if not w.newtonian_sign:
+        return lambda x: np.array(dv(x), dtype=float)
+    rank = rank_term(w.newtonian_sign, h, n_particles)
+    return lambda x: dv(x) + rank
 
 
 def upwind_betas(densities: np.ndarray,
                  mobility: Mobility) -> tuple[np.ndarray, np.ndarray]:
     """Mobility of the cell left and right of every particle, with vacuum
-    ghost cells beyond both ends; one ``beta`` evaluation."""
-    beta = mobility.beta(np.concatenate([[0.0], densities, [0.0]]))
-    return beta[:-1], beta[1:]
+    ghost cells beyond both ends; one ``beta`` evaluation.  ``densities``
+    holds one state or one row per stored time."""
+    padded = np.zeros(densities.shape[:-1] + (densities.shape[-1] + 2,))
+    padded[..., 1:-1] = densities
+    beta = mobility.beta(padded)
+    return beta[..., :-1], beta[..., 1:]
 
 
-def _velocity(positions: np.ndarray, h: float, problem: Problem) -> np.ndarray:
-    widths = np.diff(positions)
-    if np.any(widths <= 0.0):
-        raise UnorderedState("state is not strictly ordered")
-    beta_left, beta_right = upwind_betas(h / widths, problem.mobility)
-    f = forces_for(ParticleState(positions, h=h), problem)
-    return -beta_right * f.negative - beta_left * f.positive
+def velocity_field(problem: Problem, h: float, n_particles: int):
+    """Particle velocities as a function of the positions, built once per
+    run.  The function raises ``UnorderedState`` unless the positions
+    strictly increase."""
+    forces = force_rows(problem, h, n_particles)
+    mobility = problem.mobility
+
+    def velocity(x):
+        widths = x[1:] - x[:-1]
+        if (widths <= 0.0).any():
+            raise UnorderedState("state is not strictly ordered")
+        beta_left, beta_right = upwind_betas(h / widths, mobility)
+        f = forces(x)
+        return -beta_right * np.minimum(f, 0.0) \
+            - beta_left * np.maximum(f, 0.0)
+
+    return velocity
 
 
 def rhs(state: ParticleState, problem: Problem) -> np.ndarray:
     """Particle velocities for the current configuration; raises
     ``UnorderedState`` unless the positions strictly increase."""
-    return _velocity(state.positions, state.h, problem)
+    x = state.positions
+    return velocity_field(problem, state.h, len(x))(x)
+
+
+class StoredTimes:
+    """Lookup of a stored output time in ``self.times``."""
+
+    times: np.ndarray
+
+    def index_of(self, t: float) -> int:
+        k = int(np.argmin(np.abs(self.times - t)))
+        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(self.times[-1])):
+            raise KeyError(f"time {t!r} is not a stored output time")
+        return k
 
 
 @dataclass(eq=False)
-class Trajectory:
+class Trajectory(StoredTimes):
     times: np.ndarray
     positions: np.ndarray     # (n_times, n_particles)
     velocities: np.ndarray    # (n_times, n_particles)
@@ -89,12 +138,6 @@ class Trajectory:
     def state_at(self, k: int) -> ParticleState:
         return ParticleState(self.positions[k], h=self.h, t=float(self.times[k]))
 
-    def index_of(self, t: float) -> int:
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(self.times[-1])):
-            raise KeyError(f"time {t!r} is not a stored output time")
-        return k
-
     def widths(self) -> np.ndarray:
         return np.diff(self.positions, axis=1)
 
@@ -102,18 +145,21 @@ class Trajectory:
         return self.h / self.widths()
 
 
-def _rk4_step(x, dt, velocity):
-    k1 = velocity(x)
-    k2 = velocity(x + 0.5 * dt * k1)
+def _rk4_step(x, v, dt, velocity):
+    # v is velocity(x)
+    k2 = velocity(x + 0.5 * dt * v)
     k3 = velocity(x + 0.5 * dt * k2)
     k4 = velocity(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x + (dt / 6.0) * (v + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _advance(x, dt, velocity, min_dt, t_now):
-    """One interval of size dt, recursively halved on ordering violations."""
+def _advance(x, dt, velocity, min_dt, t_now, v=None):
+    """One interval of size dt, recursively halved on ordering violations;
+    ``v`` is ``velocity(x)`` when the caller already has it."""
     try:
-        y = _rk4_step(x, dt, velocity)
+        if v is None:
+            v = velocity(x)
+        y = _rk4_step(x, v, dt, velocity)
         if not np.all(np.isfinite(y)):
             raise NonFiniteState(f"non-finite state near t={t_now:.6g}")
         if np.all(np.diff(y) > 0.0):
@@ -126,7 +172,7 @@ def _advance(x, dt, velocity, min_dt, t_now):
         raise StepUnderflow(
             f"step underflow at t={t_now:.6g}: cell {cell} (width "
             f"{widths[cell]:.3e}) keeps violating ordering")
-    mid = _advance(x, 0.5 * dt, velocity, min_dt, t_now)
+    mid = _advance(x, 0.5 * dt, velocity, min_dt, t_now, v)
     return _advance(mid, 0.5 * dt, velocity, min_dt, t_now + 0.5 * dt)
 
 
@@ -212,8 +258,7 @@ def integrate(initial: ParticleState, problem: Problem, t_end: float,
     h = initial.h
     min_dt = 1e-12 * t_end
 
-    def velocity(x):
-        return _velocity(x, h, problem)
+    velocity = velocity_field(problem, h, x0.size)
 
     if scheme == "rk4":
         if dt is None:
@@ -225,12 +270,15 @@ def integrate(initial: ParticleState, problem: Problem, t_end: float,
         times = np.empty(n_store)
         states = np.empty((n_store, x0.size))
         vels = np.empty((n_store, x0.size))
-        times[0], states[0], vels[0] = 0.0, x0, velocity(x0)
-        x, k = x0, 1
+        # the velocity at each new state is both the stored one and the
+        # first stage of the next step
+        x, v, k = x0, velocity(x0), 1
+        times[0], states[0], vels[0] = 0.0, x0, v
         for step in range(n_steps):
-            x = _advance(x, dt, velocity, min_dt, step * dt)
+            x = _advance(x, dt, velocity, min_dt, step * dt, v)
+            v = velocity(x)
             if (step + 1) % store_every == 0 or step + 1 == n_steps:
-                times[k], states[k], vels[k] = (step + 1) * dt, x, velocity(x)
+                times[k], states[k], vels[k] = (step + 1) * dt, x, v
                 k += 1
     elif scheme == "rk45":
         if not (1e-12 < tol < 1e-2):

@@ -24,9 +24,9 @@ from scipy.integrate import cumulative_simpson, simpson
 
 from .forces import continuum_force, row_blocks
 from .model import GAUSS_NODES, GAUSS_WEIGHTS, Mobility, Potentials, Problem
-from .quantile import ParticleState
+from .quantile import ParticleState, row_densities
 from .reconstruct import ReconstructedFields
-from .solver import Trajectory, forces_for, upwind_betas
+from .solver import Trajectory, force_rows, forces_for, upwind_betas
 
 __all__ = [
     "free_energy",
@@ -67,17 +67,52 @@ def free_energy(state: ParticleState, potentials: Potentials,
     return total
 
 
+def _dual_dissipations(densities, mobility: Mobility, zeta) -> np.ndarray:
+    # one dual dissipation per row of (densities, zeta)
+    beta_left, beta_right = upwind_betas(densities, mobility)
+    zp = np.maximum(zeta, 0.0)
+    zm = np.minimum(zeta, 0.0)
+    return 0.5 * np.sum(beta_left * zm**2 + beta_right * zp**2, axis=-1)
+
+
+def _dissipations(densities, mobility: Mobility, flux) -> np.ndarray:
+    # one dissipation per row of (densities, flux); +inf where infeasible
+    beta_left, beta_right = upwind_betas(densities, mobility)
+    jp = np.maximum(flux, 0.0)
+    jm = np.minimum(flux, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(jm < 0, jm**2 / beta_left, 0.0) \
+            + np.where(jp > 0, jp**2 / beta_right, 0.0)
+    out = 0.5 * np.sum(terms, axis=-1)
+    infeasible = np.any((jp > 0) & (beta_right == 0.0), axis=-1) \
+        | np.any((jm < 0) & (beta_left == 0.0), axis=-1)
+    return np.where(infeasible, np.inf, out)
+
+
+def _decay_rates(densities, mobility: Mobility, f,
+                 include_last: bool) -> np.ndarray:
+    # one decay rate per row of (densities, f)
+    beta_left, beta_right = upwind_betas(densities, mobility)
+    fp = np.maximum(f, 0.0)
+    fm = np.minimum(f, 0.0)
+    stop = f.shape[-1] if include_last else f.shape[-1] - 1
+    return np.sum((beta_right * fm**2 + beta_left * fp**2)[..., :stop],
+                  axis=-1)
+
+
+def _per_particle(state: ParticleState, values, name: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if len(values) != len(state.positions):
+        raise ValueError(f"{name} must have one entry per particle")
+    return values
+
+
 def dual_dissipation(state: ParticleState, mobility: Mobility,
                      zeta: np.ndarray) -> float:
     """Quadratic form ``(1/2) sum_i [beta(left_i) (z_i^-)^2
     + beta(right_i) (z_i^+)^2]`` with vacuum ghost cells."""
-    zeta = np.asarray(zeta, dtype=float)
-    if len(zeta) != len(state.positions):
-        raise ValueError("zeta must have one entry per particle")
-    beta_left, beta_right = upwind_betas(state.densities(), mobility)
-    zp = np.maximum(zeta, 0.0)
-    zm = np.minimum(zeta, 0.0)
-    return 0.5 * float(np.sum(beta_left * zm**2 + beta_right * zp**2))
+    zeta = _per_particle(state, zeta, "zeta")
+    return float(_dual_dissipations(state.densities(), mobility, zeta))
 
 
 def dissipation(state: ParticleState, mobility: Mobility,
@@ -88,18 +123,8 @@ def dissipation(state: ParticleState, mobility: Mobility,
     Convention ``0^2 / 0 = 0``; a nonzero flux against a vanished beta is
     infeasible and returns ``+inf``.
     """
-    flux = np.asarray(flux, dtype=float)
-    if len(flux) != len(state.positions):
-        raise ValueError("flux must have one entry per particle")
-    beta_left, beta_right = upwind_betas(state.densities(), mobility)
-    jp = np.maximum(flux, 0.0)
-    jm = np.minimum(flux, 0.0)
-    if np.any((jp > 0) & (beta_right == 0.0)) or np.any((jm < 0) & (beta_left == 0.0)):
-        return float("inf")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(jm < 0, jm**2 / beta_left, 0.0) \
-            + np.where(jp > 0, jp**2 / beta_right, 0.0)
-    return 0.5 * float(np.sum(terms))
+    flux = _per_particle(state, flux, "flux")
+    return float(_dissipations(state.densities(), mobility, flux))
 
 
 def dissipation_rate(state: ParticleState, problem: Problem,
@@ -111,29 +136,35 @@ def dissipation_rate(state: ParticleState, problem: Problem,
     if force_values is None:
         force_values = forces_for(state, problem).values
     f = np.asarray(force_values, dtype=float)
-    beta_left, beta_right = upwind_betas(state.densities(), problem.mobility)
-    fp = np.maximum(f, 0.0)
-    fm = np.minimum(f, 0.0)
-    stop = len(f) if include_last else len(f) - 1
-    return float(np.sum((beta_right * fm**2 + beta_left * fp**2)[:stop]))
+    return float(_decay_rates(state.densities(), problem.mobility, f,
+                              include_last))
 
 
 def _rate_series(traj: Trajectory, decay: bool = False,
-                 include_last: bool = True):
-    """R_h(x, xdot) and R*(x, -f) at every stored time, plus the decay rate
-    D when ``decay`` is set (else None), from one force evaluation per
-    time."""
+                 include_last: bool = True, stored=slice(None)):
+    """R_h(x, xdot) and R*(x, -f) at the stored times selected by the
+    slice ``stored``, plus the decay rate D when ``decay`` is set (else
+    None).
+
+    Works on blocks of stored times, each row computed as the one-state
+    functions compute it, from one force evaluation per time.
+    """
+    positions = traj.positions[stored]
+    velocities = traj.velocities[stored]
     mob = traj.problem.mobility
-    n = len(traj.times)
+    n, n_particles = positions.shape
+    forces = force_rows(traj.problem, traj.h, n_particles)
     r, r_star = np.empty(n), np.empty(n)
     d = np.empty(n) if decay else None
-    for k in range(n):
-        state = traj.state_at(k)
-        f = forces_for(state, traj.problem).values
-        r[k] = dissipation(state, mob, traj.velocities[k])
-        r_star[k] = dual_dissipation(state, mob, -f)
+    # the widest temporary is the padded row of n_particles + 1 betas
+    for rows in row_blocks(n, n_particles + 1):
+        x = positions[rows]
+        rho = row_densities(x, traj.h)
+        f = forces(x)
+        r[rows] = _dissipations(rho, mob, velocities[rows])
+        r_star[rows] = _dual_dissipations(rho, mob, -f)
         if decay:
-            d[k] = dissipation_rate(state, traj.problem, f, include_last)
+            d[rows] = _decay_rates(rho, mob, f, include_last)
     return r, r_star, d
 
 
@@ -151,12 +182,12 @@ def edb_residual(traj: Trajectory, s: float | None = None,
     kt = len(times) - 1 if t is None else traj.index_of(t)
     if kt - ks < 2:
         raise ValueError("need at least three stored times between s and t")
-    r, r_star, _ = _rate_series(traj)
     sl = slice(ks, kt + 1)
+    r, r_star, _ = _rate_series(traj, stored=sl)
     pots = traj.problem.potentials
     f_end = free_energy(traj.state_at(kt), pots, include_last=include_last)
     f_start = free_energy(traj.state_at(ks), pots, include_last=include_last)
-    return _balance_defect(times[sl], r[sl], r_star[sl], f_start, f_end)
+    return _balance_defect(times[sl], r, r_star, f_start, f_end)
 
 
 def records_residual(records) -> float:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import partmob as pm
+from partmob import fv as fvmod
 from partmob.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
                          ConfigError, build_problem, main, parse_config)
+from partmob.fv import FvFields
 
 BASE_CONFIG = """
 # attractive kernel on the standard bump
@@ -242,6 +244,31 @@ oracle.window_hi = 1.05
     err = capsys.readouterr().err
     assert code == EXIT_NUMERICAL
     assert err.startswith("numerical failure:") and "window" in err
+    assert "Traceback" not in err
+
+
+def test_oracle_window_mismatch_is_numerical(tmp_path, capsys, monkeypatch):
+    # a reference solution on a window narrower than the particle support
+    def narrow_solve(problem, window, dx, t_end, store_times=None):
+        return None, FvFields(np.array([0.0, t_end]),
+                              np.linspace(-0.5, 0.5, 11),
+                              np.full((2, 10), 0.5), mass=0.5)
+
+    monkeypatch.setattr(fvmod, "fv_solve", narrow_solve)
+    cfg_text = """
+problem.V.kind = linear
+problem.V.coeff = -1.0
+problem.W.kind = zero
+problem.initial.kind = parabolic_bump
+discretization.N = 20
+discretization.t_end = 0.05
+"""
+    path = write_config(tmp_path, cfg_text)
+    code = main(["--config", str(path), "--out-dir", str(tmp_path / "oc"),
+                 "oracle-compare"])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERICAL
+    assert err.startswith("numerical failure: window mismatch")
     assert "Traceback" not in err
 
 
