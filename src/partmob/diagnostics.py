@@ -10,7 +10,7 @@ from scipy.integrate import simpson
 
 from .forces import continuum_force, row_blocks
 from .model import GAUSS_NODES, GAUSS_WEIGHTS, Problem
-from .reconstruct import ReconstructedFields, profile_masses
+from .reconstruct import ReconstructedFields
 
 __all__ = [
     "bv_norm",
@@ -65,12 +65,10 @@ def bv_norm(fields: ReconstructedFields, t: float) -> float:
 
 def bv_norms(fields: ReconstructedFields) -> np.ndarray:
     """:func:`bv_norm` at every stored time, over blocks of stored times."""
-    out = np.empty(len(fields.times))
-    for rows in row_blocks(len(fields.times), fields.n_cells + 1):
-        rho = fields.densities[rows]
-        out[rows] = profile_masses(fields.edges[rows], rho) \
-            + _total_variations(rho)
-    return out
+    tv = np.empty(len(fields.times))
+    for rows in row_blocks(len(fields.times), fields.n_cells):
+        tv[rows] = _total_variations(fields.densities[rows])
+    return fields.masses() + tv
 
 
 def h1_proxy(edges: np.ndarray, densities: np.ndarray) -> float:
@@ -126,11 +124,11 @@ def diagnostics_records(fields: ReconstructedFields,
     computed over blocks of stored times."""
     h = fields.mass / fields.n_cells
     n = len(fields.times)
-    mass, tv, h1, support, max_rho, min_width = (np.empty(n) for _ in range(6))
+    mass = fields.masses()
+    tv, h1, support, max_rho, min_width = (np.empty(n) for _ in range(5))
     # the widest temporaries are the n_cells + 2 interpolant nodes per row
     for rows in row_blocks(n, fields.n_cells + 2):
         edges, rho = fields.edges[rows], fields.densities[rows]
-        mass[rows] = profile_masses(edges, rho)
         tv[rows] = _total_variations(rho)
         h1[rows] = _h1_proxies(edges, rho)
         support[rows] = edges[:, -1] - edges[:, 0]

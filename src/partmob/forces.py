@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,20 +84,31 @@ def newtonian_forces_fast(state: ParticleState, potentials: Potentials,
     ``s * h * (2 i - N)``; ``sign=0`` gives the pure external-potential
     force.
     """
+    return ForceVector(rank_sum_forces(state.positions, state.h, potentials,
+                                       sign))
+
+
+def rank_sum_forces(positions: np.ndarray, h: float, potentials: Potentials,
+                    sign: int | None = None) -> np.ndarray:
+    """:func:`newtonian_forces_fast` of one state or of every row of a
+    ``(n_times, n_particles)`` block of positions."""
     if sign is None:
         sign = potentials.interaction.newtonian_sign
-    x = state.positions
-    f = np.array(potentials.external.dv(x), dtype=float, copy=True)
+    f = np.array(potentials.external.dv(positions), dtype=float, copy=True)
     if sign:
-        f += rank_term(sign, state.h, len(x))
-    return ForceVector(f)
+        f += rank_term(sign, h, positions.shape[-1])
+    return f
 
 
+@lru_cache(maxsize=32)
 def rank_term(sign: int, h: float, n_particles: int) -> np.ndarray:
     """Interaction part ``s * h * (2 i - N)`` of the rank-sum force for
-    ``W(x) = s |x|`` on ``N + 1`` ordered particles."""
+    ``W(x) = s |x|`` on ``N + 1`` ordered particles; cached, so a run
+    builds it once, and read-only."""
     ranks = np.arange(n_particles, dtype=float)
-    return sign * h * (2.0 * ranks - (n_particles - 1))
+    term = sign * h * (2.0 * ranks - (n_particles - 1))
+    term.flags.writeable = False
+    return term
 
 
 def _cell_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -60,6 +60,9 @@ class Mobility:
     ``beta`` is non-increasing, positive at zero density and identically
     zero above the cap.  ``theta(s) = s * beta(s)`` is the resulting
     mobility of the flux; it vanishes both in vacuum and at the cap.
+
+    ``beta`` and ``dbeta`` must act elementwise on arrays of any shape:
+    the energy-balance series passes whole blocks of stored times.
     """
 
     kind: str
@@ -160,6 +163,8 @@ class ExternalPotential:
 
     ``c_growth`` bounds ``|V'(r)| <= c_growth * (1 + |r|)``; ``sup_d2`` and
     ``lip_d2`` bound the second derivative and its Lipschitz constant.
+    ``v``, ``dv`` and ``d2v`` must act elementwise on arrays of any shape:
+    the energy-balance series passes whole blocks of stored times.
     """
 
     v: Callable[[Array], Array]

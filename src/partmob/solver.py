@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forces import ForceVector, particle_forces, rank_term
+from .forces import (ForceVector, newtonian_forces_fast, particle_forces,
+                     rank_sum_forces)
 from .model import Mobility, Problem
 from .quantile import ParticleState
 
@@ -44,33 +45,24 @@ class UnorderedState(ValueError):
 
 def forces_for(state: ParticleState, problem: Problem) -> ForceVector:
     """Forces with the cheap rank-sum path whenever the kernel allows it."""
-    x = state.positions
-    return ForceVector(force_rows(problem, state.h, len(x))(x))
+    w = problem.potentials.interaction
+    if w.is_zero or w.is_newtonian:
+        return newtonian_forces_fast(state, problem.potentials)
+    return particle_forces(state, problem.potentials)
 
 
-def force_rows(problem: Problem, h: float, n_particles: int):
-    """Force function of positions with shape ``(..., n_particles)``, one
-    state or a block of stored times, built once per run.
-
-    For the |x| and zero kernels it is ``V'`` of the whole array plus the
-    rank term built here, as in :func:`newtonian_forces_fast`; other
-    kernels call :func:`particle_forces` once per row.  A row of a block
-    gets the same bits as the same state alone.
-    """
+def force_rows(positions: np.ndarray, h: float,
+               problem: Problem) -> np.ndarray:
+    """:func:`forces_for` of every row of a ``(n_times, n_particles)``
+    block of positions: one rank-sum evaluation for the |x| and zero
+    kernels, one :func:`particle_forces` call per row for the others.  A
+    row gets the same bits as the same state alone."""
     pots = problem.potentials
     w = pots.interaction
-    if not (w.is_zero or w.is_newtonian):
-        def pair_forces(x):
-            return np.reshape([particle_forces(ParticleState(row, h=h),
-                                               pots).values
-                               for row in x.reshape(-1, n_particles)],
-                              x.shape)
-        return pair_forces
-    dv = pots.external.dv
-    if not w.newtonian_sign:
-        return lambda x: np.array(dv(x), dtype=float)
-    rank = rank_term(w.newtonian_sign, h, n_particles)
-    return lambda x: dv(x) + rank
+    if w.is_zero or w.is_newtonian:
+        return rank_sum_forces(positions, h, pots)
+    return np.array([particle_forces(ParticleState(row, h=h), pots).values
+                     for row in positions])
 
 
 def upwind_betas(densities: np.ndarray,
@@ -84,11 +76,10 @@ def upwind_betas(densities: np.ndarray,
     return beta[..., :-1], beta[..., 1:]
 
 
-def velocity_field(problem: Problem, h: float, n_particles: int):
+def velocity_field(problem: Problem, h: float):
     """Particle velocities as a function of the positions, built once per
-    run.  The function raises ``UnorderedState`` unless the positions
-    strictly increase."""
-    forces = force_rows(problem, h, n_particles)
+    run; one :func:`forces_for` call per evaluation.  The function raises
+    ``UnorderedState`` unless the positions strictly increase."""
     mobility = problem.mobility
 
     def velocity(x):
@@ -96,7 +87,7 @@ def velocity_field(problem: Problem, h: float, n_particles: int):
         if (widths <= 0.0).any():
             raise UnorderedState("state is not strictly ordered")
         beta_left, beta_right = upwind_betas(h / widths, mobility)
-        f = forces(x)
+        f = forces_for(ParticleState(x, h=h), problem).values
         return -beta_right * np.minimum(f, 0.0) \
             - beta_left * np.maximum(f, 0.0)
 
@@ -106,8 +97,7 @@ def velocity_field(problem: Problem, h: float, n_particles: int):
 def rhs(state: ParticleState, problem: Problem) -> np.ndarray:
     """Particle velocities for the current configuration; raises
     ``UnorderedState`` unless the positions strictly increase."""
-    x = state.positions
-    return velocity_field(problem, state.h, len(x))(x)
+    return velocity_field(problem, state.h)(state.positions)
 
 
 class StoredTimes:
@@ -145,21 +135,18 @@ class Trajectory(StoredTimes):
         return self.h / self.widths()
 
 
-def _rk4_step(x, v, dt, velocity):
-    # v is velocity(x)
-    k2 = velocity(x + 0.5 * dt * v)
+def _rk4_step(x, dt, velocity):
+    k1 = velocity(x)
+    k2 = velocity(x + 0.5 * dt * k1)
     k3 = velocity(x + 0.5 * dt * k2)
     k4 = velocity(x + dt * k3)
-    return x + (dt / 6.0) * (v + 2.0 * k2 + 2.0 * k3 + k4)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _advance(x, dt, velocity, min_dt, t_now, v=None):
-    """One interval of size dt, recursively halved on ordering violations;
-    ``v`` is ``velocity(x)`` when the caller already has it."""
+def _advance(x, dt, velocity, min_dt, t_now):
+    """One interval of size dt, recursively halved on ordering violations."""
     try:
-        if v is None:
-            v = velocity(x)
-        y = _rk4_step(x, v, dt, velocity)
+        y = _rk4_step(x, dt, velocity)
         if not np.all(np.isfinite(y)):
             raise NonFiniteState(f"non-finite state near t={t_now:.6g}")
         if np.all(np.diff(y) > 0.0):
@@ -172,7 +159,7 @@ def _advance(x, dt, velocity, min_dt, t_now, v=None):
         raise StepUnderflow(
             f"step underflow at t={t_now:.6g}: cell {cell} (width "
             f"{widths[cell]:.3e}) keeps violating ordering")
-    mid = _advance(x, 0.5 * dt, velocity, min_dt, t_now, v)
+    mid = _advance(x, 0.5 * dt, velocity, min_dt, t_now)
     return _advance(mid, 0.5 * dt, velocity, min_dt, t_now + 0.5 * dt)
 
 
@@ -258,7 +245,7 @@ def integrate(initial: ParticleState, problem: Problem, t_end: float,
     h = initial.h
     min_dt = 1e-12 * t_end
 
-    velocity = velocity_field(problem, h, x0.size)
+    velocity = velocity_field(problem, h)
 
     if scheme == "rk4":
         if dt is None:
@@ -270,15 +257,12 @@ def integrate(initial: ParticleState, problem: Problem, t_end: float,
         times = np.empty(n_store)
         states = np.empty((n_store, x0.size))
         vels = np.empty((n_store, x0.size))
-        # the velocity at each new state is both the stored one and the
-        # first stage of the next step
-        x, v, k = x0, velocity(x0), 1
-        times[0], states[0], vels[0] = 0.0, x0, v
+        times[0], states[0], vels[0] = 0.0, x0, velocity(x0)
+        x, k = x0, 1
         for step in range(n_steps):
-            x = _advance(x, dt, velocity, min_dt, step * dt, v)
-            v = velocity(x)
+            x = _advance(x, dt, velocity, min_dt, step * dt)
             if (step + 1) % store_every == 0 or step + 1 == n_steps:
-                times[k], states[k], vels[k] = (step + 1) * dt, x, v
+                times[k], states[k], vels[k] = (step + 1) * dt, x, velocity(x)
                 k += 1
     elif scheme == "rk45":
         if not (1e-12 < tol < 1e-2):

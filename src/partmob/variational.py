@@ -146,21 +146,21 @@ def _rate_series(traj: Trajectory, decay: bool = False,
     slice ``stored``, plus the decay rate D when ``decay`` is set (else
     None).
 
-    Works on blocks of stored times, each row computed as the one-state
-    functions compute it, from one force evaluation per time.
+    Works on blocks of stored times, with the forces of a block from one
+    :func:`~partmob.solver.force_rows` call; each row is computed as the
+    one-state functions compute it.
     """
     positions = traj.positions[stored]
     velocities = traj.velocities[stored]
     mob = traj.problem.mobility
     n, n_particles = positions.shape
-    forces = force_rows(traj.problem, traj.h, n_particles)
     r, r_star = np.empty(n), np.empty(n)
     d = np.empty(n) if decay else None
     # the widest temporary is the padded row of n_particles + 1 betas
     for rows in row_blocks(n, n_particles + 1):
         x = positions[rows]
         rho = row_densities(x, traj.h)
-        f = forces(x)
+        f = force_rows(x, traj.h, traj.problem)
         r[rows] = _dissipations(rho, mob, velocities[rows])
         r_star[rows] = _dual_dissipations(rho, mob, -f)
         if decay:

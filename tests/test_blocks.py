@@ -249,7 +249,7 @@ def test_velocity_closure_matches_formula(case):
                          pm.Potentials(external, interaction),
                          pm.parabolic_bump())
     h = 0.125
-    velocity = velocity_field(problem, h, 9)
+    velocity = velocity_field(problem, h)
     rng = np.random.default_rng(3)
     states = [np.linspace(-1.0, 1.0, 9),
               np.array([-1.0, -0.5, -0.25, -0.0, 1e-3, 0.2, 0.4,
@@ -261,14 +261,23 @@ def test_velocity_closure_matches_formula(case):
         assert bit_equal(velocity(x), expected)
         assert bit_equal(velocity(x), expected)
         assert bit_equal(pm.rhs(pm.ParticleState(x, h=h), problem), expected)
-        assert bit_equal(force_rows(problem, h, 9)(x),
+        assert bit_equal(pm.forces_for(pm.ParticleState(x, h=h),
+                                       problem).values,
                          ref_forces(x, h, problem))
     if case == "zero":
         assert np.all(np.signbit(velocity(states[0])))
     if case == "repulsive":
-        assert not np.signbit(force_rows(problem, h, 9)(states[0])[4])
-    blocked = force_rows(problem, h, 9)(np.array(states))
+        state = pm.ParticleState(states[0], h=h)
+        assert not np.signbit(pm.forces_for(state, problem).values[4])
+    blocked = force_rows(np.array(states), h, problem)
     assert bit_equal(blocked, [ref_forces(x, h, problem) for x in states])
+
+
+def test_rank_term_is_built_once_and_read_only():
+    term = forces.rank_term(-1, 0.125, 9)
+    assert forces.rank_term(-1, 0.125, 9) is term
+    with pytest.raises(ValueError):
+        term += 1.0
 
 
 # -- random problems ---------------------------------------------------------
