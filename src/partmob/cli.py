@@ -30,7 +30,7 @@ from .model import (InvalidProblem, Potentials, Problem, linear_potential,
                     piecewise_constant_density, power_cap_mobility,
                     quadratic_potential, tabulated_mobility, uniform_density,
                     validate, zero_potential)
-from .quantile import ParticleState, quantile_partition
+from .quantile import ParticleState, QuantileError, quantile_partition
 from .reconstruct import ReconstructedFields, write_snapshots_csv
 from .solver import (NonFiniteState, StepUnderflow, UnorderedState,
                      default_dt, integrate)
@@ -429,7 +429,7 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         apply_overrides(cfg, args.override)
         return _COMMANDS[args.command](cfg, args)
-    except (StepUnderflow, NonFiniteState, UnorderedState,
+    except (StepUnderflow, NonFiniteState, UnorderedState, QuantileError,
             fvmod.CflViolation, fvmod.WindowExceeded) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

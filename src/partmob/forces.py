@@ -58,21 +58,27 @@ class ForceVector:
 def particle_forces(state: ParticleState, potentials: Potentials) -> ForceVector:
     """Exact pairwise forces ``V'(x_i) + h * sum_{j != i} W'(x_i - x_j)``.
 
-    Direct double sum over blocks of rows; each row is still reduced whole,
+    ``W'`` is evaluated once per unordered pair: a block of rows
+    ``r0:r1`` evaluates the columns ``j >= r0`` and writes the negated
+    transpose of its columns ``j >= r1`` into the rows below.  Since
+    ``fl(x_j - x_i) == -fl(x_i - x_j)`` and ``dw`` is odd bit for bit, every
+    entry equals the dense pair matrix's.  Each row is then reduced whole,
     so the result does not depend on the block size and repeated runs are
-    bit-identical.
+    bit-identical.  The pair matrix is a transient of ``8 (N + 1)^2``
+    bytes (1.3 MB at N = 400).
     """
     x = state.positions
     f = np.array(potentials.external.dv(x), dtype=float, copy=True)
     w = potentials.interaction
     if not w.is_zero:
         n = len(x)
-        sums = np.empty(n)
+        pair = np.empty((n, n))
         for rows in row_blocks(n, n):
-            pair = w.dw(x[rows, None] - x[None, :])
-            np.fill_diagonal(pair[:, rows], 0.0)
-            sums[rows] = pair.sum(axis=1)
-        f += state.h * sums
+            r0, r1 = rows.start, rows.stop
+            pair[rows, r0:] = w.dw(x[rows, None] - x[None, r0:])
+            np.negative(pair[rows, r1:].T, out=pair[r1:, rows])
+        np.fill_diagonal(pair, 0.0)
+        f += state.h * pair.sum(axis=1)
     return ForceVector(f)
 
 

@@ -223,6 +223,10 @@ class InteractionPotential:
     ``sign(0) = 0``).  ``newtonian_sign`` is +1 for the attractive absolute
     value kernel, -1 for the repulsive one, 0 otherwise; the sign drives the
     closed-form cumulative expressions used elsewhere.
+
+    ``dw`` must be odd bit for bit: ``dw(-d) == -dw(d)`` exactly for every
+    float ``d``.  :func:`~partmob.forces.particle_forces` evaluates it once
+    per pair of particles and negates it for the mirrored pair.
     """
 
     kind: InteractionKind
@@ -280,19 +284,40 @@ def morse(c_attract: float, ell_attract: float,
     if min(ca, la, cr, lr) <= 0:
         raise ValueError("Morse parameters must be positive")
 
+    # Each closure evaluates
+    #   w   = -ca * exp(-|x|/la) + cr * exp(-|x|/lr)
+    #   dw  = sign(x) * (ca/la * exp(-|x|/la) - cr/lr * exp(-|x|/lr))
+    #   d2w = -ca/la**2 * exp(-|x|/la) + cr/lr**2 * exp(-|x|/lr)
+    # with the same roundings in the same order, written into two work
+    # arrays instead of one temporary per operation; (-|x|)/l is computed
+    # as |x|/(-l), which rounds identically.  The argument is never written:
+    # continuum quadrature passes one array to dw and then to d2w.  [()]
+    # returns a numpy scalar for a 0-d input, as the expressions do.
+    def _two_exps(x, c_a, c_r):
+        # (c_a * exp(-|x|/la), c_r * exp(-|x|/lr)) in two fresh arrays
+        er = np.abs(x, out=np.empty_like(x))
+        ea = np.divide(er, -la, out=np.empty_like(x))
+        np.exp(ea, out=ea)
+        np.multiply(c_a, ea, out=ea)
+        np.divide(er, -lr, out=er)
+        np.exp(er, out=er)
+        np.multiply(c_r, er, out=er)
+        return ea, er
+
     def w(x):
-        ax = np.abs(np.asarray(x, dtype=float))
-        return -ca * np.exp(-ax / la) + cr * np.exp(-ax / lr)
+        ea, er = _two_exps(np.asarray(x, dtype=float), -ca, cr)
+        return np.add(ea, er, out=ea)[()]
 
     def dw(x):
         x = np.asarray(x, dtype=float)
-        ax = np.abs(x)
-        return np.sign(x) * (ca / la * np.exp(-ax / la)
-                             - cr / lr * np.exp(-ax / lr))
+        ea, er = _two_exps(x, ca / la, cr / lr)
+        np.subtract(ea, er, out=ea)
+        return np.multiply(np.sign(x, out=er), ea, out=ea)[()]
 
     def d2w(x):
-        ax = np.abs(np.asarray(x, dtype=float))
-        return -ca / la**2 * np.exp(-ax / la) + cr / lr**2 * np.exp(-ax / lr)
+        ea, er = _two_exps(np.asarray(x, dtype=float), -ca / la**2,
+                           cr / lr**2)
+        return np.add(ea, er, out=ea)[()]
 
     sup_dw = ca / la + cr / lr
     sup_d2w = ca / la**2 + cr / lr**2
@@ -307,7 +332,10 @@ def regular_interaction(w, dw, d2w, c_growth, sup_dw, sup_d2w,
 
     ``w``, ``dw`` and ``d2w`` must act elementwise on float arrays of any
     shape: the force and energy paths call them on 2-D and 3-D blocks of
-    pairwise differences.
+    pairwise differences.  ``dw`` must be odd bit for bit,
+    ``dw(-d) == -dw(d)`` exactly: the particle forces evaluate it once per
+    pair and negate it for the mirrored pair.  A formula such as
+    ``sign(d) * g(abs(d))`` is odd by construction.
     """
     return InteractionPotential(InteractionKind.REGULAR, w, dw, d2w,
                                 float(c_growth), float(sup_dw),

@@ -272,6 +272,21 @@ discretization.t_end = 0.05
     assert "Traceback" not in err
 
 
+def test_quantile_failure_is_numerical(tmp_path, capsys):
+    # a support of width 1e-9 leaves the bisection no room to converge
+    path = write_config(tmp_path)
+    code = main(["--config", str(path), "--out-dir", str(tmp_path / "q"),
+                 "--override", "problem.initial.kind=uniform",
+                 "--override", "problem.initial.a=0",
+                 "--override", "problem.initial.b=1e-9",
+                 "--override", "problem.initial.height=1e9", "run"])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERICAL
+    assert err.startswith("numerical failure: quantile search did not "
+                          "converge")
+    assert "Traceback" not in err
+
+
 def test_edb_check_prints_fresh_residual(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["--config", str(path), "--out-dir", str(tmp_path / "edb"),

@@ -224,14 +224,19 @@ def dense_particle_forces(state, potentials):
 
 
 @pytest.mark.parametrize("kernel", [pm.morse(1.0, 1.0, 0.5, 0.3),
-                                    smooth_kernel()], ids=["morse", "smooth"])
-@pytest.mark.parametrize("n", [2, 50, 300])
-@pytest.mark.parametrize("one_row_blocks", [False, True])
-def test_blocked_particle_forces_match_dense(kernel, n, one_row_blocks,
+                                    smooth_kernel(), pm.newtonian(True),
+                                    pm.newtonian(False)],
+                         ids=["morse", "smooth", "attractive", "repulsive"])
+@pytest.mark.parametrize("n", [2, 3, 50, 300, 401])
+# block budgets: the default, one row per block ("True"), and 1000 elements,
+# whose rows per block divide neither 50 nor 401
+@pytest.mark.parametrize("block_elements", [None, 1, 1000],
+                         ids=["False", "True", "ragged"])
+def test_blocked_particle_forces_match_dense(kernel, n, block_elements,
                                              monkeypatch):
-    # n = 50 fits one block; 300 is not a multiple of the rows per block
-    if one_row_blocks:
-        monkeypatch.setattr(forces, "BLOCK_ELEMENTS", 1)
+    # n = 50 fits one default block; 300 and 401 span several
+    if block_elements is not None:
+        monkeypatch.setattr(forces, "BLOCK_ELEMENTS", block_elements)
     x = np.sort(np.random.default_rng(n).uniform(-2.0, 2.0, n))
     state = pm.ParticleState(x, h=1.0 / n)
     pots = pm.Potentials(pm.quadratic_potential(0.5), kernel)

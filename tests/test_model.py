@@ -99,6 +99,85 @@ def test_morse_kernel_shape():
     assert float(w.w(4.0)) < 0.0 or abs(float(w.w(4.0))) < 1e-2
 
 
+def reference_morse(ca, la, cr, lr):
+    # the Morse closures as plain expressions, one temporary per operation
+    def w(x):
+        ax = np.abs(np.asarray(x, dtype=float))
+        return -ca * np.exp(-ax / la) + cr * np.exp(-ax / lr)
+
+    def dw(x):
+        x = np.asarray(x, dtype=float)
+        ax = np.abs(x)
+        return np.sign(x) * (ca / la * np.exp(-ax / la)
+                             - cr / lr * np.exp(-ax / lr))
+
+    def d2w(x):
+        ax = np.abs(np.asarray(x, dtype=float))
+        return -ca / la**2 * np.exp(-ax / la) + cr / lr**2 * np.exp(-ax / lr)
+
+    return w, dw, d2w
+
+
+def same_bits(a, b):
+    return (type(a) is type(b) and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def test_morse_closures_match_reference_expressions():
+    params = (1.0, 1.0, 0.5, 0.3)
+    kernel = pm.morse(*params)
+    rng = np.random.default_rng(5)
+    # |x| = 800 underflows both exponentials, |x| = 220 only the repulsive
+    # one with lr = 0.3
+    special = np.array([0.0, -0.0, 1e-300, -5e-324, 220.0, -220.0, 800.0,
+                        -800.0, np.inf, -np.inf])
+    inputs = [0.0, -0.0, 2.5, -800.0, np.float64(-1.5), np.array(0.7),
+              np.array(-0.0), special, rng.normal(0.0, 3.0, 257),
+              rng.normal(0.0, 3.0, (17, 33)), rng.normal(0.0, 3.0, (3, 5, 4)),
+              rng.normal(0.0, 3.0, (40, 30))[:, ::3]]
+    for x in inputs:
+        before = np.array(x, copy=True)
+        for got_fn, want_fn in zip((kernel.w, kernel.dw, kernel.d2w),
+                                   reference_morse(*params)):
+            assert same_bits(got_fn(x), want_fn(x))
+            assert same_bits(np.asarray(x), before)
+
+
+KERNELS = {
+    "zero": pm.no_interaction(),
+    "attractive": pm.newtonian(True),
+    "repulsive": pm.newtonian(False),
+    "morse": pm.morse(1.0, 1.0, 0.5, 0.3),
+    "smooth": pm.regular_interaction(np.cos, lambda x: -np.sin(x),
+                                     lambda x: -np.cos(x),
+                                     1.0, 1.0, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_kernel_derivatives_match_central_differences(name):
+    kernel = KERNELS[name]
+    d = np.concatenate([np.linspace(-3.0, -0.05, 60),
+                        np.linspace(0.05, 3.0, 60)])
+    step = 1e-5
+    for f, df in ((kernel.w, kernel.dw), (kernel.dw, kernel.d2w)):
+        central = (f(d + step) - f(d - step)) / (2.0 * step)
+        assert np.allclose(df(d), central, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_kernel_parity_is_exact(name):
+    # the pair-once particle force stores -dw(x_j - x_i) for dw(x_i - x_j);
+    # == compares -0.0 and 0.0 equal, and dw(0) is zeroed there anyway
+    kernel = KERNELS[name]
+    x = np.sort(np.random.default_rng(2).uniform(-4.0, 4.0, 300))
+    d = x[:, None] - x[None, :]
+    assert np.array_equal(-d, x[None, :] - x[:, None])
+    d = np.concatenate([d.ravel(), [0.0, -0.0, 1e-300, 50.0, 800.0]])
+    assert np.array_equal(kernel.w(-d), kernel.w(d))
+    assert np.array_equal(kernel.dw(-d), -kernel.dw(d))
+
+
 def test_newtonian_force_constant_matches_closed_form():
     p = make_problem(interaction=pm.newtonian(True),
                      external=pm.quadratic_potential(2.0))
