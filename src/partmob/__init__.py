@@ -8,8 +8,7 @@ from .diagnostics import (BumpTestFunction, DiagnosticsRecord, bv_norm,
                           diagnostics_records, entropy_report,
                           entropy_residual, h1_proxy, standard_bump_grid,
                           total_variation, w1_distance)
-from .forces import (ForceVector, continuum_force, newtonian_forces_fast,
-                     particle_forces)
+from .forces import ForceVector, continuum_force, particle_forces
 from .fv import (FvFields, FvGrid, fv_solve, fv_step, l1_compare, l1_distance,
                  make_grid, riemann_exact)
 from .model import (InitialDensity, InteractionKind, InteractionPotential,
@@ -18,7 +17,7 @@ from .model import (InitialDensity, InteractionKind, InteractionPotential,
                     linear_potential, morse, newtonian, no_interaction,
                     parabolic_bump, piecewise_constant_density,
                     power_cap_mobility, quadratic_potential,
-                    regular_interaction, tabulated_mobility, theta,
+                    regular_interaction, tabulated_mobility,
                     uniform_density, validate, zero_potential)
 from .quantile import ParticleState, cell_densities, quantile_partition
 from .reconstruct import (ReconstructedFields, continuity_residual,

@@ -15,7 +15,6 @@ violation, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .model import (InvalidProblem, Potentials, Problem, linear_potential,
                     quadratic_potential, tabulated_mobility, uniform_density,
                     validate, zero_potential)
 from .quantile import ParticleState, QuantileError, quantile_partition
-from .reconstruct import ReconstructedFields, write_snapshots_csv
+from .reconstruct import ReconstructedFields, write_snapshots_csv, write_table
 from .solver import (NonFiniteState, StepUnderflow, UnorderedState,
                      default_dt, integrate)
 
@@ -279,6 +278,8 @@ def cmd_converge(cfg, args) -> int:
     _, t_end, _, dt, _, _ = _discretization(cfg)
     n_list = [int(n) for n in
               _as_list(_get(cfg, "discretization.N_list", [50, 100, 200, 400]))]
+    if len(n_list) < 2:
+        raise ConfigError("discretization.N_list needs at least two entries")
     if any(2 * a != b for a, b in zip(n_list[:-1], n_list[1:])):
         raise ConfigError("discretization.N_list entries must double")
     out = _out_dir(cfg, args)
@@ -291,11 +292,8 @@ def cmd_converge(cfg, args) -> int:
         bv_max = max(diag.bv_norms(fields_a).tolist())
         edb = var.edb_residual(traj_a)
         rows.append((a, cauchy, bv_max, edb))
-    with open(out / "refinement.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("N", "cauchy_diff", "bv_max", "edb_residual"))
-        for n, cauchy, bv_max, edb in rows:
-            w.writerow([n, repr(cauchy), repr(bv_max), repr(edb)])
+    write_table(out / "refinement.csv",
+                ("N", "cauchy_diff", "bv_max", "edb_residual"), rows)
     for n, cauchy, bv_max, edb in rows:
         print(f"N={n:5d}  cauchy={cauchy:.6e}  bv_max={bv_max:.6g}  "
               f"edb={edb:.3e}")
@@ -332,11 +330,7 @@ def cmd_oracle_compare(cfg, args) -> int:
         err = fvmod.l1_compare(fields, fv_fields, t)
         rows.append((t, err))
         print(f"t={t:.4g}  l1_error={err:.6e}")
-    with open(out / "oracle_compare.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("t", "l1_error"))
-        for t, err in rows:
-            w.writerow([repr(float(t)), repr(float(err))])
+    write_table(out / "oracle_compare.csv", ("t", "l1_error"), rows)
     return EXIT_OK
 
 
@@ -433,7 +427,7 @@ def main(argv=None) -> int:
             fvmod.CflViolation, fvmod.WindowExceeded) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, InvalidProblem, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, InvalidProblem, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
 
-from .forces import continuum_force, row_blocks
+from .forces import continuum_force, row_blocks, step_values
 from .model import GAUSS_NODES, GAUSS_WEIGHTS, Problem
-from .reconstruct import ReconstructedFields
+from .reconstruct import ReconstructedFields, write_table
 
 __all__ = [
     "bv_norm",
@@ -153,14 +152,8 @@ def diagnostics_records(fields: ReconstructedFields,
 
 
 def write_diagnostics_csv(records, path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(DIAGNOSTICS_COLUMNS)
-        for r in records:
-            out.writerow([repr(r.t), repr(r.l1_mass), repr(r.bv_norm),
-                          repr(r.tv_only), repr(r.h1_proxy),
-                          repr(r.w1_from_initial), repr(r.support_measure),
-                          repr(r.max_density), repr(r.min_cell_ratio)])
+    """One row per :class:`DiagnosticsRecord`, its fields in column order."""
+    write_table(path, DIAGNOSTICS_COLUMNS, (vars(r).values() for r in records))
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +226,6 @@ def _panel_nodes(edges, lo, hi, max_len):
     return nodes, weights
 
 
-def _density_on(edges, rho, x):
-    idx = np.searchsorted(edges, x, side="right") - 1
-    inside = (x >= edges[0]) & (x < edges[-1])
-    return np.where(inside, rho[np.clip(idx, 0, len(rho) - 1)], 0.0)
-
-
 def _entropy_residuals_for_phi(fields, problem: Problem, c_values,
                                phi: BumpTestFunction,
                                time_stride: int = 1) -> np.ndarray:
@@ -265,7 +252,7 @@ def _entropy_residuals_for_phi(fields, problem: Problem, c_values,
         t = float(fields.times[k])
         edges, rho = fields.profile_at_index(k)
         nodes, weights = _panel_nodes(edges, lo, hi, max_len)
-        rho_n = _density_on(edges, rho, nodes)
+        rho_n = step_values(edges, rho, nodes)
         force, dforce = continuum_force(edges, rho, fields.mass,
                                         problem.potentials, nodes)
         theta_n = mob.theta(rho_n)
@@ -281,7 +268,7 @@ def _entropy_residuals_for_phi(fields, problem: Problem, c_values,
 
     edges0, rho0 = fields.profile_at_index(0)
     nodes, weights = _panel_nodes(edges0, lo, hi, max_len)
-    rho_n = _density_on(edges0, rho0, nodes)
+    rho_n = step_values(edges0, rho0, nodes)
     phi0 = phi.value(float(fields.times[0]), nodes) * weights
     initial = np.array([np.sum(np.abs(rho_n - c) * phi0) for c in c_values])
     return initial + bulk
@@ -313,8 +300,5 @@ def entropy_report(fields, problem: Problem, c_values, phis,
 
 
 def write_entropy_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(ENTROPY_COLUMNS)
-        for c, phi_id, residual in rows:
-            out.writerow([repr(float(c)), phi_id, repr(float(residual))])
+    """The :func:`entropy_report` rows ``(c, phi_id, residual)``."""
+    write_table(path, ENTROPY_COLUMNS, rows)

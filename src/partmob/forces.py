@@ -13,7 +13,6 @@ from .quantile import ParticleState
 __all__ = [
     "ForceVector",
     "particle_forces",
-    "newtonian_forces_fast",
     "continuum_force",
 ]
 
@@ -82,24 +81,16 @@ def particle_forces(state: ParticleState, potentials: Potentials) -> ForceVector
     return ForceVector(f)
 
 
-def newtonian_forces_fast(state: ParticleState, potentials: Potentials,
-                          sign: int | None = None) -> ForceVector:
-    """O(N) forces for absolute-value kernels on ordered distinct particles.
+def rank_sum_forces(positions: np.ndarray, h: float,
+                    potentials: Potentials) -> np.ndarray:
+    """O(N) forces for the absolute-value and zero kernels on ordered
+    distinct particles, for one state or every row of a
+    ``(n_times, n_particles)`` block of positions.
 
     For ``W(x) = s |x|`` the pair sum collapses to the rank formula
-    ``s * h * (2 i - N)``; ``sign=0`` gives the pure external-potential
-    force.
+    ``s * h * (2 i - N)``.
     """
-    return ForceVector(rank_sum_forces(state.positions, state.h, potentials,
-                                       sign))
-
-
-def rank_sum_forces(positions: np.ndarray, h: float, potentials: Potentials,
-                    sign: int | None = None) -> np.ndarray:
-    """:func:`newtonian_forces_fast` of one state or of every row of a
-    ``(n_times, n_particles)`` block of positions."""
-    if sign is None:
-        sign = potentials.interaction.newtonian_sign
+    sign = potentials.interaction.newtonian_sign
     f = np.array(potentials.external.dv(positions), dtype=float, copy=True)
     if sign:
         f += rank_term(sign, h, positions.shape[-1])
@@ -121,8 +112,15 @@ def _cell_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Index of the half-open cell ``[edges[i], edges[i+1])`` containing x;
     -1 outside the support."""
     idx = np.searchsorted(edges, x, side="right") - 1
-    idx = np.where((x < edges[0]) | (x >= edges[-1]), -1, idx)
-    return np.clip(idx, -1, len(edges) - 2)
+    return np.where((x >= edges[0]) & (x < edges[-1]), idx, -1)
+
+
+def step_values(edges: np.ndarray, values, x: np.ndarray) -> np.ndarray:
+    """Piecewise-constant profile at x: ``values[i]`` on the half-open cell
+    ``[edges[i], edges[i+1])``, 0.0 outside the support.  Each value is
+    selected, not computed."""
+    idx = _cell_index(edges, x)
+    return np.where(idx >= 0, np.asarray(values)[idx], 0.0)
 
 
 def _piece_integrals(kernels, x, lo, hi):
@@ -185,26 +183,24 @@ def continuum_force(edges: np.ndarray, densities: np.ndarray, mass: float,
     if w.is_zero:
         return force, dforce
 
-    idx = _cell_index(edges, x)
-    rho_at = np.where(idx >= 0, densities[np.clip(idx, 0, None)], 0.0)
+    own = _cell_index(edges, x) if exclude_own_cell else None
 
     if w.is_newtonian:
         s = float(w.newtonian_sign)
+        rho_at = step_values(edges, densities, x)
         cum_edges = np.concatenate([[0.0], np.cumsum(densities * np.diff(edges))])
         cum = np.interp(x, edges, cum_edges)
         force += s * (2.0 * cum - mass)
         dforce += s * 2.0 * rho_at
         if exclude_own_cell:
-            inside = idx >= 0
-            xi = edges[np.clip(idx, 0, None)]
-            xi1 = edges[np.clip(idx, 0, None) + 1]
-            correction = rho_at * (2.0 * x - xi - xi1)
+            inside = own >= 0
+            correction = rho_at * (2.0 * x - edges[own] - edges[own + 1])
             force -= np.where(inside, s * correction, 0.0)
             dforce -= np.where(inside, s * 2.0 * rho_at, 0.0)
         return force, dforce
 
     conv, dconv = _kernel_convolutions((w.dw, w.d2w), edges, densities, x,
-                                       idx if exclude_own_cell else None)
+                                       own)
     force += conv
     dforce += dconv
     return force, dforce

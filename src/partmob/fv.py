@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forces import continuum_force
+from .forces import continuum_force, step_values
 from .model import GAUSS_NODES, GAUSS_WEIGHTS, Problem
 from .reconstruct import write_snapshot_table
 from .solver import StoredTimes
@@ -251,16 +251,9 @@ def l1_distance(edges_a, rho_a, edges_b, rho_b) -> float:
     edges_b = np.asarray(edges_b, dtype=float)
     grid = np.union1d(edges_a, edges_b)
     mids = 0.5 * (grid[:-1] + grid[1:])
-    va = _eval_step(edges_a, rho_a, mids)
-    vb = _eval_step(edges_b, rho_b, mids)
+    va = step_values(edges_a, rho_a, mids)
+    vb = step_values(edges_b, rho_b, mids)
     return float(np.sum(np.abs(va - vb) * np.diff(grid)))
-
-
-def _eval_step(edges, rho, x):
-    rho = np.asarray(rho, dtype=float)
-    idx = np.searchsorted(edges, x, side="right") - 1
-    inside = (x >= edges[0]) & (x < edges[-1])
-    return np.where(inside, rho[np.clip(idx, 0, len(rho) - 1)], 0.0)
 
 
 def l1_compare(particle_fields, fv_fields, t: float) -> float:

@@ -40,13 +40,21 @@ __all__ = [
     "InvalidProblem",
     "check_problem",
     "validate",
-    "theta",
 ]
 
 Array = np.ndarray
 
 # 4-point Gauss-Legendre rule on [-1, 1], shared by every per-cell quadrature
 GAUSS_NODES, GAUSS_WEIGHTS = leggauss(4)
+
+
+def cell_gauss(edges: Array) -> tuple[Array, Array]:
+    """Gauss nodes and weights of every cell ``[edges[i], edges[i+1]]``,
+    each of shape ``(n_cells, 4)``."""
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halves = 0.5 * np.diff(edges)
+    return (mids[:, None] + halves[:, None] * GAUSS_NODES[None, :],
+            halves[:, None] * GAUSS_WEIGHTS[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +523,7 @@ def _integrate_density(initial: InitialDensity, panels_per_piece: int = 512) -> 
         else np.array([initial.x_min, initial.x_max])
     total = 0.0
     for a, b in zip(pieces[:-1], pieces[1:]):
-        edges = np.linspace(a, b, panels_per_piece + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halves = 0.5 * np.diff(edges)
-        nodes = mids[:, None] + halves[:, None] * GAUSS_NODES[None, :]
-        weights = halves[:, None] * GAUSS_WEIGHTS[None, :]
+        nodes, weights = cell_gauss(np.linspace(a, b, panels_per_piece + 1))
         total += float(np.sum(weights * initial.density(nodes)))
     return total
 
@@ -582,8 +586,3 @@ def validate(problem: Problem) -> Problem:
     if issues:
         raise InvalidProblem(issues)
     return problem
-
-
-def theta(problem: Problem, s):
-    """Flux mobility ``s * beta(s)``; rejects negative densities."""
-    return problem.mobility.theta(s)

@@ -4,13 +4,14 @@ reconstruction on the moving cells, with a weak continuity-equation check.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
 
-from .forces import row_blocks
-from .model import GAUSS_NODES, GAUSS_WEIGHTS
+from .forces import row_blocks, step_values
+from .model import cell_gauss
 from .solver import StoredTimes, Trajectory
 
 __all__ = ["ReconstructedFields", "continuity_residual", "write_snapshots_csv"]
@@ -61,11 +62,7 @@ class ReconstructedFields(StoredTimes):
 
     def density_at(self, t: float, x) -> np.ndarray:
         edges, rho = self.profile(t)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.searchsorted(edges, x, side="right") - 1
-        inside = (x >= edges[0]) & (x < edges[-1])
-        out = np.where(inside, rho[np.clip(idx, 0, len(rho) - 1)], 0.0)
-        return out
+        return step_values(edges, rho, np.atleast_1d(np.asarray(x, dtype=float)))
 
     def velocity_at(self, t: float, x) -> np.ndarray:
         k = self.index_of(t)
@@ -88,25 +85,13 @@ class ReconstructedFields(StoredTimes):
             out[rows] = profile_masses(self.edges[rows], self.densities[rows])
         return out
 
-    def support_at(self, t: float) -> tuple[float, float]:
-        k = self.index_of(t)
-        return float(self.edges[k, 0]), float(self.edges[k, -1])
-
     # -- per-cell quadratures -------------------------------------------
-
-    def _cell_nodes(self, k: int):
-        edges = self.edges[k]
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        nodes = mid[:, None] + half[:, None] * GAUSS_NODES[None, :]
-        weights = half[:, None] * GAUSS_WEIGHTS[None, :]
-        return nodes, weights
 
     def integrate_density(self, t: float, fn) -> float:
         """Exact-per-cell integral of ``fn`` against the density at ``t``
         (Gauss order 4, exact for polynomial ``fn`` up to degree 7)."""
         k = self.index_of(t)
-        nodes, weights = self._cell_nodes(k)
+        nodes, weights = cell_gauss(self.edges[k])
         vals = fn(nodes)
         return float(np.sum(self.densities[k][:, None] * weights * vals))
 
@@ -114,7 +99,7 @@ class ReconstructedFields(StoredTimes):
         """Integral of ``fn`` against the flux at ``t``."""
         k = self.index_of(t)
         edges = self.edges[k]
-        nodes, weights = self._cell_nodes(k)
+        nodes, weights = cell_gauss(edges)
         u = np.interp(nodes, edges, self.edge_velocities[k])
         vals = fn(nodes)
         return float(np.sum(self.densities[k][:, None] * weights * u * vals))
@@ -139,6 +124,16 @@ def continuity_residual(fields: ReconstructedFields, phi, dphi,
                        for k in sub])
     rhs = float(simpson(series, x=fields.times[sub]))
     return abs(lhs - rhs)
+
+
+def write_table(path, columns, rows) -> None:
+    """CSV with the header ``columns`` and one line per row.  ``csv``
+    writes every float (numpy's included) as ``repr(float(x))``, so each
+    value reads back to the same bits, and quotes a string with a comma."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(columns)
+        out.writerows(rows)
 
 
 def write_snapshot_table(path, snapshots) -> None:

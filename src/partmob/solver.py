@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forces import (ForceVector, newtonian_forces_fast, particle_forces,
-                     rank_sum_forces)
+from .forces import ForceVector, particle_forces, rank_sum_forces
 from .model import Mobility, Problem
 from .quantile import ParticleState
 
@@ -47,7 +46,8 @@ def forces_for(state: ParticleState, problem: Problem) -> ForceVector:
     """Forces with the cheap rank-sum path whenever the kernel allows it."""
     w = problem.potentials.interaction
     if w.is_zero or w.is_newtonian:
-        return newtonian_forces_fast(state, problem.potentials)
+        return ForceVector(rank_sum_forces(state.positions, state.h,
+                                           problem.potentials))
     return particle_forces(state, problem.potentials)
 
 

@@ -8,24 +8,20 @@ that statement quantitative and testable:
 * Fenchel-Young equality ``R(x, xdot) = R*(x, -f)`` holds along the flow;
 * the energy balance ``int (R + R*) dt = F(start) - F(end)`` is exact.
 
-All functionals here sum over the full particle range 0..N.  The truncated
-variants (last particle left out of the energy and of the dissipation
-rate) are available through ``include_last=False`` but break the exact
-balance by an O(h) drift, so they are not the default.
+All functionals here sum over the full particle range 0..N.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
 from .forces import continuum_force, row_blocks
-from .model import GAUSS_NODES, GAUSS_WEIGHTS, Mobility, Potentials, Problem
+from .model import GAUSS_WEIGHTS, Mobility, Potentials, Problem, cell_gauss
 from .quantile import ParticleState, row_densities
-from .reconstruct import ReconstructedFields
+from .reconstruct import ReconstructedFields, write_table
 from .solver import Trajectory, force_rows, forces_for, upwind_betas
 
 __all__ = [
@@ -46,23 +42,14 @@ __all__ = [
 GRADIENT_COLUMNS = ("t", "F_h", "Fhat_h", "R_h", "R_h_star", "D_h", "edb_partial")
 
 
-def free_energy(state: ParticleState, potentials: Potentials,
-                include_last: bool = True) -> float:
-    """Discrete free energy ``sum_i V(x_i) + (h/2) sum_{i != j} W(x_i - x_j)``.
-
-    ``include_last=False`` drops the last particle from the outer sums;
-    that variant is kept for comparison only (see module docstring).
-    """
+def free_energy(state: ParticleState, potentials: Potentials) -> float:
+    """Discrete free energy ``sum_i V(x_i) + (h/2) sum_{i != j} W(x_i - x_j)``."""
     x = state.positions
-    stop = len(x) if include_last else len(x) - 1
-    ext = potentials.external
-    total = float(np.sum(ext.v(x[:stop])))
+    total = float(np.sum(potentials.external.v(x)))
     w = potentials.interaction
     if not w.is_zero:
-        diff = x[:stop, None] - x[None, :]
-        pair = w.w(diff)
-        # remove the diagonal (j == i) from the first `stop` rows
-        pair[np.arange(stop), np.arange(stop)] = 0.0
+        pair = w.w(x[:, None] - x[None, :])
+        np.fill_diagonal(pair, 0.0)
         total += 0.5 * state.h * float(np.sum(pair))
     return total
 
@@ -89,15 +76,12 @@ def _dissipations(densities, mobility: Mobility, flux) -> np.ndarray:
     return np.where(infeasible, np.inf, out)
 
 
-def _decay_rates(densities, mobility: Mobility, f,
-                 include_last: bool) -> np.ndarray:
+def _decay_rates(densities, mobility: Mobility, f) -> np.ndarray:
     # one decay rate per row of (densities, f)
     beta_left, beta_right = upwind_betas(densities, mobility)
     fp = np.maximum(f, 0.0)
     fm = np.minimum(f, 0.0)
-    stop = f.shape[-1] if include_last else f.shape[-1] - 1
-    return np.sum((beta_right * fm**2 + beta_left * fp**2)[..., :stop],
-                  axis=-1)
+    return np.sum(beta_right * fm**2 + beta_left * fp**2, axis=-1)
 
 
 def _per_particle(state: ParticleState, values, name: str) -> np.ndarray:
@@ -128,20 +112,17 @@ def dissipation(state: ParticleState, mobility: Mobility,
 
 
 def dissipation_rate(state: ParticleState, problem: Problem,
-                     force_values: np.ndarray | None = None,
-                     include_last: bool = True) -> float:
+                     force_values: np.ndarray | None = None) -> float:
     """Instantaneous energy decay ``sum_i [beta(right_i)(f_i^-)^2
     + beta(left_i)(f_i^+)^2]``; equals twice the dual dissipation at the
     negated force."""
     if force_values is None:
         force_values = forces_for(state, problem).values
     f = np.asarray(force_values, dtype=float)
-    return float(_decay_rates(state.densities(), problem.mobility, f,
-                              include_last))
+    return float(_decay_rates(state.densities(), problem.mobility, f))
 
 
-def _rate_series(traj: Trajectory, decay: bool = False,
-                 include_last: bool = True, stored=slice(None)):
+def _rate_series(traj: Trajectory, decay: bool = False, stored=slice(None)):
     """R_h(x, xdot) and R*(x, -f) at the stored times selected by the
     slice ``stored``, plus the decay rate D when ``decay`` is set (else
     None).
@@ -164,7 +145,7 @@ def _rate_series(traj: Trajectory, decay: bool = False,
         r[rows] = _dissipations(rho, mob, velocities[rows])
         r_star[rows] = _dual_dissipations(rho, mob, -f)
         if decay:
-            d[rows] = _decay_rates(rho, mob, f, include_last)
+            d[rows] = _decay_rates(rho, mob, f)
     return r, r_star, d
 
 
@@ -174,7 +155,7 @@ def _balance_defect(times, r, r_star, f_start, f_end) -> float:
 
 
 def edb_residual(traj: Trajectory, s: float | None = None,
-                 t: float | None = None, include_last: bool = True) -> float:
+                 t: float | None = None) -> float:
     """``|int_s^t (R + R*) dr + F(t) - F(s)|`` on the stored grid
     (composite Simpson in time)."""
     times = traj.times
@@ -185,8 +166,8 @@ def edb_residual(traj: Trajectory, s: float | None = None,
     sl = slice(ks, kt + 1)
     r, r_star, _ = _rate_series(traj, stored=sl)
     pots = traj.problem.potentials
-    f_end = free_energy(traj.state_at(kt), pots, include_last=include_last)
-    f_start = free_energy(traj.state_at(ks), pots, include_last=include_last)
+    f_end = free_energy(traj.state_at(kt), pots)
+    f_start = free_energy(traj.state_at(ks), pots)
     return _balance_defect(times[sl], r, r_star, f_start, f_end)
 
 
@@ -203,13 +184,12 @@ def records_residual(records) -> float:
                            records[-1].energy)
 
 
-def edb_series(traj: Trajectory, include_last: bool = True):
+def edb_series(traj: Trajectory):
     """Arrays (times, F, R, R*, D, running balance defect)."""
     times = traj.times
-    r, r_star, d = _rate_series(traj, decay=True, include_last=include_last)
+    r, r_star, d = _rate_series(traj, decay=True)
     pots = traj.problem.potentials
-    energies = np.array([free_energy(traj.state_at(k), pots,
-                                     include_last=include_last)
+    energies = np.array([free_energy(traj.state_at(k), pots)
                          for k in range(len(times))])
     partial = cumulative_simpson(r + r_star, x=times, initial=0.0)
     defect = partial + energies - energies[0]
@@ -223,9 +203,7 @@ def edb_series(traj: Trajectory, include_last: bool = True):
 def _cell_pair_kernel_means(edges: np.ndarray, w) -> np.ndarray:
     """Matrix of cell-pair averages of ``W(x - y)`` (4x4 Gauss per pair),
     built over blocks of rows ``i``."""
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    nodes = mids[:, None] + halves[:, None] * GAUSS_NODES[None, :]
+    nodes, _ = cell_gauss(edges)
     wts = GAUSS_WEIGHTS * 0.5  # reference-interval averages
     n = len(nodes)
     means = np.empty((n, n))
@@ -243,18 +221,16 @@ def reconstructed_energy(edges: np.ndarray, densities: np.ndarray,
     edges = np.asarray(edges, dtype=float)
     densities = np.asarray(densities, dtype=float)
     h = mass_per_cell
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    ext = potentials.external
-    nodes = mids[:, None] + halves[:, None] * GAUSS_NODES[None, :]
-    weights = halves[:, None] * GAUSS_WEIGHTS[None, :]
-    total = float(np.sum(densities[:, None] * weights * ext.v(nodes)))
+    nodes, weights = cell_gauss(edges)
+    total = float(np.sum(densities[:, None] * weights
+                         * potentials.external.v(nodes)))
     w = potentials.interaction
     if w.is_zero:
         return total
     if w.is_newtonian:
         # cells are disjoint, so the pair average of s|x-y| is s times the
         # distance between cell midpoints
+        mids = 0.5 * (edges[:-1] + edges[1:])
         means = w.newtonian_sign * np.abs(mids[:, None] - mids[None, :])
     else:
         means = _cell_pair_kernel_means(edges, w.w)
@@ -271,14 +247,11 @@ def continuous_dual_dissipation(edges: np.ndarray, densities: np.ndarray,
     edges = np.asarray(edges, dtype=float)
     densities = np.asarray(densities, dtype=float)
     mass = float(np.sum(densities * np.diff(edges)))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + halves[:, None] * GAUSS_NODES[None, :]).ravel()
-    weights = (halves[:, None] * GAUSS_WEIGHTS[None, :]).ravel()
+    nodes, weights = cell_gauss(edges)
     force, _ = continuum_force(edges, densities, mass, problem.potentials,
-                               nodes, exclude_own_cell=exclude_own_cell)
+                               nodes.ravel(), exclude_own_cell=exclude_own_cell)
     theta_vals = problem.mobility.theta(np.repeat(densities, 4))
-    return 0.5 * float(np.sum(weights * force**2 * theta_vals))
+    return 0.5 * float(np.sum(weights.ravel() * force**2 * theta_vals))
 
 
 @dataclass(frozen=True)
@@ -292,11 +265,11 @@ class GradientRecord:
     balance_defect: float
 
 
-def gradient_records(traj: Trajectory, fields: ReconstructedFields | None = None,
-                     include_last: bool = True) -> list[GradientRecord]:
+def gradient_records(traj: Trajectory, fields: ReconstructedFields | None = None
+                     ) -> list[GradientRecord]:
     if fields is None:
         fields = ReconstructedFields.from_trajectory(traj)
-    times, energies, r, r_star, d, defect = edb_series(traj, include_last)
+    times, energies, r, r_star, d, defect = edb_series(traj)
     pots = traj.problem.potentials
     records = []
     for k, t in enumerate(times):
@@ -309,10 +282,5 @@ def gradient_records(traj: Trajectory, fields: ReconstructedFields | None = None
 
 
 def write_gradient_csv(records, path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(GRADIENT_COLUMNS)
-        for rec in records:
-            out.writerow([repr(rec.t), repr(rec.energy), repr(rec.reconstructed),
-                          repr(rec.rate), repr(rec.dual_rate), repr(rec.decay),
-                          repr(rec.balance_defect)])
+    """One row per :class:`GradientRecord`, its fields in column order."""
+    write_table(path, GRADIENT_COLUMNS, (vars(r).values() for r in records))

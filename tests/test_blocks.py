@@ -66,14 +66,13 @@ def ref_dissipation(rho, mobility, flux):
     return 0.5 * float(np.sum(terms))
 
 
-def ref_decay(rho, mobility, f, include_last):
+def ref_decay(rho, mobility, f):
     bl, br = ref_betas(rho, mobility)
     fp, fm = np.maximum(f, 0.0), np.minimum(f, 0.0)
-    stop = len(f) if include_last else len(f) - 1
-    return float(np.sum((br * fm**2 + bl * fp**2)[:stop]))
+    return float(np.sum(br * fm**2 + bl * fp**2))
 
 
-def ref_rates(traj, include_last=True):
+def ref_rates(traj):
     mob = traj.problem.mobility
     r, r_star, d = [], [], []
     for x, v in zip(traj.positions, traj.velocities):
@@ -81,7 +80,7 @@ def ref_rates(traj, include_last=True):
         f = ref_forces(x, traj.h, traj.problem)
         r.append(ref_dissipation(rho, mob, v))
         r_star.append(ref_dual(rho, mob, -f))
-        d.append(ref_decay(rho, mob, f, include_last))
+        d.append(ref_decay(rho, mob, f))
     return np.array(r), np.array(r_star), np.array(d)
 
 
@@ -128,13 +127,11 @@ def bit_equal(a, b):
 # -- shared checks ----------------------------------------------------------
 
 def assert_series_match_loops(traj):
-    for include_last in (True, False):
-        r, r_star, d = var._rate_series(traj, decay=True,
-                                        include_last=include_last)
-        ref = ref_rates(traj, include_last)
-        assert bit_equal(r, ref[0])
-        assert bit_equal(r_star, ref[1])
-        assert bit_equal(d, ref[2])
+    r, r_star, d = var._rate_series(traj, decay=True)
+    ref = ref_rates(traj)
+    assert bit_equal(r, ref[0])
+    assert bit_equal(r_star, ref[1])
+    assert bit_equal(d, ref[2])
     # the one-state functions are the one-row case of the same code
     mob = traj.problem.mobility
     for k in (0, len(traj.times) // 2, len(traj.times) - 1):
@@ -144,7 +141,7 @@ def assert_series_match_loops(traj):
         assert var.dissipation(state, mob, traj.velocities[k]) == ref[0][k]
         assert var.dual_dissipation(state, mob, -f) == ref[1][k]
         assert var.dissipation_rate(state, traj.problem) == ref_decay(
-            state.densities(), mob, f, True)
+            state.densities(), mob, f)
 
 
 def assert_norms_match_loops(traj):

@@ -97,6 +97,24 @@ def test_missing_config_file(tmp_path):
     assert main(["--config", str(tmp_path / "nope.cfg"), "run"]) == EXIT_CONFIG
 
 
+def test_config_directory_is_config_error(tmp_path, capsys):
+    assert main(["--config", str(tmp_path), "run"]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert "config error:" in err
+    assert "Traceback" not in out + err
+
+
+def test_out_dir_existing_file_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert main(["--config", str(path), "--out-dir", str(blocker),
+                 "run"]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert "config error:" in err
+    assert "Traceback" not in out + err
+
+
 def test_override_applies(tmp_path, capsys):
     path = write_config(tmp_path)
     out = tmp_path / "o"
@@ -129,6 +147,15 @@ def test_converge_requires_doubling(tmp_path):
     path = write_config(tmp_path, BASE_CONFIG +
                         "discretization.N_list = 8, 24\n")
     assert main(["--config", str(path), "converge"]) == EXIT_CONFIG
+
+
+def test_converge_requires_two_levels(tmp_path, capsys):
+    path = write_config(tmp_path, BASE_CONFIG + "discretization.N_list = 10\n")
+    out = tmp_path / "conv"
+    assert main(["--config", str(path), "--out-dir", str(out),
+                 "converge"]) == EXIT_CONFIG
+    assert "needs at least two entries" in capsys.readouterr().err
+    assert not out.exists()     # rejected before any run or output
 
 
 def test_oracle_compare_reduction(tmp_path):

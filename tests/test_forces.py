@@ -47,8 +47,8 @@ def test_attractive_rank_pattern():
     expected = np.array([-4 * h, -2 * h, 0.0, 2 * h, 4 * h])
     assert np.allclose(pm.particle_forces(s, pots).values, expected,
                        atol=1e-14)
-    assert np.allclose(pm.newtonian_forces_fast(s, pots).values, expected,
-                       atol=1e-14)
+    assert np.allclose(forces.rank_sum_forces(s.positions, s.h, pots),
+                       expected, atol=1e-14)
 
 
 def test_repulsive_with_quadratic_well():
@@ -76,7 +76,7 @@ def test_fast_matches_direct(state, attractive):
     pots = pm.Potentials(pm.quadratic_potential(0.5),
                          pm.newtonian(attractive))
     direct = pm.particle_forces(state, pots).values
-    fast = pm.newtonian_forces_fast(state, pots).values
+    fast = forces.rank_sum_forces(state.positions, state.h, pots)
     assert np.allclose(direct, fast, atol=1e-12, rtol=0.0)
     assert np.allclose(direct, pairwise_oracle(state, pots), atol=1e-12)
 
@@ -156,6 +156,30 @@ def test_exclude_own_cell_drops_local_contribution():
     assert dpart[0] == pytest.approx(dfull[0] - 2.0)
     inside = quadrature_oracle(edges[:2], rho[:1], 0.25, lambda d: np.sign(d))
     assert part[0] == pytest.approx(full[0] - inside, abs=1e-5)
+
+
+# -- the one cell lookup against the formulas it replaced --------------------
+
+def test_cell_lookup_matches_old_formulas():
+    edges = np.array([-1.0, -0.0, 0.25, 0.25 + 1e-12, 3.0])
+    values = np.array([0.5, 1e300, 5e-324, 2.0])
+    between = 0.5 * (edges[:-1] + edges[1:])
+    x = np.concatenate([[-np.inf, -1.5, np.nextafter(-1.0, -2.0)], edges,
+                        np.nextafter(edges, np.inf), between,
+                        [np.nextafter(3.0, 4.0), 7.0, np.inf]])
+    # old forces._cell_index
+    idx = np.searchsorted(edges, x, side="right") - 1
+    idx = np.where((x < edges[0]) | (x >= edges[-1]), -1, idx)
+    old_index = np.clip(idx, -1, len(edges) - 2)
+    # old diagnostics._density_on, fv._eval_step and density_at
+    idx = np.searchsorted(edges, x, side="right") - 1
+    inside = (x >= edges[0]) & (x < edges[-1])
+    old_values = np.where(inside, values[np.clip(idx, 0, len(values) - 1)],
+                          0.0)
+    assert np.array_equal(forces._cell_index(edges, x), old_index)
+    assert np.array_equal(forces.step_values(edges, values, x), old_values)
+    assert np.array_equal(np.signbit(forces.step_values(edges, values, x)),
+                          np.signbit(old_values))
 
 
 # -- blocked kernels against their one-shot / per-cell references ----------

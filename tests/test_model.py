@@ -51,11 +51,11 @@ def test_negative_density_rejected():
 
 def test_theta_trivial_values():
     p = make_problem()
-    assert pm.theta(p, 0.0) == 0.0
-    assert pm.theta(p, 1.0) == 0.0
-    assert pm.theta(p, 0.5) == pytest.approx(0.25, abs=1e-15)
+    assert p.mobility.theta(0.0) == 0.0
+    assert p.mobility.theta(1.0) == 0.0
+    assert p.mobility.theta(0.5) == pytest.approx(0.25, abs=1e-15)
     with pytest.raises(ValueError):
-        pm.theta(p, -0.1)
+        p.mobility.theta(-0.1)
 
 
 @given(st.floats(min_value=0.0, max_value=3.0),

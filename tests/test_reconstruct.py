@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import partmob as pm
+from partmob import diagnostics as diag
+from partmob import variational as var
 from partmob.fv import write_fv_snapshots_csv
-from partmob.reconstruct import SNAPSHOT_COLUMNS, continuity_residual
+from partmob.reconstruct import (SNAPSHOT_COLUMNS, continuity_residual,
+                                 write_table)
 
 
 def static_fields(edges, velocities=None, times=(0.0, 0.5, 1.0), h=None):
@@ -165,4 +168,75 @@ def test_fv_snapshot_bytes_match_csv_writer(tmp_path):
     zeros = np.zeros(len(edges))
     csv_writer_snapshots(ref, [(t, edges, rho, zeros)
                                for t, rho in zip(fields.times, profiles)])
+    assert path.read_bytes() == ref.read_bytes()
+
+
+# reference: the csv.writer + explicit repr formulation of the record
+# writers, one formatter per column, that write_table must keep
+# reproducing byte for byte
+def csv_writer_table(path, columns, formats, rows):
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(columns)
+        for row in rows:
+            out.writerow([fmt(v) for fmt, v in zip(formats, row)])
+
+
+def float_repr(v):
+    return repr(float(v))
+
+
+def same_value(v):
+    return v
+
+
+EXTREMES = (-0.0, 5e-324, 1e300, 1.0 / 3.0, -2.5e-7)
+
+
+def extreme_rows(n_columns, n_rows=len(EXTREMES)):
+    return [[EXTREMES[(i + k) % len(EXTREMES)] for i in range(n_columns)]
+            for k in range(n_rows)]
+
+
+def write_diagnostics(path, rows):
+    diag.write_diagnostics_csv([diag.DiagnosticsRecord(*r) for r in rows],
+                               path)
+
+
+def write_gradient(path, rows):
+    var.write_gradient_csv([var.GradientRecord(*r) for r in rows], path)
+
+
+# schema -> (columns, per-column formatter of the old writer, rows, writer)
+TABLE_SCHEMAS = {
+    "diagnostics": (diag.DIAGNOSTICS_COLUMNS, (repr,) * 9, extreme_rows(9),
+                    write_diagnostics),
+    "variational": (var.GRADIENT_COLUMNS, (repr,) * 7, extreme_rows(7),
+                    write_gradient),
+    "entropy": (diag.ENTROPY_COLUMNS, (float_repr, same_value, float_repr),
+                [(c, label, res) for (c, res), label in zip(
+                    extreme_rows(2), ["a=-0.5,r=0.2", "a=1e+300,r=5e-324",
+                                      "3", 'q"uote', "plain"])],
+                lambda path, rows: diag.write_entropy_csv(rows, path)),
+    "refinement": (("N", "cauchy_diff", "bv_max", "edb_residual"),
+                   (same_value,) + (repr,) * 3,
+                   [(n, *r) for n, r in zip((50, 100, 200, 400, 800),
+                                            extreme_rows(3))],
+                   None),
+    # numpy floats where the old writer converted with float()
+    "oracle_compare": (("t", "l1_error"), (float_repr,) * 2,
+                       extreme_rows(2) + [(np.float64(0.5), np.float64(-0.0))],
+                       None),
+}
+
+
+@pytest.mark.parametrize("schema", sorted(TABLE_SCHEMAS))
+def test_table_bytes_match_csv_writer(tmp_path, schema):
+    columns, formats, rows, writer = TABLE_SCHEMAS[schema]
+    path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    if writer is None:
+        write_table(path, columns, rows)
+    else:
+        writer(path, rows)
+    csv_writer_table(ref, columns, formats, rows)
     assert path.read_bytes() == ref.read_bytes()

@@ -48,8 +48,6 @@ def test_energy_external_index_ranges():
     pots = pm.Potentials(pm.linear_potential(1.0), pm.no_interaction())
     s = pm.ParticleState([0.0, 1.0, 2.0], h=1.0)
     assert free_energy(s, pots) == pytest.approx(3.0)
-    # truncated variant leaves the last particle out
-    assert free_energy(s, pots, include_last=False) == pytest.approx(1.0)
 
 
 def test_energy_newtonian_pair_sum():
@@ -57,8 +55,6 @@ def test_energy_newtonian_pair_sum():
     s = pm.ParticleState([0.0, 1.0, 2.0], h=1.0)
     assert free_energy(s, pots) == pytest.approx(4.0)
     assert free_energy(s, pots) == pytest.approx(double_loop_energy(s, pots))
-    # truncated variant drops the i = N row: (1/2)(1 + 2 + 1 + 1) = 2.5
-    assert free_energy(s, pots, include_last=False) == pytest.approx(2.5)
 
 
 def test_dual_dissipation_trivial_and_capped():
@@ -194,15 +190,6 @@ def test_energy_monotone_along_flow(short_attractive_run):
     traj, _ = short_attractive_run
     _, energies, *_ = edb_series(traj)
     assert np.all(np.diff(energies) <= 1e-8)
-
-
-def test_truncated_energy_breaks_balance(attractive_problem):
-    # the truncated index range leaves an O(h) drift in the balance
-    s = pm.quantile_partition(attractive_problem.initial, 40)
-    traj = pm.integrate(s, attractive_problem, 0.2, dt=2e-3)
-    full = pm.edb_residual(traj, include_last=True)
-    truncated = pm.edb_residual(traj, include_last=False)
-    assert truncated > 1e3 * full
 
 
 # -- reconstructed-profile functionals --------------------------------------
