@@ -8,17 +8,17 @@ from .diagnostics import (BumpTestFunction, DiagnosticsRecord, bv_norm,
                           diagnostics_records, entropy_report,
                           entropy_residual, h1_proxy, standard_bump_grid,
                           total_variation, w1_distance)
-from .forces import ForceVector, continuum_force, particle_forces
+from .forces import continuum_force, particle_forces
 from .fv import (FvFields, FvGrid, fv_solve, fv_step, l1_compare, l1_distance,
                  make_grid, riemann_exact)
-from .model import (InitialDensity, InteractionKind, InteractionPotential,
-                    InvalidProblem, Mobility, Potentials, Problem,
-                    ValidationIssue, check_problem, external_potential,
-                    linear_potential, morse, newtonian, no_interaction,
-                    parabolic_bump, piecewise_constant_density,
-                    power_cap_mobility, quadratic_potential,
-                    regular_interaction, tabulated_mobility,
-                    uniform_density, validate, zero_potential)
+from .model import (InitialDensity, InteractionPotential, InvalidProblem,
+                    Mobility, Potentials, Problem, ValidationIssue,
+                    check_problem, external_potential, linear_potential,
+                    morse, newtonian, no_interaction, parabolic_bump,
+                    piecewise_constant_density, power_cap_mobility,
+                    quadratic_potential, regular_interaction,
+                    tabulated_mobility, uniform_density, validate,
+                    zero_potential)
 from .quantile import ParticleState, cell_densities, quantile_partition
 from .reconstruct import (ReconstructedFields, continuity_residual,
                           write_snapshots_csv)

@@ -182,9 +182,14 @@ def _discretization(cfg):
         raise ConfigError("discretization.t_end must be positive")
     scheme = _get(cfg, "discretization.integrator", "rk4")
     dt = _get(cfg, "discretization.dt", None)
+    dt = None if dt is None else float(dt)
+    if dt is not None and not dt > 0:
+        raise ConfigError("discretization.dt must be positive")
     tol = float(_get(cfg, "discretization.tolerance", 1e-8))
     store_every = int(_get(cfg, "discretization.output_every", 1))
-    return n_cells, t_end, scheme, (None if dt is None else float(dt)), tol, store_every
+    if store_every < 1:
+        raise ConfigError("discretization.output_every must be at least 1")
+    return n_cells, t_end, scheme, dt, tol, store_every
 
 
 def run_trajectory(cfg: dict):
@@ -256,9 +261,7 @@ def cmd_run(cfg, args) -> int:
     problem, traj, fields = run_trajectory(cfg)
     out = _out_dir(cfg, args)
     write_snapshots_csv(fields, out / "snapshots.csv")
-    norm_toggles = [_get(cfg, f"diagnostics.{key}", True)
-                    for key in ("bv", "h1", "w1")]
-    if any(norm_toggles):
+    if _get(cfg, "diagnostics.norms", True):
         diag.write_diagnostics_csv(diag.diagnostics_records(fields, problem),
                                    out / "diagnostics.csv")
     if _get(cfg, "diagnostics.edb", True):
@@ -305,9 +308,11 @@ def cmd_converge(cfg, args) -> int:
 
 
 def cmd_oracle_compare(cfg, args) -> int:
+    dx = float(_get(cfg, "oracle.fv_dx", 1e-3))
+    if not dx > 0:
+        raise ConfigError("oracle.fv_dx must be positive")
     problem, traj, fields = run_trajectory(cfg)
     _, t_end, *_ = _discretization(cfg)
-    dx = float(_get(cfg, "oracle.fv_dx", 1e-3))
     lo = _get(cfg, "oracle.window_lo", None)
     hi = _get(cfg, "oracle.window_hi", None)
     if lo is None or hi is None:

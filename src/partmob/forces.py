@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .model import GAUSS_NODES, GAUSS_WEIGHTS, Potentials
+from .model import GAUSS_NODES, GAUSS_WEIGHTS, Potentials, cell_gauss
 from .quantile import ParticleState
 
 __all__ = [
-    "ForceVector",
     "particle_forces",
     "continuum_force",
 ]
@@ -32,29 +30,7 @@ def row_blocks(n_rows: int, row_elements: int):
         yield slice(start, min(start + step, n_rows))
 
 
-@dataclass(frozen=True, eq=False)
-class ForceVector:
-    """Per-particle forces with their positive/negative split.
-
-    ``positive[i] * negative[i] == 0`` and
-    ``positive[i] + negative[i] == values[i]`` exactly.
-    """
-
-    values: np.ndarray
-
-    @property
-    def positive(self) -> np.ndarray:
-        return np.maximum(self.values, 0.0)
-
-    @property
-    def negative(self) -> np.ndarray:
-        return np.minimum(self.values, 0.0)
-
-    def __len__(self):
-        return len(self.values)
-
-
-def particle_forces(state: ParticleState, potentials: Potentials) -> ForceVector:
+def particle_forces(state: ParticleState, potentials: Potentials) -> np.ndarray:
     """Exact pairwise forces ``V'(x_i) + h * sum_{j != i} W'(x_i - x_j)``.
 
     ``W'`` is evaluated once per unordered pair: a block of rows
@@ -78,22 +54,28 @@ def particle_forces(state: ParticleState, potentials: Potentials) -> ForceVector
             np.negative(pair[rows, r1:].T, out=pair[r1:, rows])
         np.fill_diagonal(pair, 0.0)
         f += state.h * pair.sum(axis=1)
-    return ForceVector(f)
+    return f
 
 
-def rank_sum_forces(positions: np.ndarray, h: float,
-                    potentials: Potentials) -> np.ndarray:
-    """O(N) forces for the absolute-value and zero kernels on ordered
-    distinct particles, for one state or every row of a
-    ``(n_times, n_particles)`` block of positions.
+def force_rows(positions: np.ndarray, h: float,
+               potentials: Potentials) -> np.ndarray:
+    """Forces of one state or of every row of a ``(n_times, n_particles)``
+    block of ordered distinct positions.
 
-    For ``W(x) = s |x|`` the pair sum collapses to the rank formula
-    ``s * h * (2 i - N)``.
+    This is the one place that chooses how ``W`` is evaluated: for
+    ``W(x) = s |x|`` the pair sum collapses to the rank formula
+    ``s * h * (2 i - N)``, for ``W = 0`` only ``V'`` is left, and any other
+    kernel takes one :func:`particle_forces` call per row.  A row gets the
+    same bits as the same state alone.
     """
-    sign = potentials.interaction.newtonian_sign
+    w = potentials.interaction
+    if not (w.is_zero or w.is_newtonian):
+        if positions.ndim == 1:
+            return particle_forces(ParticleState(positions, h=h), potentials)
+        return np.array([force_rows(row, h, potentials) for row in positions])
     f = np.array(potentials.external.dv(positions), dtype=float, copy=True)
-    if sign:
-        f += rank_term(sign, h, positions.shape[-1])
+    if w.is_newtonian:
+        f += rank_term(w.newtonian_sign, h, positions.shape[-1])
     return f
 
 
@@ -106,6 +88,25 @@ def rank_term(sign: int, h: float, n_particles: int) -> np.ndarray:
     term = sign * h * (2.0 * ranks - (n_particles - 1))
     term.flags.writeable = False
     return term
+
+
+def cell_pair_means(edges: np.ndarray, kernel) -> np.ndarray:
+    """Matrix of the means of ``W(x - y)`` over ``x`` in cell ``i`` and
+    ``y`` in cell ``j``.  Cells are disjoint, so for ``W(x) = s |x|`` the
+    mean is ``s |mid_i - mid_j|`` off the diagonal; other kernels take a
+    4x4 Gauss rule per pair, built over blocks of rows ``i``."""
+    if kernel.is_newtonian:
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        return kernel.newtonian_sign * np.abs(mids[:, None] - mids[None, :])
+    nodes, _ = cell_gauss(edges)
+    wts = GAUSS_WEIGHTS * 0.5  # reference-interval averages
+    n = len(nodes)
+    means = np.empty((n, n))
+    for rows in row_blocks(n, 16 * n):
+        # differences between the Gauss nodes of cells i and j: (i, a, j, b)
+        vals = kernel.w(nodes[rows, :, None, None] - nodes[None, None, :, :])
+        means[rows] = np.einsum("a,b,iajb->ij", wts, wts, vals)
+    return means
 
 
 def _cell_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:

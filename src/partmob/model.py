@@ -9,7 +9,6 @@ after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "linear_potential",
     "quadratic_potential",
     "external_potential",
-    "InteractionKind",
     "InteractionPotential",
     "no_interaction",
     "newtonian",
@@ -215,14 +213,6 @@ def external_potential(v, dv, d2v, c_growth, sup_d2, lip_d2,
                              float(lip_d2), label)
 
 
-class InteractionKind(str, Enum):
-    ZERO = "zero"
-    REGULAR = "regular"
-    NEWTONIAN_ATTRACTIVE = "newtonian_attractive"
-    NEWTONIAN_REPULSIVE = "newtonian_repulsive"
-    MORSE = "morse"
-
-
 @dataclass(frozen=True, eq=False)
 class InteractionPotential:
     """Even interaction kernel ``W`` with derivative conventions.
@@ -230,14 +220,14 @@ class InteractionPotential:
     ``dw(0) = 0`` for the kinked kinds (odd extension, consistent with
     ``sign(0) = 0``).  ``newtonian_sign`` is +1 for the attractive absolute
     value kernel, -1 for the repulsive one, 0 otherwise; the sign drives the
-    closed-form cumulative expressions used elsewhere.
+    closed-form cumulative expressions in :mod:`partmob.forces`.
+    ``is_zero`` marks ``W = 0``, set by :func:`no_interaction`.
 
     ``dw`` must be odd bit for bit: ``dw(-d) == -dw(d)`` exactly for every
     float ``d``.  :func:`~partmob.forces.particle_forces` evaluates it once
     per pair of particles and negates it for the mirrored pair.
     """
 
-    kind: InteractionKind
     w: Callable[[Array], Array]
     dw: Callable[[Array], Array]
     d2w: Callable[[Array], Array]
@@ -246,25 +236,20 @@ class InteractionPotential:
     sup_d2w: float
     lip_d2w: float
     newtonian_sign: int = 0
+    is_zero: bool = False
 
     @property
     def is_newtonian(self) -> bool:
         return self.newtonian_sign != 0
 
-    @property
-    def is_zero(self) -> bool:
-        return self.kind is InteractionKind.ZERO
-
 
 def no_interaction() -> InteractionPotential:
     z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return InteractionPotential(InteractionKind.ZERO, z, z, z, 0.0, 0.0, 0.0, 0.0)
+    return InteractionPotential(z, z, z, 0.0, 0.0, 0.0, 0.0, is_zero=True)
 
 
 def newtonian(attractive: bool = True) -> InteractionPotential:
     sign = 1 if attractive else -1
-    kind = (InteractionKind.NEWTONIAN_ATTRACTIVE if attractive
-            else InteractionKind.NEWTONIAN_REPULSIVE)
 
     def w(x, _s=sign):
         return _s * np.abs(np.asarray(x, dtype=float))
@@ -277,7 +262,7 @@ def newtonian(attractive: bool = True) -> InteractionPotential:
         # part is handled by the cumulative closed forms
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    return InteractionPotential(kind, w, dw, d2w, 1.0, 1.0, 0.0, 0.0, sign)
+    return InteractionPotential(w, dw, d2w, 1.0, 1.0, 0.0, 0.0, sign)
 
 
 def morse(c_attract: float, ell_attract: float,
@@ -330,8 +315,7 @@ def morse(c_attract: float, ell_attract: float,
     sup_dw = ca / la + cr / lr
     sup_d2w = ca / la**2 + cr / lr**2
     lip_d2w = ca / la**3 + cr / lr**3
-    return InteractionPotential(InteractionKind.MORSE, w, dw, d2w,
-                                sup_dw, sup_dw, sup_d2w, lip_d2w)
+    return InteractionPotential(w, dw, d2w, sup_dw, sup_dw, sup_d2w, lip_d2w)
 
 
 def regular_interaction(w, dw, d2w, c_growth, sup_dw, sup_d2w,
@@ -345,8 +329,7 @@ def regular_interaction(w, dw, d2w, c_growth, sup_dw, sup_d2w,
     pair and negate it for the mirrored pair.  A formula such as
     ``sign(d) * g(abs(d))`` is odd by construction.
     """
-    return InteractionPotential(InteractionKind.REGULAR, w, dw, d2w,
-                                float(c_growth), float(sup_dw),
+    return InteractionPotential(w, dw, d2w, float(c_growth), float(sup_dw),
                                 float(sup_d2w), float(lip_d2w))
 
 
@@ -479,16 +462,13 @@ class Problem:
     def c_force(self) -> float:
         """Lipschitz-type constant for neighbour force differences.
 
-        For absolute-value kernels the interaction second difference
-        cancels exactly, leaving only the external-potential terms plus a
-        ``2M`` contribution from the kernel kink.
+        For absolute-value kernels (``sup_dw = 1``, ``sup_d2w = lip_d2w =
+        0``) it reduces to ``max(sup_d2 + 2M, lip_d2)``: the second
+        difference of the interaction cancels, leaving a ``2M`` term from
+        the kink; for ``W = 0`` to ``max(sup_d2, lip_d2)``.
         """
         v = self.potentials.external
         w = self.potentials.interaction
-        if w.is_zero:
-            return max(v.sup_d2, v.lip_d2)
-        if w.is_newtonian:
-            return max(v.sup_d2 + 2.0 * self.M, v.lip_d2)
         m = self.initial.mass
         c1 = v.sup_d2 + m * w.sup_d2w + 2.0 * self.M * w.sup_dw
         c2 = v.lip_d2 + m * w.lip_d2w

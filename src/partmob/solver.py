@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forces import ForceVector, particle_forces, rank_sum_forces
+from .forces import force_rows
 from .model import Mobility, Problem
 from .quantile import ParticleState
 
@@ -42,27 +42,9 @@ class UnorderedState(ValueError):
     """Particle positions are not strictly increasing."""
 
 
-def forces_for(state: ParticleState, problem: Problem) -> ForceVector:
-    """Forces with the cheap rank-sum path whenever the kernel allows it."""
-    w = problem.potentials.interaction
-    if w.is_zero or w.is_newtonian:
-        return ForceVector(rank_sum_forces(state.positions, state.h,
-                                           problem.potentials))
-    return particle_forces(state, problem.potentials)
-
-
-def force_rows(positions: np.ndarray, h: float,
-               problem: Problem) -> np.ndarray:
-    """:func:`forces_for` of every row of a ``(n_times, n_particles)``
-    block of positions: one rank-sum evaluation for the |x| and zero
-    kernels, one :func:`particle_forces` call per row for the others.  A
-    row gets the same bits as the same state alone."""
-    pots = problem.potentials
-    w = pots.interaction
-    if w.is_zero or w.is_newtonian:
-        return rank_sum_forces(positions, h, pots)
-    return np.array([particle_forces(ParticleState(row, h=h), pots).values
-                     for row in positions])
+def forces_for(state: ParticleState, problem: Problem) -> np.ndarray:
+    """Per-particle forces of one state, by :func:`~partmob.forces.force_rows`."""
+    return force_rows(state.positions, state.h, problem.potentials)
 
 
 def upwind_betas(densities: np.ndarray,
@@ -87,7 +69,7 @@ def velocity_field(problem: Problem, h: float):
         if (widths <= 0.0).any():
             raise UnorderedState("state is not strictly ordered")
         beta_left, beta_right = upwind_betas(h / widths, mobility)
-        f = forces_for(ParticleState(x, h=h), problem).values
+        f = forces_for(ParticleState(x, h=h), problem)
         return -beta_right * np.minimum(f, 0.0) \
             - beta_left * np.maximum(f, 0.0)
 
@@ -165,8 +147,7 @@ def _advance(x, dt, velocity, min_dt, t_now):
 
 def default_dt(state: ParticleState, problem: Problem) -> float:
     """CFL-style guard: a tenth of the minimum cell-crossing time."""
-    f = forces_for(state, problem)
-    fmax = float(np.max(np.abs(f.values)))
+    fmax = float(np.max(np.abs(forces_for(state, problem))))
     speed = problem.mobility.beta_max * fmax
     if speed <= 0:
         return 1e-3

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from .forces import continuum_force, row_blocks
-from .model import GAUSS_WEIGHTS, Mobility, Potentials, Problem, cell_gauss
+from .forces import cell_pair_means, continuum_force, force_rows, row_blocks
+from .model import Mobility, Potentials, Problem, cell_gauss
 from .quantile import ParticleState, row_densities
 from .reconstruct import ReconstructedFields, write_table
-from .solver import Trajectory, force_rows, forces_for, upwind_betas
+from .solver import Trajectory, forces_for, upwind_betas
 
 __all__ = [
     "free_energy",
@@ -111,14 +111,11 @@ def dissipation(state: ParticleState, mobility: Mobility,
     return float(_dissipations(state.densities(), mobility, flux))
 
 
-def dissipation_rate(state: ParticleState, problem: Problem,
-                     force_values: np.ndarray | None = None) -> float:
+def dissipation_rate(state: ParticleState, problem: Problem) -> float:
     """Instantaneous energy decay ``sum_i [beta(right_i)(f_i^-)^2
     + beta(left_i)(f_i^+)^2]``; equals twice the dual dissipation at the
     negated force."""
-    if force_values is None:
-        force_values = forces_for(state, problem).values
-    f = np.asarray(force_values, dtype=float)
+    f = forces_for(state, problem)
     return float(_decay_rates(state.densities(), problem.mobility, f))
 
 
@@ -128,7 +125,7 @@ def _rate_series(traj: Trajectory, decay: bool = False, stored=slice(None)):
     None).
 
     Works on blocks of stored times, with the forces of a block from one
-    :func:`~partmob.solver.force_rows` call; each row is computed as the
+    :func:`~partmob.forces.force_rows` call; each row is computed as the
     one-state functions compute it.
     """
     positions = traj.positions[stored]
@@ -141,7 +138,7 @@ def _rate_series(traj: Trajectory, decay: bool = False, stored=slice(None)):
     for rows in row_blocks(n, n_particles + 1):
         x = positions[rows]
         rho = row_densities(x, traj.h)
-        f = force_rows(x, traj.h, traj.problem)
+        f = force_rows(x, traj.h, traj.problem.potentials)
         r[rows] = _dissipations(rho, mob, velocities[rows])
         r_star[rows] = _dual_dissipations(rho, mob, -f)
         if decay:
@@ -200,20 +197,6 @@ def edb_series(traj: Trajectory):
 # Reconstructed-profile functionals
 # ---------------------------------------------------------------------------
 
-def _cell_pair_kernel_means(edges: np.ndarray, w) -> np.ndarray:
-    """Matrix of cell-pair averages of ``W(x - y)`` (4x4 Gauss per pair),
-    built over blocks of rows ``i``."""
-    nodes, _ = cell_gauss(edges)
-    wts = GAUSS_WEIGHTS * 0.5  # reference-interval averages
-    n = len(nodes)
-    means = np.empty((n, n))
-    for rows in row_blocks(n, 16 * n):
-        # differences between the Gauss nodes of cells i and j: (i, a, j, b)
-        vals = w(nodes[rows, :, None, None] - nodes[None, None, :, :])
-        means[rows] = np.einsum("a,b,iajb->ij", wts, wts, vals)
-    return means
-
-
 def reconstructed_energy(edges: np.ndarray, densities: np.ndarray,
                          potentials: Potentials, mass_per_cell: float) -> float:
     """Energy of the piecewise-constant profile: exact density integral of
@@ -224,16 +207,9 @@ def reconstructed_energy(edges: np.ndarray, densities: np.ndarray,
     nodes, weights = cell_gauss(edges)
     total = float(np.sum(densities[:, None] * weights
                          * potentials.external.v(nodes)))
-    w = potentials.interaction
-    if w.is_zero:
+    if potentials.interaction.is_zero:
         return total
-    if w.is_newtonian:
-        # cells are disjoint, so the pair average of s|x-y| is s times the
-        # distance between cell midpoints
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        means = w.newtonian_sign * np.abs(mids[:, None] - mids[None, :])
-    else:
-        means = _cell_pair_kernel_means(edges, w.w)
+    means = cell_pair_means(edges, potentials.interaction)
     np.fill_diagonal(means, 0.0)
     total += 0.5 * h * h * float(np.sum(means))
     return total

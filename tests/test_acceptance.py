@@ -123,7 +123,7 @@ def test_criterion_3_fenchel_young_equality(runs):
         mob = runs.problems[name].mobility
         for k in range(len(traj.times)):
             state = traj.state_at(k)
-            f = pm.forces_for(state, runs.problems[name]).values
+            f = pm.forces_for(state, runs.problems[name])
             r = dissipation(state, mob, traj.velocities[k])
             r_star = dual_dissipation(state, mob, -f)
             gap = abs(r - r_star) / (1.0 + r_star)
@@ -261,7 +261,7 @@ def test_criterion_9_w1_time_lipschitz(runs):
         problem = runs.problems[name]
         sup_force = max(
             float(np.max(np.abs(pm.forces_for(traj.state_at(k),
-                                              problem).values)))
+                                              problem))))
             for k in range(0, len(traj.times), 10))
         rate = problem.mobility.beta_max * sup_force * (1.0 + 1e-6)
         worst = _w1_all_pairs_worst(traj, rate)
@@ -292,8 +292,8 @@ def test_criterion_10_newtonian_fast_path():
                 positions = np.sort(rng.uniform(-3.0, 3.0, n + 1))
                 positions += np.arange(n + 1) * 1e-9
                 state = pm.ParticleState(positions, h=1.0 / n)
-                fast = forces.rank_sum_forces(state.positions, state.h, pots)
-                direct = pm.particle_forces(state, pots).values
+                fast = forces.force_rows(state.positions, state.h, pots)
+                direct = pm.particle_forces(state, pots)
                 worst = max(worst, float(np.max(np.abs(fast - direct))))
                 assert worst <= 1e-12
     print(f"PASS criterion 10: max |fast - direct| = {worst:.2e} <= 1e-12 "

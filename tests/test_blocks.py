@@ -17,7 +17,8 @@ from partmob import diagnostics as diag
 from partmob import forces
 from partmob import variational as var
 from partmob.cli import build_problem, parse_config
-from partmob.solver import Trajectory, force_rows, velocity_field
+from partmob.forces import force_rows
+from partmob.solver import Trajectory, velocity_field
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.cfg")) \
@@ -35,7 +36,7 @@ def ref_forces(x, h, problem):
     w = problem.potentials.interaction
     if not (w.is_zero or w.is_newtonian):
         return pm.particle_forces(pm.ParticleState(x, h=h),
-                                  problem.potentials).values
+                                  problem.potentials)
     n = len(x) - 1
     f = np.array(problem.potentials.external.dv(x), dtype=float, copy=True)
     if w.newtonian_sign:
@@ -136,7 +137,7 @@ def assert_series_match_loops(traj):
     mob = traj.problem.mobility
     for k in (0, len(traj.times) // 2, len(traj.times) - 1):
         state = traj.state_at(k)
-        f = pm.forces_for(state, traj.problem).values
+        f = pm.forces_for(state, traj.problem)
         assert bit_equal(f, ref_forces(state.positions, traj.h, traj.problem))
         assert var.dissipation(state, mob, traj.velocities[k]) == ref[0][k]
         assert var.dual_dissipation(state, mob, -f) == ref[1][k]
@@ -259,14 +260,14 @@ def test_velocity_closure_matches_formula(case):
         assert bit_equal(velocity(x), expected)
         assert bit_equal(pm.rhs(pm.ParticleState(x, h=h), problem), expected)
         assert bit_equal(pm.forces_for(pm.ParticleState(x, h=h),
-                                       problem).values,
+                                       problem),
                          ref_forces(x, h, problem))
     if case == "zero":
         assert np.all(np.signbit(velocity(states[0])))
     if case == "repulsive":
         state = pm.ParticleState(states[0], h=h)
-        assert not np.signbit(pm.forces_for(state, problem).values[4])
-    blocked = force_rows(np.array(states), h, problem)
+        assert not np.signbit(pm.forces_for(state, problem)[4])
+    blocked = force_rows(np.array(states), h, problem.potentials)
     assert bit_equal(blocked, [ref_forces(x, h, problem) for x in states])
 
 

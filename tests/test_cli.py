@@ -220,9 +220,7 @@ def test_edb_check(tmp_path):
 
 def test_run_diagnostics_toggles_off(tmp_path):
     path = write_config(tmp_path, BASE_CONFIG + """
-diagnostics.bv = false
-diagnostics.h1 = false
-diagnostics.w1 = false
+diagnostics.norms = false
 diagnostics.edb = false
 """)
     out = tmp_path / "min"
@@ -230,6 +228,28 @@ diagnostics.edb = false
     assert (out / "snapshots.csv").exists()
     assert not (out / "diagnostics.csv").exists()
     assert not (out / "variational.csv").exists()
+
+
+@pytest.mark.parametrize("override, command", [
+    ("discretization.dt=0", "run"),
+    ("discretization.dt=-1", "run"),
+    ("discretization.dt=0", "converge"),
+    ("discretization.dt=-1", "converge"),
+    ("oracle.fv_dx=0", "oracle-compare"),
+    ("oracle.fv_dx=-0.01", "oracle-compare"),
+    ("discretization.output_every=0", "run"),
+])
+def test_non_positive_steps_are_config_errors(tmp_path, capsys, override,
+                                               command):
+    path = write_config(tmp_path, BASE_CONFIG.replace(
+        "newtonian_attractive", "zero") + "oracle.fv_dx = 0.02\n")
+    code = main(["--config", str(path), "--out-dir", str(tmp_path / "out"),
+                 "--override", override, command])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:")
+    assert override.split("=")[0] in err
+    assert "Traceback" not in err
 
 
 def test_oracle_compare_off_grid_time(tmp_path, capsys):

@@ -37,7 +37,7 @@ def pairwise_oracle(state, potentials):
 def test_no_potentials_no_force():
     s = pm.ParticleState([0.0, 0.3, 1.1], h=0.5)
     pots = pm.Potentials(pm.zero_potential(), pm.no_interaction())
-    assert np.all(pm.particle_forces(s, pots).values == 0.0)
+    assert np.all(pm.particle_forces(s, pots) == 0.0)
 
 
 def test_attractive_rank_pattern():
@@ -45,9 +45,9 @@ def test_attractive_rank_pattern():
     pots = pm.Potentials(pm.zero_potential(), pm.newtonian(True))
     h = s.h
     expected = np.array([-4 * h, -2 * h, 0.0, 2 * h, 4 * h])
-    assert np.allclose(pm.particle_forces(s, pots).values, expected,
+    assert np.allclose(pm.particle_forces(s, pots), expected,
                        atol=1e-14)
-    assert np.allclose(forces.rank_sum_forces(s.positions, s.h, pots),
+    assert np.allclose(forces.force_rows(s.positions, s.h, pots),
                        expected, atol=1e-14)
 
 
@@ -55,19 +55,9 @@ def test_repulsive_with_quadratic_well():
     s = pm.ParticleState([-1.0, 0.0, 1.0], h=1.0)
     pots = pm.Potentials(pm.quadratic_potential(1.0), pm.newtonian(False))
     expected = np.array([1.0, 0.0, -1.0])
-    assert np.allclose(pm.particle_forces(s, pots).values, expected,
+    assert np.allclose(pm.particle_forces(s, pots), expected,
                        atol=1e-12)
     assert np.allclose(pairwise_oracle(s, pots), expected, atol=1e-12)
-
-
-def test_split_identities():
-    s = pm.ParticleState([-1.0, -0.2, 0.4, 2.0], h=0.3)
-    pots = pm.Potentials(pm.linear_potential(0.7), pm.newtonian(False))
-    f = pm.particle_forces(s, pots)
-    assert np.all(f.positive >= 0.0)
-    assert np.all(f.negative <= 0.0)
-    assert np.all(f.positive + f.negative == f.values)
-    assert np.all(f.positive * f.negative == 0.0)
 
 
 @given(ordered_states(), st.booleans())
@@ -75,8 +65,8 @@ def test_split_identities():
 def test_fast_matches_direct(state, attractive):
     pots = pm.Potentials(pm.quadratic_potential(0.5),
                          pm.newtonian(attractive))
-    direct = pm.particle_forces(state, pots).values
-    fast = forces.rank_sum_forces(state.positions, state.h, pots)
+    direct = pm.particle_forces(state, pots)
+    fast = forces.force_rows(state.positions, state.h, pots)
     assert np.allclose(direct, fast, atol=1e-12, rtol=0.0)
     assert np.allclose(direct, pairwise_oracle(state, pots), atol=1e-12)
 
@@ -85,7 +75,7 @@ def test_second_difference_vanishes_for_newtonian_part():
     state = pm.ParticleState(np.sort(np.random.default_rng(3).uniform(-2, 2, 9)),
                              h=0.2)
     pots = pm.Potentials(pm.zero_potential(), pm.newtonian(True))
-    f = pm.particle_forces(state, pots).values
+    f = pm.particle_forces(state, pots)
     second = f[2:] - 2 * f[1:-1] + f[:-2]
     assert np.allclose(second, 0.0, atol=1e-13)
 
@@ -96,7 +86,7 @@ def test_neighbour_difference_bound_along_trajectory(attractive_problem,
     c_f = attractive_problem.c_force
     for k in range(0, len(traj.times), 10):
         state = traj.state_at(k)
-        f = pm.forces_for(state, attractive_problem).values
+        f = pm.forces_for(state, attractive_problem)
         widths = state.widths()
         assert np.all(np.abs(np.diff(f)) <= c_f * widths + 1e-12)
         second = np.abs(f[2:] - 2 * f[1:-1] + f[:-2])
@@ -264,5 +254,5 @@ def test_blocked_particle_forces_match_dense(kernel, n, block_elements,
     x = np.sort(np.random.default_rng(n).uniform(-2.0, 2.0, n))
     state = pm.ParticleState(x, h=1.0 / n)
     pots = pm.Potentials(pm.quadratic_potential(0.5), kernel)
-    assert np.array_equal(pm.particle_forces(state, pots).values,
+    assert np.array_equal(pm.particle_forces(state, pots),
                           dense_particle_forces(state, pots))

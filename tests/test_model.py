@@ -185,6 +185,36 @@ def test_newtonian_force_constant_matches_closed_form():
     assert p.c_force == pytest.approx(2.0 + 2.0 * p.M)
 
 
+def _cubic_potential():
+    # a V whose lip_d2 dominates sup_d2 + 2M
+    return pm.external_potential(lambda x: x**3, lambda x: 3 * x**2,
+                                 lambda x: 6 * x, 3.0, 0.5, 7.0)
+
+
+@pytest.mark.parametrize("kernel", ["zero", "attractive", "repulsive"])
+@pytest.mark.parametrize("external", [
+    pm.zero_potential, lambda: pm.linear_potential(-1.3),
+    lambda: pm.quadratic_potential(2.5), _cubic_potential],
+    ids=["zero", "linear", "quadratic", "lip_d2"])
+@pytest.mark.parametrize("mobility, initial", [
+    (pm.power_cap_mobility(1.0), pm.parabolic_bump(0.75, 0.0, 1.0)),
+    (pm.power_cap_mobility(2.0, 2.0), pm.parabolic_bump(1.7, 0.3, 0.5)),
+    (pm.power_cap_mobility(1.0), pm.uniform_density(0.0, 3.0, 0.4)),
+], ids=["bump", "tall_bump", "uniform"])
+def test_force_constant_matches_per_kernel_formulas(kernel, external,
+                                                    mobility, initial):
+    # the closed forms the general formula reduces to, bit for bit
+    w = {"zero": pm.no_interaction(), "attractive": pm.newtonian(True),
+         "repulsive": pm.newtonian(False)}[kernel]
+    v = external()
+    p = pm.Problem(mobility, pm.Potentials(v, w), initial)
+    if kernel == "zero":
+        expected = max(v.sup_d2, v.lip_d2)
+    else:
+        expected = max(v.sup_d2 + 2.0 * p.M, v.lip_d2)
+    assert p.c_force == expected
+
+
 def test_step_profile_with_unaligned_jump_validates():
     # the mass quadrature must align to breakpoints, not a fixed grid
     init = pm.piecewise_constant_density([0.0, 1.0 / 3.0, 1.0], [1.2, 0.6])

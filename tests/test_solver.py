@@ -13,7 +13,7 @@ def upwind_oracle(positions, h, problem):
     rho = [h / (positions[i + 1] - positions[i]) for i in range(n)]
     beta = lambda s: float(problem.mobility.beta(s))
     f = pm.particle_forces(pm.ParticleState(positions, h=h),
-                           problem.potentials).values
+                           problem.potentials)
     out = np.zeros(n + 1)
     for i in range(n + 1):
         left = rho[i - 1] if i - 1 >= 0 else 0.0
@@ -82,7 +82,7 @@ def test_ordering_and_velocity_bound(attractive_problem, short_attractive_run):
     assert np.all(traj.widths() > 0.0)
     beta_max = attractive_problem.mobility.beta_max
     for k in range(len(traj.times)):
-        f = pm.forces_for(traj.state_at(k), attractive_problem).values
+        f = pm.forces_for(traj.state_at(k), attractive_problem)
         assert np.max(np.abs(traj.velocities[k])) <= \
             beta_max * np.max(np.abs(f)) + 1e-13
 

@@ -7,8 +7,7 @@ import partmob as pm
 from partmob import forces
 from partmob.model import GAUSS_NODES, GAUSS_WEIGHTS
 from partmob.solver import upwind_betas
-from partmob.variational import (_cell_pair_kernel_means,
-                                 continuous_dual_dissipation, dissipation,
+from partmob.variational import (continuous_dual_dissipation, dissipation,
                                  dissipation_rate, dual_dissipation,
                                  edb_series, free_energy,
                                  reconstructed_energy, records_residual)
@@ -142,7 +141,7 @@ def test_fenchel_young_equality_along_flow(short_attractive_run,
     mob = attractive_problem.mobility
     for k in range(0, len(traj.times), 7):
         state = traj.state_at(k)
-        f = pm.forces_for(state, attractive_problem).values
+        f = pm.forces_for(state, attractive_problem)
         r = dissipation(state, mob, traj.velocities[k])
         r_star = dual_dissipation(state, mob, -f)
         assert abs(r - r_star) <= 1e-12 * (1.0 + r_star)
@@ -152,8 +151,8 @@ def test_decay_rate_equals_twice_dual(short_attractive_run,
                                       attractive_problem):
     traj, _ = short_attractive_run
     state = traj.state_at(5)
-    f = pm.forces_for(state, attractive_problem).values
-    d = dissipation_rate(state, attractive_problem, f)
+    f = pm.forces_for(state, attractive_problem)
+    d = dissipation_rate(state, attractive_problem)
     assert d == pytest.approx(
         2.0 * dual_dissipation(state, attractive_problem.mobility, -f),
         rel=1e-14)
@@ -254,11 +253,11 @@ def test_blocked_pair_means_match_unblocked(n_cells, one_row_blocks,
     # 20 cells fit one block; 130 is not a multiple of the rows per block
     if one_row_blocks:
         monkeypatch.setattr(forces, "BLOCK_ELEMENTS", 1)
-    w = pm.morse(1.0, 0.7, 0.4, 0.25).w
+    kernel = pm.morse(1.0, 0.7, 0.4, 0.25)
     edges = np.cumsum(np.random.default_rng(n_cells).uniform(
         0.01, 0.1, n_cells + 1))
-    assert np.array_equal(_cell_pair_kernel_means(edges, w),
-                          unblocked_pair_means(edges, w))
+    assert np.array_equal(forces.cell_pair_means(edges, kernel),
+                          unblocked_pair_means(edges, kernel.w))
 
 
 def test_energy_consistency_under_refinement(attractive_problem):
@@ -306,7 +305,7 @@ def test_profile_dual_dissipation_close_to_particle_one(attractive_problem):
         worst = -np.inf
         for k in range(len(fields.times)):
             state = traj.state_at(k)
-            f = pm.forces_for(state, p).values
+            f = pm.forces_for(state, p)
             lhs = continuous_dual_dissipation(fields.edges[k],
                                               fields.densities[k], p,
                                               exclude_own_cell=True)
