@@ -9,8 +9,8 @@ from .diagnostics import (BumpTestFunction, DiagnosticsRecord, bv_norm,
                           entropy_residual, h1_proxy, standard_bump_grid,
                           total_variation, w1_distance)
 from .forces import continuum_force, particle_forces
-from .fv import (FvFields, FvGrid, fv_solve, fv_step, l1_compare, l1_distance,
-                 make_grid, riemann_exact)
+from .fv import (FvGrid, fv_solve, fv_step, l1_compare, l1_distance, make_grid,
+                 riemann_exact)
 from .model import (InitialDensity, InteractionPotential, InvalidProblem,
                     Mobility, Potentials, Problem, ValidationIssue,
                     check_problem, external_potential, linear_potential,
@@ -19,7 +19,7 @@ from .model import (InitialDensity, InteractionPotential, InvalidProblem,
                     quadratic_potential, regular_interaction,
                     tabulated_mobility, uniform_density, validate,
                     zero_potential)
-from .quantile import ParticleState, cell_densities, quantile_partition
+from .quantile import ParticleState, quantile_partition
 from .reconstruct import (ReconstructedFields, continuity_residual,
                           write_snapshots_csv)
 from .solver import (CellBoundReport, NonFiniteState, StepUnderflow,

@@ -32,7 +32,7 @@ from .model import (InvalidProblem, Potentials, Problem, linear_potential,
 from .quantile import ParticleState, QuantileError, quantile_partition
 from .reconstruct import ReconstructedFields, write_snapshots_csv, write_table
 from .solver import (NonFiniteState, StepUnderflow, UnorderedState,
-                     default_dt, integrate)
+                     check_cell_bounds, default_dt, integrate)
 
 __all__ = ["main", "parse_config", "build_problem", "ConfigError"]
 
@@ -173,18 +173,24 @@ def build_problem(cfg: dict) -> Problem:
     return Problem(mobility, Potentials(external, interaction), initial)
 
 
+def _positive(cfg, key, default):
+    """A config entry that must be finite and positive when given."""
+    value = _get(cfg, key, default)
+    if value is not None and not 0.0 < float(value) < np.inf:
+        raise ConfigError(f"{key} must be finite and positive")
+    return None if value is None else float(value)
+
+
 def _discretization(cfg):
     n_cells = int(_get(cfg, "discretization.N", required=True))
     if n_cells < 2:
         raise ConfigError("discretization.N must be at least 2")
-    t_end = float(_get(cfg, "discretization.t_end", 1.0))
-    if t_end <= 0:
-        raise ConfigError("discretization.t_end must be positive")
+    t_end = _positive(cfg, "discretization.t_end", 1.0)
     scheme = _get(cfg, "discretization.integrator", "rk4")
-    dt = _get(cfg, "discretization.dt", None)
-    dt = None if dt is None else float(dt)
-    if dt is not None and not dt > 0:
-        raise ConfigError("discretization.dt must be positive")
+    if scheme not in ("rk4", "rk45"):
+        raise ConfigError("discretization.integrator must be rk4 or rk45, "
+                          f"not {scheme!r}")
+    dt = _positive(cfg, "discretization.dt", None)
     tol = float(_get(cfg, "discretization.tolerance", 1e-8))
     store_every = int(_get(cfg, "discretization.output_every", 1))
     if store_every < 1:
@@ -208,13 +214,12 @@ def check_invariants(problem: Problem, traj, fields) -> list[str]:
     worst = float(np.max(np.abs(masses - fields.mass))) / fields.mass
     if worst > 1e-12:
         violations.append(f"mass drift {worst:.3e} exceeds 1e-12 relative")
-    widths = traj.widths()
-    if np.any(widths <= 0):
+    if np.any(traj.widths() <= 0):
         violations.append("particle ordering lost at a stored time")
-    min_ratio = float(np.min(widths) * problem.M / traj.h)
-    if min_ratio < 1.0 - 1e-6:
-        violations.append(f"cell width ratio {min_ratio:.9f} fell below "
-                          "the guaranteed lower bound")
+    bounds = check_cell_bounds(traj, problem)
+    if not bounds.lower_bound_ok:
+        violations.append(f"cell width ratio {bounds.min_width_ratio:.9f} "
+                          "fell below the guaranteed lower bound")
     max_rho = float(np.max(traj.densities()))
     if max_rho > problem.M * (1.0 + 1e-9):
         violations.append(f"max density {max_rho:.9g} exceeds the uniform "
@@ -278,7 +283,10 @@ def cmd_run(cfg, args) -> int:
 
 def cmd_converge(cfg, args) -> int:
     problem = validate(build_problem(cfg))
-    _, t_end, _, dt, _, _ = _discretization(cfg)
+    _, t_end, scheme, dt, _, _ = _discretization(cfg)
+    if scheme != "rk4":
+        raise ConfigError("converge needs discretization.integrator = rk4 "
+                          "for fixed steps onto shared output times")
     n_list = [int(n) for n in
               _as_list(_get(cfg, "discretization.N_list", [50, 100, 200, 400]))]
     if len(n_list) < 2:
@@ -308,14 +316,16 @@ def cmd_converge(cfg, args) -> int:
 
 
 def cmd_oracle_compare(cfg, args) -> int:
-    dx = float(_get(cfg, "oracle.fv_dx", 1e-3))
-    if not dx > 0:
-        raise ConfigError("oracle.fv_dx must be positive")
-    problem, traj, fields = run_trajectory(cfg)
-    _, t_end, *_ = _discretization(cfg)
+    dx = _positive(cfg, "oracle.fv_dx", 1e-3)
     lo = _get(cfg, "oracle.window_lo", None)
     hi = _get(cfg, "oracle.window_hi", None)
-    if lo is None or hi is None:
+    if (lo is None) != (hi is None) or \
+            (lo is not None and not -np.inf < float(lo) < float(hi) < np.inf):
+        raise ConfigError("oracle.window_lo and oracle.window_hi must be "
+                          "given together, finite, with lo < hi")
+    problem, traj, fields = run_trajectory(cfg)
+    _, t_end, *_ = _discretization(cfg)
+    if lo is None:
         pad = 1.0 + problem.mobility.beta_max * t_end
         lo = problem.initial.x_min - pad
         hi = problem.initial.x_max + pad

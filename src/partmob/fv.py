@@ -15,8 +15,7 @@ import numpy as np
 
 from .forces import continuum_force, step_values
 from .model import GAUSS_NODES, GAUSS_WEIGHTS, Problem
-from .reconstruct import write_snapshot_table
-from .solver import StoredTimes
+from .reconstruct import ReconstructedFields
 
 __all__ = [
     "CflViolation",
@@ -25,12 +24,10 @@ __all__ = [
     "make_grid",
     "fv_step",
     "fv_solve",
-    "FvFields",
     "riemann_exact",
     "l1_distance",
     "l1_compare",
     "l1_compare_exact",
-    "write_fv_snapshots_csv",
 ]
 
 
@@ -145,28 +142,12 @@ def fv_step(grid: FvGrid, problem: Problem, dt: float,
     return FvGrid(grid.a, grid.b, new_rho, t=grid.t + dt)
 
 
-@dataclass(eq=False)
-class FvFields(StoredTimes):
-    """Stored snapshots exposing the same profile protocol as the particle
-    reconstruction."""
-
-    times: np.ndarray
-    edges_1d: np.ndarray
-    profiles: np.ndarray     # (n_times, n_cells)
-    mass: float
-
-    def profile_at_index(self, k: int):
-        return self.edges_1d, self.profiles[k]
-
-    def profile(self, t: float):
-        return self.profile_at_index(self.index_of(t))
-
-
 def fv_solve(problem: Problem, window: tuple[float, float], dx: float,
              t_end: float, cfl: float = 0.45, store_times=None,
-             boundary: str = "vacuum") -> tuple[FvGrid, FvFields]:
+             boundary: str = "vacuum") -> tuple[FvGrid, ReconstructedFields]:
     """March the grid to ``t_end``, storing snapshots at the requested
-    times (always including 0 and ``t_end``)."""
+    times (always including 0 and ``t_end``) on the fixed grid's edges,
+    with zero edge velocities."""
     grid = make_grid(problem, window, dx)
     extra = [] if store_times is None else list(store_times)
     wanted = sorted({0.0, float(t_end)} | {float(t) for t in extra})
@@ -187,8 +168,9 @@ def fv_solve(problem: Problem, window: tuple[float, float], dx: float,
             times.append(grid.t)
             profiles.append(grid.rho.copy())
             next_i += 1
-    fields = FvFields(np.array(times), grid.edges, np.array(profiles),
-                      mass=grid.mass())
+    edges = np.broadcast_to(grid.edges, (len(times), grid.n + 1))
+    fields = ReconstructedFields(np.array(times), edges, np.array(profiles),
+                                 np.zeros(edges.shape), grid.mass())
     return grid, fields
 
 
@@ -276,12 +258,3 @@ def l1_compare_exact(grid: FvGrid, exact_fn) -> float:
     nodes = mids[:, None] + half * GAUSS_NODES[None, :]
     vals = np.abs(exact_fn(nodes) - grid.rho[:, None])
     return float(np.sum(half * GAUSS_WEIGHTS[None, :] * vals))
-
-
-def write_fv_snapshots_csv(fields: FvFields, path) -> None:
-    """Same snapshot schema as the particle reconstruction (zero
-    velocities: the reference solver is Eulerian)."""
-    edges = fields.edges_1d
-    zeros = np.zeros(len(edges))
-    write_snapshot_table(path, ((t, edges, rho, zeros)
-                                for t, rho in zip(fields.times, fields.profiles)))

@@ -8,7 +8,7 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -71,11 +71,9 @@ class Mobility:
     the energy-balance series passes whole blocks of stored times.
     """
 
-    kind: str
     beta: Callable[[Array], Array]
     beta_max: float
     cap: float
-    lip_beta: float
     lip_theta: float
     dbeta: Callable[[Array], Array]
 
@@ -112,11 +110,9 @@ def power_cap_mobility(m_beta: float = 1.0, gamma: float = 1.0) -> Mobility:
         s = np.asarray(s, dtype=float)
         return np.where(s <= _cap, -_g * np.abs(s) ** (_g - 1.0), 0.0)
 
-    lip_beta = gamma * cap ** (gamma - 1.0)
     # theta'(s) = m_beta - (gamma + 1) s**gamma on [0, cap]
     lip_theta = max(m_beta, gamma * m_beta)
-    return Mobility("power_cap", beta, float(m_beta), float(cap),
-                    float(lip_beta), float(lip_theta), dbeta)
+    return Mobility(beta, float(m_beta), float(cap), float(lip_theta), dbeta)
 
 
 def tabulated_mobility(samples: Array, values: Array) -> Mobility:
@@ -153,10 +149,9 @@ def tabulated_mobility(samples: Array, values: Array) -> Mobility:
         out = _slopes[idx]
         return np.where((x < _s[0]) | (x > _s[-1]), 0.0, out)
 
-    lip_beta = float(np.max(np.abs(slopes)))
     grid = np.linspace(0.0, cap, 2049)
     lip_theta = float(np.max(np.abs(beta(grid) + grid * dbeta(grid))))
-    return Mobility("tabulated", beta, beta_max, cap, lip_beta, lip_theta, dbeta)
+    return Mobility(beta, beta_max, cap, lip_theta, dbeta)
 
 
 # ---------------------------------------------------------------------------
@@ -167,24 +162,21 @@ def tabulated_mobility(samples: Array, values: Array) -> Mobility:
 class ExternalPotential:
     """External potential given as the triple ``(V, V', V'')``.
 
-    ``c_growth`` bounds ``|V'(r)| <= c_growth * (1 + |r|)``; ``sup_d2`` and
-    ``lip_d2`` bound the second derivative and its Lipschitz constant.
-    ``v``, ``dv`` and ``d2v`` must act elementwise on arrays of any shape:
-    the energy-balance series passes whole blocks of stored times.
+    ``sup_d2`` and ``lip_d2`` bound the second derivative and its Lipschitz
+    constant.  ``v``, ``dv`` and ``d2v`` must act elementwise on arrays of
+    any shape: the energy-balance series passes whole blocks of stored times.
     """
 
     v: Callable[[Array], Array]
     dv: Callable[[Array], Array]
     d2v: Callable[[Array], Array]
-    c_growth: float
     sup_d2: float
     lip_d2: float
-    label: str = "custom"
 
 
 def zero_potential() -> ExternalPotential:
     z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return ExternalPotential(z, z, z, 0.0, 0.0, 0.0, "zero")
+    return ExternalPotential(z, z, z, 0.0, 0.0)
 
 
 def linear_potential(slope: float) -> ExternalPotential:
@@ -193,7 +185,7 @@ def linear_potential(slope: float) -> ExternalPotential:
         lambda x: a * np.asarray(x, dtype=float),
         lambda x: np.full_like(np.asarray(x, dtype=float), a),
         lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        abs(a), 0.0, 0.0, "linear",
+        0.0, 0.0,
     )
 
 
@@ -203,14 +195,12 @@ def quadratic_potential(curvature: float = 1.0) -> ExternalPotential:
         lambda x: 0.5 * a * np.asarray(x, dtype=float) ** 2,
         lambda x: a * np.asarray(x, dtype=float),
         lambda x: np.full_like(np.asarray(x, dtype=float), a),
-        abs(a), abs(a), 0.0, "quadratic",
+        abs(a), 0.0,
     )
 
 
-def external_potential(v, dv, d2v, c_growth, sup_d2, lip_d2,
-                       label="custom") -> ExternalPotential:
-    return ExternalPotential(v, dv, d2v, float(c_growth), float(sup_d2),
-                             float(lip_d2), label)
+def external_potential(v, dv, d2v, sup_d2, lip_d2) -> ExternalPotential:
+    return ExternalPotential(v, dv, d2v, float(sup_d2), float(lip_d2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,7 +221,6 @@ class InteractionPotential:
     w: Callable[[Array], Array]
     dw: Callable[[Array], Array]
     d2w: Callable[[Array], Array]
-    c_growth: float
     sup_dw: float
     sup_d2w: float
     lip_d2w: float
@@ -245,7 +234,7 @@ class InteractionPotential:
 
 def no_interaction() -> InteractionPotential:
     z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return InteractionPotential(z, z, z, 0.0, 0.0, 0.0, 0.0, is_zero=True)
+    return InteractionPotential(z, z, z, 0.0, 0.0, 0.0, is_zero=True)
 
 
 def newtonian(attractive: bool = True) -> InteractionPotential:
@@ -262,7 +251,7 @@ def newtonian(attractive: bool = True) -> InteractionPotential:
         # part is handled by the cumulative closed forms
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    return InteractionPotential(w, dw, d2w, 1.0, 1.0, 0.0, 0.0, sign)
+    return InteractionPotential(w, dw, d2w, 1.0, 0.0, 0.0, sign)
 
 
 def morse(c_attract: float, ell_attract: float,
@@ -315,10 +304,10 @@ def morse(c_attract: float, ell_attract: float,
     sup_dw = ca / la + cr / lr
     sup_d2w = ca / la**2 + cr / lr**2
     lip_d2w = ca / la**3 + cr / lr**3
-    return InteractionPotential(w, dw, d2w, sup_dw, sup_dw, sup_d2w, lip_d2w)
+    return InteractionPotential(w, dw, d2w, sup_dw, sup_d2w, lip_d2w)
 
 
-def regular_interaction(w, dw, d2w, c_growth, sup_dw, sup_d2w,
+def regular_interaction(w, dw, d2w, sup_dw, sup_d2w,
                         lip_d2w) -> InteractionPotential:
     """Smooth even kernel from user callables.
 
@@ -329,8 +318,8 @@ def regular_interaction(w, dw, d2w, c_growth, sup_dw, sup_d2w,
     pair and negate it for the mirrored pair.  A formula such as
     ``sign(d) * g(abs(d))`` is odd by construction.
     """
-    return InteractionPotential(w, dw, d2w, float(c_growth), float(sup_dw),
-                                float(sup_d2w), float(lip_d2w))
+    return InteractionPotential(w, dw, d2w, float(sup_dw), float(sup_d2w),
+                                float(lip_d2w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,9 +339,10 @@ class InitialDensity:
     ``density`` and ``cumulative`` are vectorised; ``cumulative(x)`` is the
     mass of ``(-inf, x]`` and reaches ``mass`` at ``x_max``.  ``lower_bound``
     is a uniform positive floor on the support when one exists, else 0.
+    ``breakpoints`` are the jumps of a step profile, which the mass check
+    integrates piece by piece.
     """
 
-    kind: str
     density: Callable[[Array], Array]
     cumulative: Callable[[Array], Array]
     mass: float
@@ -360,7 +350,7 @@ class InitialDensity:
     lower_bound: float
     x_min: float
     x_max: float
-    params: dict = field(default_factory=dict)
+    breakpoints: np.ndarray | None = None
     interior_vacuum: bool = False
 
 
@@ -379,10 +369,9 @@ def uniform_density(a: float, b: float, height: float,
         x = np.asarray(x, dtype=float)
         return height * np.clip(x - a, 0.0, b - a)
 
-    return InitialDensity("uniform", density, cumulative,
+    return InitialDensity(density, cumulative,
                           float(true_mass if mass is None else mass),
-                          height, height, a, b,
-                          {"a": a, "b": b, "height": height})
+                          height, height, a, b)
 
 
 def parabolic_bump(amplitude: float = 0.75, center: float = 0.0,
@@ -402,10 +391,9 @@ def parabolic_bump(amplitude: float = 0.75, center: float = 0.0,
         u = np.clip((np.asarray(x, dtype=float) - c) / r, -1.0, 1.0)
         return amp * r * (u - u**3 / 3.0 + 2.0 / 3.0)
 
-    return InitialDensity("parabolic_bump", density, cumulative,
+    return InitialDensity(density, cumulative,
                           float(true_mass if mass is None else mass),
-                          amp, 0.0, c - r, c + r,
-                          {"amplitude": amp, "center": c, "radius": r})
+                          amp, 0.0, c - r, c + r)
 
 
 def piecewise_constant_density(breakpoints, values,
@@ -434,12 +422,11 @@ def piecewise_constant_density(breakpoints, values,
         x = np.asarray(x, dtype=float)
         return np.interp(x, _bp, _cum)
 
-    return InitialDensity("piecewise_constant", density, cumulative,
+    return InitialDensity(density, cumulative,
                           float(true_mass if mass is None else mass),
                           float(np.max(vals)),
                           float(np.min(vals)) if np.all(positive) else 0.0,
-                          float(bp[0]), float(bp[-1]),
-                          {"breakpoints": bp, "values": vals},
+                          float(bp[0]), float(bp[-1]), bp,
                           interior_vacuum=interior_vacuum)
 
 
@@ -498,8 +485,7 @@ class InvalidProblem(ValueError):
 def _integrate_density(initial: InitialDensity, panels_per_piece: int = 512) -> float:
     # composite Gauss aligned to declared breakpoints, so step profiles are
     # integrated exactly and smooth ones far beyond the check tolerance
-    brk = initial.params.get("breakpoints")
-    pieces = np.asarray(brk, dtype=float) if brk is not None \
+    pieces = initial.breakpoints if initial.breakpoints is not None \
         else np.array([initial.x_min, initial.x_max])
     total = 0.0
     for a, b in zip(pieces[:-1], pieces[1:]):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .model import InitialDensity
 
-__all__ = ["ParticleState", "QuantileError", "quantile_partition", "cell_densities"]
+__all__ = ["ParticleState", "QuantileError", "quantile_partition"]
 
 
 class QuantileError(RuntimeError):
@@ -27,7 +27,6 @@ class ParticleState:
 
     positions: np.ndarray
     h: float
-    t: float = 0.0
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -42,18 +41,13 @@ class ParticleState:
         return np.diff(self.positions)
 
     def densities(self) -> np.ndarray:
-        return cell_densities(self)
-
-
-def cell_densities(state: ParticleState) -> np.ndarray:
-    """Per-cell densities ``h / (x[i+1] - x[i])``; rejects coincident
-    particles."""
-    return row_densities(state.positions, state.h)
+        return row_densities(self.positions, self.h)
 
 
 def row_densities(positions: np.ndarray, h: float) -> np.ndarray:
-    """:func:`cell_densities` of one state or of every row of a
-    ``(n_times, n_particles)`` block of positions."""
+    """Per-cell densities ``h / (x[i+1] - x[i])`` of one state or of every
+    row of a ``(n_times, n_particles)`` block of positions; rejects
+    coincident particles."""
     widths = np.diff(positions, axis=-1)
     if np.any(widths <= 0):
         bad = int(np.argmin(widths)) % widths.shape[-1]
@@ -110,4 +104,4 @@ def quantile_partition(initial: InitialDensity, n_cells: int) -> ParticleState:
         lo = positions[i]
     if np.any(np.diff(positions) < 0):
         raise QuantileError("quantile points came out disordered")
-    return ParticleState(positions, h=h, t=0.0)
+    return ParticleState(positions, h=h)

@@ -33,6 +33,9 @@ class ReconstructedFields(StoredTimes):
     (half-open cells, zero outside) and the flux is that density times the
     velocity field interpolated linearly between the endpoint particle
     velocities.
+
+    Fields from :func:`~partmob.fv.fv_solve` have the grid's fixed edges and
+    zero edge velocities, so their ``flux_at`` is not the finite-volume flux.
     """
 
     times: np.ndarray
@@ -136,32 +139,25 @@ def write_table(path, columns, rows) -> None:
         out.writerows(rows)
 
 
-def write_snapshot_table(path, snapshots) -> None:
-    """Snapshot CSV from ``(t, edges, densities, edge_velocities)`` tuples:
-    one row ``t, x_left, x_right, rho, u_left, u_right`` per cell.
+def write_snapshots_csv(fields: ReconstructedFields, path,
+                        time_indices=None) -> None:
+    """One row per cell per stored time: t, x_left, x_right, rho, u_left,
+    u_right.
 
     Every value is formatted once with ``repr``; an edge or edge-velocity
     string serves as the right end of one cell and the left end of the
     next.  The bytes are those ``csv.writer`` writes for the same ``repr``
     strings, which never need quoting.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(SNAPSHOT_COLUMNS) + "\r\n")
-        for t, edges, densities, velocities in snapshots:
-            stamp = repr(float(t)) + ","
-            x = list(map(repr, edges.tolist()))
-            u = list(map(repr, velocities.tolist()))
-            rows = map(",".join, zip(x, x[1:], map(repr, densities.tolist()),
-                                     u, u[1:]))
-            fh.write(stamp + ("\r\n" + stamp).join(rows) + "\r\n")
-
-
-def write_snapshots_csv(fields: ReconstructedFields, path,
-                        time_indices=None) -> None:
-    """One row per cell per stored time: t, x_left, x_right, rho, u_left,
-    u_right."""
     if time_indices is None:
         time_indices = range(len(fields.times))
-    write_snapshot_table(path, ((fields.times[k], fields.edges[k],
-                                 fields.densities[k], fields.edge_velocities[k])
-                                for k in time_indices))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(SNAPSHOT_COLUMNS) + "\r\n")
+        for k in time_indices:
+            stamp = repr(float(fields.times[k])) + ","
+            x = list(map(repr, fields.edges[k].tolist()))
+            u = list(map(repr, fields.edge_velocities[k].tolist()))
+            rows = map(",".join, zip(x, x[1:],
+                                     map(repr, fields.densities[k].tolist()),
+                                     u, u[1:]))
+            fh.write(stamp + ("\r\n" + stamp).join(rows) + "\r\n")

@@ -101,14 +101,13 @@ class Trajectory(StoredTimes):
     velocities: np.ndarray    # (n_times, n_particles)
     h: float
     problem: Problem
-    scheme: str = "rk4"
 
     @property
     def n_cells(self) -> int:
         return self.positions.shape[1] - 1
 
     def state_at(self, k: int) -> ParticleState:
-        return ParticleState(self.positions[k], h=self.h, t=float(self.times[k]))
+        return ParticleState(self.positions[k], h=self.h)
 
     def widths(self) -> np.ndarray:
         return np.diff(self.positions, axis=1)
@@ -253,7 +252,7 @@ def integrate(initial: ParticleState, problem: Problem, t_end: float,
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    return Trajectory(times, states, vels, h=h, problem=problem, scheme=scheme)
+    return Trajectory(times, states, vels, h=h, problem=problem)
 
 
 @dataclass(frozen=True)

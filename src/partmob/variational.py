@@ -1,12 +1,15 @@
 """Gradient-structure functionals for the particle system.
 
 The particle flow is the steepest descent of a discrete free energy with
-respect to a state-dependent quadratic dissipation.  Three identities make
+respect to a state-dependent quadratic dissipation.  Four identities make
 that statement quantitative and testable:
 
 * the flow satisfies ``xdot = d2 R*(x, -f)``;
 * Fenchel-Young equality ``R(x, xdot) = R*(x, -f)`` holds along the flow;
-* the energy balance ``int (R + R*) dt = F(start) - F(end)`` is exact.
+* the energy balance ``int (R + R*) dt = F(start) - F(end)`` is exact;
+* the decay rate ``D = sum_i [beta(right_i)(f_i^-)^2
+  + beta(left_i)(f_i^+)^2]`` is ``2 R*(x, -f)`` bit for bit (the same two
+  products per particle, summed in the opposite order) and computed so.
 
 All functionals here sum over the full particle range 0..N.
 """
@@ -76,14 +79,6 @@ def _dissipations(densities, mobility: Mobility, flux) -> np.ndarray:
     return np.where(infeasible, np.inf, out)
 
 
-def _decay_rates(densities, mobility: Mobility, f) -> np.ndarray:
-    # one decay rate per row of (densities, f)
-    beta_left, beta_right = upwind_betas(densities, mobility)
-    fp = np.maximum(f, 0.0)
-    fm = np.minimum(f, 0.0)
-    return np.sum(beta_right * fm**2 + beta_left * fp**2, axis=-1)
-
-
 def _per_particle(state: ParticleState, values, name: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if len(values) != len(state.positions):
@@ -113,16 +108,15 @@ def dissipation(state: ParticleState, mobility: Mobility,
 
 def dissipation_rate(state: ParticleState, problem: Problem) -> float:
     """Instantaneous energy decay ``sum_i [beta(right_i)(f_i^-)^2
-    + beta(left_i)(f_i^+)^2]``; equals twice the dual dissipation at the
-    negated force."""
-    f = forces_for(state, problem)
-    return float(_decay_rates(state.densities(), problem.mobility, f))
+    + beta(left_i)(f_i^+)^2]``, computed as twice the dual dissipation at
+    the negated force."""
+    return 2.0 * dual_dissipation(state, problem.mobility,
+                                  -forces_for(state, problem))
 
 
-def _rate_series(traj: Trajectory, decay: bool = False, stored=slice(None)):
+def _rate_series(traj: Trajectory, stored=slice(None)):
     """R_h(x, xdot) and R*(x, -f) at the stored times selected by the
-    slice ``stored``, plus the decay rate D when ``decay`` is set (else
-    None).
+    slice ``stored``.
 
     Works on blocks of stored times, with the forces of a block from one
     :func:`~partmob.forces.force_rows` call; each row is computed as the
@@ -133,7 +127,6 @@ def _rate_series(traj: Trajectory, decay: bool = False, stored=slice(None)):
     mob = traj.problem.mobility
     n, n_particles = positions.shape
     r, r_star = np.empty(n), np.empty(n)
-    d = np.empty(n) if decay else None
     # the widest temporary is the padded row of n_particles + 1 betas
     for rows in row_blocks(n, n_particles + 1):
         x = positions[rows]
@@ -141,9 +134,7 @@ def _rate_series(traj: Trajectory, decay: bool = False, stored=slice(None)):
         f = force_rows(x, traj.h, traj.problem.potentials)
         r[rows] = _dissipations(rho, mob, velocities[rows])
         r_star[rows] = _dual_dissipations(rho, mob, -f)
-        if decay:
-            d[rows] = _decay_rates(rho, mob, f)
-    return r, r_star, d
+    return r, r_star
 
 
 def _balance_defect(times, r, r_star, f_start, f_end) -> float:
@@ -161,7 +152,7 @@ def edb_residual(traj: Trajectory, s: float | None = None,
     if kt - ks < 2:
         raise ValueError("need at least three stored times between s and t")
     sl = slice(ks, kt + 1)
-    r, r_star, _ = _rate_series(traj, stored=sl)
+    r, r_star = _rate_series(traj, stored=sl)
     pots = traj.problem.potentials
     f_end = free_energy(traj.state_at(kt), pots)
     f_start = free_energy(traj.state_at(ks), pots)
@@ -182,15 +173,15 @@ def records_residual(records) -> float:
 
 
 def edb_series(traj: Trajectory):
-    """Arrays (times, F, R, R*, D, running balance defect)."""
+    """Arrays (times, F, R, R*, D = 2 R*, running balance defect)."""
     times = traj.times
-    r, r_star, d = _rate_series(traj, decay=True)
+    r, r_star = _rate_series(traj)
     pots = traj.problem.potentials
     energies = np.array([free_energy(traj.state_at(k), pots)
                          for k in range(len(times))])
     partial = cumulative_simpson(r + r_star, x=times, initial=0.0)
     defect = partial + energies - energies[0]
-    return times, energies, r, r_star, d, defect
+    return times, energies, r, r_star, 2.0 * r_star, defect
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import partmob as pm
 from partmob import fv as fvmod
 from partmob.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
                          ConfigError, build_problem, main, parse_config)
-from partmob.fv import FvFields
 
 BASE_CONFIG = """
 # attractive kernel on the standard bump
@@ -238,13 +237,27 @@ diagnostics.edb = false
     ("oracle.fv_dx=0", "oracle-compare"),
     ("oracle.fv_dx=-0.01", "oracle-compare"),
     ("discretization.output_every=0", "run"),
+    ("discretization.t_end=inf", "run"),
+    ("discretization.t_end=nan", "run"),
+    ("discretization.dt=inf", "run"),
+    ("discretization.dt=nan", "edb-check"),
+    ("oracle.fv_dx=inf", "oracle-compare"),
+    ("oracle.window_lo=-3", "oracle-compare"),
+    ("oracle.window_hi=3", "oracle-compare"),
+    ("oracle.window_lo=3 oracle.window_hi=-3", "oracle-compare"),
+    ("oracle.window_lo=-inf oracle.window_hi=3", "oracle-compare"),
+    ("discretization.integrator=bogus", "run"),
+    ("discretization.integrator=bogus", "converge"),
+    ("discretization.integrator=rk45", "converge"),
 ])
 def test_non_positive_steps_are_config_errors(tmp_path, capsys, override,
                                                command):
+    # ``override`` holds one or more space-separated key=value entries
     path = write_config(tmp_path, BASE_CONFIG.replace(
         "newtonian_attractive", "zero") + "oracle.fv_dx = 0.02\n")
+    overrides = [a for item in override.split() for a in ("--override", item)]
     code = main(["--config", str(path), "--out-dir", str(tmp_path / "out"),
-                 "--override", override, command])
+                 *overrides, command])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith("config error:")
@@ -297,9 +310,10 @@ oracle.window_hi = 1.05
 def test_oracle_window_mismatch_is_numerical(tmp_path, capsys, monkeypatch):
     # a reference solution on a window narrower than the particle support
     def narrow_solve(problem, window, dx, t_end, store_times=None):
-        return None, FvFields(np.array([0.0, t_end]),
-                              np.linspace(-0.5, 0.5, 11),
-                              np.full((2, 10), 0.5), mass=0.5)
+        edges = np.tile(np.linspace(-0.5, 0.5, 11), (2, 1))
+        return None, pm.ReconstructedFields(np.array([0.0, t_end]), edges,
+                                            np.full((2, 10), 0.5),
+                                            np.zeros((2, 11)), mass=0.5)
 
     monkeypatch.setattr(fvmod, "fv_solve", narrow_solve)
     cfg_text = """

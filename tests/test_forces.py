@@ -176,7 +176,7 @@ def test_cell_lookup_matches_old_formulas():
 
 def smooth_kernel():
     return pm.regular_interaction(lambda x: np.cos(x), lambda x: -np.sin(x),
-                                  lambda x: -np.cos(x), 1.0, 1.0, 1.0, 1.0)
+                                  lambda x: -np.cos(x), 1.0, 1.0, 1.0)
 
 
 def cell_loop_continuum_force(edges, densities, potentials, x,

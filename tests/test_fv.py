@@ -56,10 +56,13 @@ def test_cfl_violation_raised():
 
 def test_maximum_principle_under_cfl():
     p = reduction_problem_with(pm.parabolic_bump(0.9, 0.0, 1.0))
-    _, fields = pm.fv_solve(p, (-2.0, 2.0), 0.005, 0.5,
-                            store_times=np.linspace(0, 0.5, 11))
-    assert np.all(fields.profiles >= -1e-14)
-    assert np.all(fields.profiles <= max(0.9, 1.0) + 1e-12)
+    grid, fields = pm.fv_solve(p, (-2.0, 2.0), 0.005, 0.5,
+                               store_times=np.linspace(0, 0.5, 11))
+    # Eulerian snapshots: the grid's edges at every time, no edge velocity
+    assert all(np.array_equal(e, grid.edges) for e in fields.edges)
+    assert not fields.edge_velocities.any()
+    assert np.all(fields.densities >= -1e-14)
+    assert np.all(fields.densities <= max(0.9, 1.0) + 1e-12)
 
 
 def test_stationary_shock_location():
@@ -122,13 +125,14 @@ def test_l1_distance_cases():
 
 
 def test_l1_compare_window_mismatch():
-    from partmob.fv import FvFields
     particle_side = pm.ReconstructedFields(np.array([0.0]),
                                  np.array([[-1.0, 0.0, 1.0]]),
                                  np.array([[0.5, 0.5]]),
                                  np.zeros((1, 3)), mass=1.0)
-    narrow = FvFields(np.array([0.0]), np.linspace(0.0, 0.5, 6),
-                      np.full((1, 5), 0.2), mass=0.1)
+    narrow = pm.ReconstructedFields(np.array([0.0]),
+                                    np.linspace(0.0, 0.5, 6)[None, :],
+                                    np.full((1, 5), 0.2), np.zeros((1, 6)),
+                                    mass=0.1)
     # a numerical failure (exit 3 in the CLI), still a ValueError
     with pytest.raises(WindowExceeded, match="window mismatch"):
         pm.l1_compare(particle_side, narrow, 0.0)

@@ -150,7 +150,7 @@ KERNELS = {
     "morse": pm.morse(1.0, 1.0, 0.5, 0.3),
     "smooth": pm.regular_interaction(np.cos, lambda x: -np.sin(x),
                                      lambda x: -np.cos(x),
-                                     1.0, 1.0, 1.0, 1.0),
+                                     1.0, 1.0, 1.0),
 }
 
 
@@ -188,7 +188,7 @@ def test_newtonian_force_constant_matches_closed_form():
 def _cubic_potential():
     # a V whose lip_d2 dominates sup_d2 + 2M
     return pm.external_potential(lambda x: x**3, lambda x: 3 * x**2,
-                                 lambda x: 6 * x, 3.0, 0.5, 7.0)
+                                 lambda x: 6 * x, 0.5, 7.0)
 
 
 @pytest.mark.parametrize("kernel", ["zero", "attractive", "repulsive"])

@@ -44,7 +44,7 @@ def test_bump_quartiles_match_cubic_root():
     assert np.allclose(masses, state.h, atol=1e-10 * state.h)
 
 
-def test_cell_densities_direct_division():
+def test_state_densities_direct_division():
     s = pm.ParticleState([0.0, 1.0, 2.0], h=1.0)
     assert np.allclose(s.densities(), [1.0, 1.0])
     s = pm.ParticleState([0.0, 0.5, 2.0], h=1.0)

@@ -6,9 +6,8 @@ import pytest
 import partmob as pm
 from partmob import diagnostics as diag
 from partmob import variational as var
-from partmob.fv import write_fv_snapshots_csv
 from partmob.reconstruct import (SNAPSHOT_COLUMNS, continuity_residual,
-                                 write_table)
+                                 write_snapshots_csv, write_table)
 
 
 def static_fields(edges, velocities=None, times=(0.0, 0.5, 1.0), h=None):
@@ -162,10 +161,13 @@ def test_snapshot_bytes_match_csv_writer(tmp_path, short_attractive_run,
 def test_fv_snapshot_bytes_match_csv_writer(tmp_path):
     edges = np.array([-0.0, 5e-324, 0.25, 1e300])
     profiles = np.array([[0.5, -0.0, 1e300], [5e-324, 0.75, 1.0 / 3.0]])
-    fields = pm.FvFields(np.array([0.0, 0.1]), edges, profiles, mass=1.0)
-    path, ref = tmp_path / "fv.csv", tmp_path / "ref.csv"
-    write_fv_snapshots_csv(fields, path)
     zeros = np.zeros(len(edges))
+    fields = pm.ReconstructedFields(np.array([0.0, 0.1]),
+                                    np.broadcast_to(edges, (2, len(edges))),
+                                    profiles, np.zeros((2, len(edges))),
+                                    mass=1.0)
+    path, ref = tmp_path / "fv.csv", tmp_path / "ref.csv"
+    write_snapshots_csv(fields, path)
     csv_writer_snapshots(ref, [(t, edges, rho, zeros)
                                for t, rho in zip(fields.times, profiles)])
     assert path.read_bytes() == ref.read_bytes()

@@ -209,7 +209,7 @@ def test_reconstructed_energy_trivial():
         pm.external_potential(lambda x: np.ones_like(np.asarray(x, float)),
                               lambda x: np.zeros_like(np.asarray(x, float)),
                               lambda x: np.zeros_like(np.asarray(x, float)),
-                              0.0, 0.0, 0.0), pm.no_interaction())
+                              0.0, 0.0), pm.no_interaction())
     assert reconstructed_energy(edges, rho, pots_const, 1.0) == \
         pytest.approx(2.0)   # integral of the density
 
