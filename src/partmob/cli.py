@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import diagnostics as diag
 from . import fv as fvmod
@@ -27,8 +26,8 @@ from . import variational as var
 from .model import (InvalidProblem, Potentials, Problem, linear_potential,
                     morse, newtonian, no_interaction, parabolic_bump,
                     piecewise_constant_density, power_cap_mobility,
-                    quadratic_potential, tabulated_mobility, uniform_density,
-                    validate, zero_potential)
+                    quadratic_potential, simpson, tabulated_mobility,
+                    uniform_density, validate, zero_potential)
 from .quantile import ParticleState, QuantileError, quantile_partition
 from .reconstruct import ReconstructedFields, write_snapshots_csv, write_table
 from .solver import (NonFiniteState, StepUnderflow, UnorderedState,
@@ -107,18 +106,42 @@ def _as_list(value):
     return value if isinstance(value, list) else [value]
 
 
+def _to_number(key, value, kind):
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, bool) or \
+            (kind is int and number != value):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, not {value!r}")
+    return number
+
+
+def _number(cfg, key, default=None, required=False, kind=float):
+    """A scalar numeric config entry (None if absent without default)."""
+    value = _get(cfg, key, default, required)
+    return None if value is None else _to_number(key, value, kind)
+
+
+def _numbers(cfg, key, default=None, required=False, kind=float):
+    """A numeric config entry read as a list of one or more numbers."""
+    return [_to_number(key, v, kind)
+            for v in _as_list(_get(cfg, key, default, required))]
+
+
 def build_problem(cfg: dict) -> Problem:
     mob_kind = _get(cfg, "problem.mobility.kind", "power_cap")
     if mob_kind == "power_cap":
         mobility = power_cap_mobility(
-            m_beta=float(_get(cfg, "problem.mobility.M_beta", 1.0)),
-            gamma=float(_get(cfg, "problem.mobility.gamma", 1.0)))
+            m_beta=_number(cfg, "problem.mobility.M_beta", 1.0),
+            gamma=_number(cfg, "problem.mobility.gamma", 1.0))
     elif mob_kind == "tabulated":
         mobility = tabulated_mobility(
-            np.asarray(_as_list(_get(cfg, "problem.mobility.samples",
-                                     required=True)), dtype=float),
-            np.asarray(_as_list(_get(cfg, "problem.mobility.values",
-                                     required=True)), dtype=float))
+            np.asarray(_numbers(cfg, "problem.mobility.samples",
+                                required=True)),
+            np.asarray(_numbers(cfg, "problem.mobility.values",
+                                required=True)))
     else:
         raise ConfigError(f"unknown mobility kind {mob_kind!r}")
 
@@ -126,9 +149,9 @@ def build_problem(cfg: dict) -> Problem:
     if v_kind == "zero":
         external = zero_potential()
     elif v_kind == "linear":
-        external = linear_potential(float(_get(cfg, "problem.V.coeff", 1.0)))
+        external = linear_potential(_number(cfg, "problem.V.coeff", 1.0))
     elif v_kind == "quadratic":
-        external = quadratic_potential(float(_get(cfg, "problem.V.coeff", 1.0)))
+        external = quadratic_potential(_number(cfg, "problem.V.coeff", 1.0))
     else:
         raise ConfigError(f"unknown external potential kind {v_kind!r}")
 
@@ -140,32 +163,29 @@ def build_problem(cfg: dict) -> Problem:
     elif w_kind == "newtonian_repulsive":
         interaction = newtonian(attractive=False)
     elif w_kind == "morse":
-        interaction = morse(float(_get(cfg, "problem.W.c_A", required=True)),
-                            float(_get(cfg, "problem.W.ell_A", required=True)),
-                            float(_get(cfg, "problem.W.c_R", required=True)),
-                            float(_get(cfg, "problem.W.ell_R", required=True)))
+        interaction = morse(*(_number(cfg, f"problem.W.{name}", required=True)
+                              for name in ("c_A", "ell_A", "c_R", "ell_R")))
     else:
         raise ConfigError(f"unknown interaction kind {w_kind!r}")
 
-    declared_mass = _get(cfg, "problem.m", None)
-    declared_mass = None if declared_mass is None else float(declared_mass)
+    declared_mass = _number(cfg, "problem.m")
     init_kind = _get(cfg, "problem.initial.kind", "parabolic_bump")
     if init_kind == "parabolic_bump":
         initial = parabolic_bump(
-            amplitude=float(_get(cfg, "problem.initial.amplitude", 0.75)),
-            center=float(_get(cfg, "problem.initial.center", 0.0)),
-            radius=float(_get(cfg, "problem.initial.radius", 1.0)),
+            amplitude=_number(cfg, "problem.initial.amplitude", 0.75),
+            center=_number(cfg, "problem.initial.center", 0.0),
+            radius=_number(cfg, "problem.initial.radius", 1.0),
             mass=declared_mass)
     elif init_kind == "uniform":
         initial = uniform_density(
-            a=float(_get(cfg, "problem.initial.a", 0.0)),
-            b=float(_get(cfg, "problem.initial.b", 1.0)),
-            height=float(_get(cfg, "problem.initial.height", 1.0)),
+            a=_number(cfg, "problem.initial.a", 0.0),
+            b=_number(cfg, "problem.initial.b", 1.0),
+            height=_number(cfg, "problem.initial.height", 1.0),
             mass=declared_mass)
     elif init_kind == "piecewise_constant":
         initial = piecewise_constant_density(
-            _as_list(_get(cfg, "problem.initial.breakpoints", required=True)),
-            _as_list(_get(cfg, "problem.initial.values", required=True)),
+            _numbers(cfg, "problem.initial.breakpoints", required=True),
+            _numbers(cfg, "problem.initial.values", required=True),
             mass=declared_mass)
     else:
         raise ConfigError(f"unknown initial density kind {init_kind!r}")
@@ -175,14 +195,14 @@ def build_problem(cfg: dict) -> Problem:
 
 def _positive(cfg, key, default):
     """A config entry that must be finite and positive when given."""
-    value = _get(cfg, key, default)
-    if value is not None and not 0.0 < float(value) < np.inf:
+    value = _number(cfg, key, default)
+    if value is not None and not 0.0 < value < np.inf:
         raise ConfigError(f"{key} must be finite and positive")
-    return None if value is None else float(value)
+    return value
 
 
 def _discretization(cfg):
-    n_cells = int(_get(cfg, "discretization.N", required=True))
+    n_cells = _number(cfg, "discretization.N", required=True, kind=int)
     if n_cells < 2:
         raise ConfigError("discretization.N must be at least 2")
     t_end = _positive(cfg, "discretization.t_end", 1.0)
@@ -191,8 +211,8 @@ def _discretization(cfg):
         raise ConfigError("discretization.integrator must be rk4 or rk45, "
                           f"not {scheme!r}")
     dt = _positive(cfg, "discretization.dt", None)
-    tol = float(_get(cfg, "discretization.tolerance", 1e-8))
-    store_every = int(_get(cfg, "discretization.output_every", 1))
+    tol = _number(cfg, "discretization.tolerance", 1e-8)
+    store_every = _number(cfg, "discretization.output_every", 1, kind=int)
     if store_every < 1:
         raise ConfigError("discretization.output_every must be at least 1")
     return n_cells, t_end, scheme, dt, tol, store_every
@@ -255,7 +275,7 @@ def space_time_l1(fields_a, fields_b) -> float:
         fvmod.l1_distance(fields_a.edges[k], fields_a.densities[k],
                           fields_b.edges[k], fields_b.densities[k])
         for k in range(len(fields_a.times))])
-    return float(simpson(dists, x=fields_a.times))
+    return float(simpson(dists, fields_a.times))
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +307,8 @@ def cmd_converge(cfg, args) -> int:
     if scheme != "rk4":
         raise ConfigError("converge needs discretization.integrator = rk4 "
                           "for fixed steps onto shared output times")
-    n_list = [int(n) for n in
-              _as_list(_get(cfg, "discretization.N_list", [50, 100, 200, 400]))]
+    n_list = _numbers(cfg, "discretization.N_list", [50, 100, 200, 400],
+                      kind=int)
     if len(n_list) < 2:
         raise ConfigError("discretization.N_list needs at least two entries")
     if any(2 * a != b for a, b in zip(n_list[:-1], n_list[1:])):
@@ -317,10 +337,10 @@ def cmd_converge(cfg, args) -> int:
 
 def cmd_oracle_compare(cfg, args) -> int:
     dx = _positive(cfg, "oracle.fv_dx", 1e-3)
-    lo = _get(cfg, "oracle.window_lo", None)
-    hi = _get(cfg, "oracle.window_hi", None)
+    lo = _number(cfg, "oracle.window_lo")
+    hi = _number(cfg, "oracle.window_hi")
     if (lo is None) != (hi is None) or \
-            (lo is not None and not -np.inf < float(lo) < float(hi) < np.inf):
+            (lo is not None and not -np.inf < lo < hi < np.inf):
         raise ConfigError("oracle.window_lo and oracle.window_hi must be "
                           "given together, finite, with lo < hi")
     problem, traj, fields = run_trajectory(cfg)
@@ -329,15 +349,14 @@ def cmd_oracle_compare(cfg, args) -> int:
         pad = 1.0 + problem.mobility.beta_max * t_end
         lo = problem.initial.x_min - pad
         hi = problem.initial.x_max + pad
-    compare_times = [float(t) for t in
-                     _as_list(_get(cfg, "oracle.compare_times", [t_end]))]
+    compare_times = _numbers(cfg, "oracle.compare_times", [t_end])
     for t in compare_times:
         try:
             fields.index_of(t)
         except KeyError:
             raise ConfigError(f"oracle.compare_times entry {t!r} is not a "
                               "stored output time") from None
-    _, fv_fields = fvmod.fv_solve(problem, (float(lo), float(hi)), dx, t_end,
+    _, fv_fields = fvmod.fv_solve(problem, (lo, hi), dx, t_end,
                                   store_times=compare_times)
     out = _out_dir(cfg, args)
     rows = []
@@ -353,10 +372,9 @@ def cmd_entropy_check(cfg, args) -> int:
     problem, traj, fields = run_trajectory(cfg)
     _, t_end, *_ = _discretization(cfg)
     cap = problem.mobility.cap
-    c_values = [float(c) for c in
-                _as_list(_get(cfg, "diagnostics.entropy.c",
-                              [0.25 * cap, 0.5 * cap, 0.75 * cap]))]
-    n_phi = int(_get(cfg, "diagnostics.entropy.phi_grid", 9))
+    c_values = _numbers(cfg, "diagnostics.entropy.c",
+                        [0.25 * cap, 0.5 * cap, 0.75 * cap])
+    n_phi = _number(cfg, "diagnostics.entropy.phi_grid", 9, kind=int)
     n_centers = max(1, int(round(n_phi / 3)))
     pad = problem.mobility.beta_max * t_end
     phis = diag.standard_bump_grid(t_end, problem.initial.x_min - pad,
@@ -369,7 +387,7 @@ def cmd_entropy_check(cfg, args) -> int:
     diag.write_entropy_csv(rows, out / "entropy.csv")
     worst = min(r[2] for r in rows)
     print(f"entropy residuals: min={worst:.6e} over {len(rows)} cases")
-    tol = float(_get(cfg, "diagnostics.entropy.tol", 1e-2))
+    tol = _number(cfg, "diagnostics.entropy.tol", 1e-2)
     if worst < -tol:
         print(f"invariant violation: entropy residual {worst:.3e} below "
               f"-{tol:g}", file=sys.stderr)

@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .forces import continuum_force, row_blocks, step_values
-from .model import GAUSS_NODES, GAUSS_WEIGHTS, Problem
+from .model import GAUSS_NODES, GAUSS_WEIGHTS, Problem, simpson
 from .reconstruct import ReconstructedFields, write_table
 
 __all__ = [
@@ -264,7 +263,7 @@ def _entropy_residuals_for_phi(fields, problem: Problem, c_values,
             series[row, j] = np.sum(
                 np.abs(rho_n - c) * phi_t
                 - sign * ((theta_n - theta_c[j]) * phi_x - theta_c[j] * phi_v))
-    bulk = simpson(series, x=fields.times[indices], axis=0)
+    bulk = simpson(series, fields.times[indices], axis=0)
 
     edges0, rho0 = fields.profile_at_index(0)
     nodes, weights = _panel_nodes(edges0, lo, hi, max_len)

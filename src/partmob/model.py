@@ -38,6 +38,8 @@ __all__ = [
     "InvalidProblem",
     "check_problem",
     "validate",
+    "simpson",
+    "cumulative_simpson",
 ]
 
 Array = np.ndarray
@@ -53,6 +55,94 @@ def cell_gauss(edges: Array) -> tuple[Array, Array]:
     halves = 0.5 * np.diff(edges)
     return (mids[:, None] + halves[:, None] * GAUSS_NODES[None, :],
             halves[:, None] * GAUSS_WEIGHTS[None, :])
+
+
+# Composite Simpson rules on a strictly increasing 1-D grid ``x``, with the
+# irregular-spacing formulas of Cartwright (J. Math. Sci. & Math. Educ.
+# 12(2), 2017).  They repeat scipy.integrate's operations one for one, so
+# their results carry the same bits as ``scipy.integrate.simpson`` and
+# ``cumulative_simpson(..., initial=0)``.
+
+def _along(a: Array, axis: int, index):
+    return a[(slice(None),) * (axis % a.ndim) + (index,)]
+
+
+def simpson(y, x, axis: int = -1):
+    """``int y dx`` over the samples ``y`` at ``x`` along ``axis``: a
+    scalar for 1-D ``y``, one value per column for 2-D ``y`` with
+    ``axis=0``."""
+    y = np.asarray(y)
+    n = y.shape[axis]
+    shape = [1] * y.ndim
+    shape[axis] = n
+    x = np.asarray(x).reshape(shape)
+    if n == 2:
+        dx = _along(x, axis, -1) - _along(x, axis, -2)
+        return 0.0 + 0.5 * dx * (_along(y, axis, -1) + _along(y, axis, -2))
+    h = np.diff(x, axis=axis)
+    if n % 2:
+        return _simpson_panels(y, h, n - 2, axis)
+    result = _simpson_panels(y, h, n - 3, axis)
+    # Cartwright's correction for the last interval; the two spacings stay
+    # arrays, because a float64 scalar's ``** 3`` rounds differently
+    h0 = np.squeeze(_along(h, axis, slice(-2, -1)), axis=axis)
+    h1 = np.squeeze(_along(h, axis, slice(-1, None)), axis=axis)
+    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+    eta = h1 ** 3 / (6 * h0 * (h0 + h1))
+    result += (alpha * _along(y, axis, -1) + beta * _along(y, axis, -2)
+               - eta * _along(y, axis, -3))
+    result += 0.0
+    return result
+
+
+def _simpson_panels(y: Array, h: Array, stop: int, axis: int):
+    """Simpson's rule on the panels ``[x[k], x[k+2]]`` for even
+    ``k < stop``."""
+    h0 = _along(h, axis, slice(0, stop, 2))
+    h1 = _along(h, axis, slice(1, stop + 1, 2))
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (_along(y, axis, slice(0, stop, 2))
+                        * (2.0 - 1.0 / h0divh1)
+                        + _along(y, axis, slice(1, stop + 1, 2))
+                        * (hsum * (hsum / hprod))
+                        + _along(y, axis, slice(2, stop + 2, 2))
+                        * (2.0 - h0divh1))
+    return np.sum(tmp, axis=axis)
+
+
+def cumulative_simpson(y, x) -> Array:
+    """Running ``int_{x[0]}^{x[k]} y dx`` for 1-D ``y``, starting at 0.0
+    (the trapezoid rule below three samples)."""
+    y = np.asarray(y, dtype=float)
+    dx = np.diff(np.asarray(x, dtype=float))
+    if len(y) < 3:
+        res = np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)
+    else:
+        # the even intervals from the triple that starts at them, the odd
+        # ones and the last from the triple that ends at them
+        ahead = _simpson_intervals(y, dx)
+        behind = _simpson_intervals(y[::-1], dx[::-1])[::-1]
+        sub = np.empty(len(dx))
+        sub[:-1:2] = ahead[::2]
+        sub[1::2] = behind[::2]
+        sub[-1] = behind[-1]
+        res = np.cumsum(sub)
+    res += 0.0
+    return np.concatenate(([0.0], res))
+
+
+def _simpson_intervals(y: Array, dx: Array) -> Array:
+    """``int_{x[k]}^{x[k+1]}`` of the parabola through samples k, k+1,
+    k+2 (Cartwright's eq. 8)."""
+    x21, x32 = dx[:-1], dx[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * y[:-2]
+                      + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                      + -x21x21_x31x32 * y[2:])
 
 
 # ---------------------------------------------------------------------------

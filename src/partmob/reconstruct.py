@@ -8,10 +8,9 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .forces import row_blocks, step_values
-from .model import cell_gauss
+from .model import cell_gauss, simpson
 from .solver import StoredTimes, Trajectory
 
 __all__ = ["ReconstructedFields", "continuity_residual", "write_snapshots_csv"]
@@ -125,7 +124,7 @@ def continuity_residual(fields: ReconstructedFields, phi, dphi,
     sub = np.arange(ks, kt + 1)
     series = np.array([fields.integrate_flux(float(fields.times[k]), dphi)
                        for k in sub])
-    rhs = float(simpson(series, x=fields.times[sub]))
+    rhs = float(simpson(series, fields.times[sub]))
     return abs(lhs - rhs)
 
 

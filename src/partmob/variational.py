@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .forces import cell_pair_means, continuum_force, force_rows, row_blocks
-from .model import Mobility, Potentials, Problem, cell_gauss
+from .model import (Mobility, Potentials, Problem, cell_gauss,
+                    cumulative_simpson, simpson)
 from .quantile import ParticleState, row_densities
 from .reconstruct import ReconstructedFields, write_table
 from .solver import Trajectory, forces_for, upwind_betas
@@ -139,7 +139,7 @@ def _rate_series(traj: Trajectory, stored=slice(None)):
 
 def _balance_defect(times, r, r_star, f_start, f_end) -> float:
     """``|int (R + R*) dr + F(end) - F(start)|`` by composite Simpson."""
-    return abs(float(simpson(r + r_star, x=times)) + f_end - f_start)
+    return abs(float(simpson(r + r_star, times)) + f_end - f_start)
 
 
 def edb_residual(traj: Trajectory, s: float | None = None,
@@ -179,7 +179,7 @@ def edb_series(traj: Trajectory):
     pots = traj.problem.potentials
     energies = np.array([free_energy(traj.state_at(k), pots)
                          for k in range(len(times))])
-    partial = cumulative_simpson(r + r_star, x=times, initial=0.0)
+    partial = cumulative_simpson(r + r_star, times)
     defect = partial + energies - energies[0]
     return times, energies, r, r_star, 2.0 * r_star, defect
 

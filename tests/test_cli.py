@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +253,15 @@ diagnostics.edb = false
     ("discretization.integrator=bogus", "run"),
     ("discretization.integrator=bogus", "converge"),
     ("discretization.integrator=rk45", "converge"),
+    # a value that is not a number, or a list where one number is read
+    ("discretization.dt=1,2", "run"),
+    ("discretization.t_end=abc", "run"),
+    ("discretization.t_end=yes", "run"),
+    ("discretization.N=abc", "edb-check"),
+    ("discretization.N=20.5", "run"),
+    ("discretization.N=inf", "run"),
+    ("discretization.N_list=10,abc", "converge"),
+    ("oracle.compare_times=0.05,abc", "oracle-compare"),
 ])
 def test_non_positive_steps_are_config_errors(tmp_path, capsys, override,
                                                command):
@@ -358,3 +371,40 @@ def test_edb_check_prints_fresh_residual(tmp_path, capsys):
     state = pm.quantile_partition(problem.initial, 24)
     traj = pm.integrate(state, problem, 0.05, dt=1e-3)
     assert printed.startswith(f"edb residual: {pm.edb_residual(traj):.6e} ")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# scipy is a test-only dependency: importing the CLI and running every
+# subcommand must work with it unimportable, and must not import it
+SCIPY_FREE_RUN = """
+import sys
+sys.modules["scipy"] = None
+from partmob.cli import main
+for cfg in ("configs/reduction.cfg", "configs/attractive.cfg"):
+    for cmd in ("run", "edb-check", "entropy-check", "oracle-compare",
+                "converge"):
+        code = main(["--config", cfg, "--out-dir", f"{sys.argv[1]}/{cmd}",
+                     "--override", "discretization.N=20",
+                     "--override", "discretization.N_list=10,20",
+                     "--override", "oracle.fv_dx=0.01", cmd])
+        if code:
+            sys.exit(f"{cfg} {cmd} exited {code}")
+"""
+
+PLAIN_IMPORT = """
+import sys
+import partmob.cli
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+sys.exit(f"importing partmob.cli loaded {loaded}" if loaded else 0)
+"""
+
+
+@pytest.mark.parametrize("script", [SCIPY_FREE_RUN, PLAIN_IMPORT],
+                         ids=["commands_without_scipy", "import_loads_none"])
+def test_cli_needs_no_scipy(tmp_path, script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
