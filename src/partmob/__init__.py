@@ -4,10 +4,9 @@ gradient-flow diagnostics that certify a run: energy-dissipation balance,
 entropy residuals, BV/Wasserstein bounds and cross-validation against an
 independent reference scheme."""
 
-from .diagnostics import (BumpTestFunction, DiagnosticsRecord, bv_norm,
-                          diagnostics_records, entropy_report,
-                          entropy_residual, h1_proxy, standard_bump_grid,
-                          total_variation, w1_distance)
+from .diagnostics import (BumpTestFunction, diagnostics_records,
+                          entropy_report, entropy_residual, h1_proxy,
+                          standard_bump_grid, total_variation, w1_distance)
 from .forces import continuum_force, particle_forces
 from .fv import (FvGrid, fv_solve, fv_step, l1_compare, l1_distance, make_grid,
                  riemann_exact)
@@ -25,9 +24,9 @@ from .reconstruct import (ReconstructedFields, continuity_residual,
 from .solver import (CellBoundReport, NonFiniteState, StepUnderflow,
                      Trajectory, UnorderedState, check_cell_bounds,
                      default_dt, forces_for, integrate, rhs)
-from .variational import (GradientRecord, continuous_dual_dissipation,
-                          dissipation, dissipation_rate, dual_dissipation,
-                          edb_residual, edb_series, free_energy,
-                          gradient_records, reconstructed_energy)
+from .variational import (continuous_dual_dissipation, dissipation,
+                          dissipation_rate, dual_dissipation, edb_residual,
+                          edb_series, free_energy, gradient_records,
+                          reconstructed_energy)
 
 __version__ = "0.1.0"

@@ -29,9 +29,9 @@ from .model import (InvalidProblem, Potentials, Problem, linear_potential,
                     quadratic_potential, simpson, tabulated_mobility,
                     uniform_density, validate, zero_potential)
 from .quantile import ParticleState, QuantileError, quantile_partition
-from .reconstruct import ReconstructedFields, write_snapshots_csv, write_table
-from .solver import (NonFiniteState, StepUnderflow, UnorderedState,
-                     check_cell_bounds, default_dt, integrate)
+from .reconstruct import write_snapshots_csv, write_table
+from .solver import (NonFiniteState, StepUnderflow, Trajectory,
+                     UnorderedState, check_cell_bounds, default_dt, integrate)
 
 __all__ = ["main", "parse_config", "build_problem", "ConfigError"]
 
@@ -218,32 +218,30 @@ def _discretization(cfg):
     return n_cells, t_end, scheme, dt, tol, store_every
 
 
-def run_trajectory(cfg: dict):
+def run_trajectory(cfg: dict) -> Trajectory:
     problem = validate(build_problem(cfg))
     n_cells, t_end, scheme, dt, tol, store_every = _discretization(cfg)
     state0 = quantile_partition(problem.initial, n_cells)
-    traj = integrate(state0, problem, t_end, scheme=scheme, dt=dt, tol=tol,
+    return integrate(state0, problem, t_end, scheme=scheme, dt=dt, tol=tol,
                      store_every=store_every)
-    fields = ReconstructedFields.from_trajectory(traj)
-    return problem, traj, fields
 
 
-def check_invariants(problem: Problem, traj, fields) -> list[str]:
+def check_invariants(traj: Trajectory) -> list[str]:
     violations = []
+    fields, problem = traj.fields, traj.problem
     masses = fields.masses()
     worst = float(np.max(np.abs(masses - fields.mass))) / fields.mass
     if worst > 1e-12:
         violations.append(f"mass drift {worst:.3e} exceeds 1e-12 relative")
-    if np.any(traj.widths() <= 0):
+    bounds = check_cell_bounds(traj)
+    if bounds.min_width_ratio <= 0.0:
         violations.append("particle ordering lost at a stored time")
-    bounds = check_cell_bounds(traj, problem)
     if not bounds.lower_bound_ok:
         violations.append(f"cell width ratio {bounds.min_width_ratio:.9f} "
                           "fell below the guaranteed lower bound")
-    max_rho = float(np.max(traj.densities()))
-    if max_rho > problem.M * (1.0 + 1e-9):
-        violations.append(f"max density {max_rho:.9g} exceeds the uniform "
-                          f"bound {problem.M:.9g}")
+    if bounds.max_density > problem.M * (1.0 + 1e-9):
+        violations.append(f"max density {bounds.max_density:.9g} exceeds "
+                          f"the uniform bound {problem.M:.9g}")
     return violations
 
 
@@ -254,16 +252,16 @@ def _out_dir(cfg, args) -> Path:
     return path
 
 
-def _aligned_run(problem, n_cells, t_end, n_out=100, dt_cap=1e-3):
+def _aligned_run(problem, n_cells, t_end, n_out=100,
+                 dt_cap=1e-3) -> Trajectory:
     """Fixed-step run whose stored times are exactly linspace(0, t_end,
     n_out+1), shared across refinement levels."""
     state0 = quantile_partition(problem.initial, n_cells)
     dt_target = min(dt_cap, default_dt(state0, problem))
     per_out = max(1, int(np.ceil((t_end / n_out) / dt_target)))
     dt = (t_end / n_out) / per_out
-    traj = integrate(state0, problem, t_end, scheme="rk4", dt=dt,
+    return integrate(state0, problem, t_end, scheme="rk4", dt=dt,
                      store_every=per_out)
-    return traj, ReconstructedFields.from_trajectory(traj)
 
 
 def space_time_l1(fields_a, fields_b) -> float:
@@ -283,21 +281,22 @@ def space_time_l1(fields_a, fields_b) -> float:
 # ---------------------------------------------------------------------------
 
 def cmd_run(cfg, args) -> int:
-    problem, traj, fields = run_trajectory(cfg)
+    traj = run_trajectory(cfg)
     out = _out_dir(cfg, args)
-    write_snapshots_csv(fields, out / "snapshots.csv")
+    write_snapshots_csv(traj.fields, out / "snapshots.csv")
     if _get(cfg, "diagnostics.norms", True):
-        diag.write_diagnostics_csv(diag.diagnostics_records(fields, problem),
-                                   out / "diagnostics.csv")
+        diag.write_diagnostics_csv(
+            diag.diagnostics_records(traj.fields, traj.problem),
+            out / "diagnostics.csv")
     if _get(cfg, "diagnostics.edb", True):
-        var.write_gradient_csv(var.gradient_records(traj, fields),
+        var.write_gradient_csv(var.gradient_records(traj),
                                out / "variational.csv")
-    violations = check_invariants(problem, traj, fields)
+    violations = check_invariants(traj)
     if violations:
         for v in violations:
             print(f"invariant violation: {v}", file=sys.stderr)
         return EXIT_INVARIANT
-    print(f"run ok: {len(fields.times)} stored times, outputs in {out}")
+    print(f"run ok: {len(traj.times)} stored times, outputs in {out}")
     return EXIT_OK
 
 
@@ -316,19 +315,18 @@ def cmd_converge(cfg, args) -> int:
     out = _out_dir(cfg, args)
     runs = {n: _aligned_run(problem, n, t_end, 100, dt if dt else 1e-3)
             for n in n_list}
-    rows = []
+    table = {"N": n_list[:-1], "cauchy_diff": [], "bv_max": [],
+             "edb_residual": []}
     for a, b in zip(n_list[:-1], n_list[1:]):
-        traj_a, fields_a = runs[a]
-        cauchy = space_time_l1(fields_a, runs[b][1])
-        bv_max = max(diag.bv_norms(fields_a).tolist())
-        edb = var.edb_residual(traj_a)
-        rows.append((a, cauchy, bv_max, edb))
-    write_table(out / "refinement.csv",
-                ("N", "cauchy_diff", "bv_max", "edb_residual"), rows)
-    for n, cauchy, bv_max, edb in rows:
+        table["cauchy_diff"].append(space_time_l1(runs[a].fields,
+                                                  runs[b].fields))
+        table["bv_max"].append(max(diag.bv_norms(runs[a].fields).tolist()))
+        table["edb_residual"].append(var.edb_residual(runs[a]))
+    write_table(out / "refinement.csv", table)
+    for n, cauchy, bv_max, edb in zip(*table.values()):
         print(f"N={n:5d}  cauchy={cauchy:.6e}  bv_max={bv_max:.6g}  "
               f"edb={edb:.3e}")
-    diffs = [r[1] for r in rows]
+    diffs = table["cauchy_diff"]
     if any(d2 >= d1 for d1, d2 in zip(diffs[:-1], diffs[1:])):
         print("warning: refinement differences are not strictly decreasing",
               file=sys.stderr)
@@ -343,7 +341,8 @@ def cmd_oracle_compare(cfg, args) -> int:
             (lo is not None and not -np.inf < lo < hi < np.inf):
         raise ConfigError("oracle.window_lo and oracle.window_hi must be "
                           "given together, finite, with lo < hi")
-    problem, traj, fields = run_trajectory(cfg)
+    traj = run_trajectory(cfg)
+    problem, fields = traj.problem, traj.fields
     _, t_end, *_ = _discretization(cfg)
     if lo is None:
         pad = 1.0 + problem.mobility.beta_max * t_end
@@ -359,17 +358,17 @@ def cmd_oracle_compare(cfg, args) -> int:
     _, fv_fields = fvmod.fv_solve(problem, (lo, hi), dx, t_end,
                                   store_times=compare_times)
     out = _out_dir(cfg, args)
-    rows = []
+    table = {"t": compare_times, "l1_error": []}
     for t in compare_times:
-        err = fvmod.l1_compare(fields, fv_fields, t)
-        rows.append((t, err))
-        print(f"t={t:.4g}  l1_error={err:.6e}")
-    write_table(out / "oracle_compare.csv", ("t", "l1_error"), rows)
+        table["l1_error"].append(fvmod.l1_compare(fields, fv_fields, t))
+        print(f"t={t:.4g}  l1_error={table['l1_error'][-1]:.6e}")
+    write_table(out / "oracle_compare.csv", table)
     return EXIT_OK
 
 
 def cmd_entropy_check(cfg, args) -> int:
-    problem, traj, fields = run_trajectory(cfg)
+    traj = run_trajectory(cfg)
+    problem, fields = traj.problem, traj.fields
     _, t_end, *_ = _discretization(cfg)
     cap = problem.mobility.cap
     c_values = _numbers(cfg, "diagnostics.entropy.c",
@@ -381,12 +380,13 @@ def cmd_entropy_check(cfg, args) -> int:
                                    problem.initial.x_max + pad,
                                    n_centers=n_centers)
     stride = max(1, len(fields.times) // 400)
-    rows = diag.entropy_report(fields, problem, c_values, phis,
-                               time_stride=stride)
+    table = diag.entropy_report(fields, problem, c_values, phis,
+                                time_stride=stride)
     out = _out_dir(cfg, args)
-    diag.write_entropy_csv(rows, out / "entropy.csv")
-    worst = min(r[2] for r in rows)
-    print(f"entropy residuals: min={worst:.6e} over {len(rows)} cases")
+    diag.write_entropy_csv(table, out / "entropy.csv")
+    worst = min(table["residual"])
+    print(f"entropy residuals: min={worst:.6e} over "
+          f"{len(table['residual'])} cases")
     tol = _number(cfg, "diagnostics.entropy.tol", 1e-2)
     if worst < -tol:
         print(f"invariant violation: entropy residual {worst:.3e} below "
@@ -396,25 +396,31 @@ def cmd_entropy_check(cfg, args) -> int:
 
 
 def cmd_edb_check(cfg, args) -> int:
-    problem, traj, fields = run_trajectory(cfg)
+    traj = run_trajectory(cfg)
     out = _out_dir(cfg, args)
-    records = var.gradient_records(traj, fields)
-    var.write_gradient_csv(records, out / "variational.csv")
-    residual = var.records_residual(records)
-    tol = 1e-6 * (abs(records[0].energy) + 1.0)
-    _, t_end, scheme, dt, tol_i, store_every = _discretization(cfg)
-    state0 = ParticleState(traj.positions[0].copy(), h=traj.h)
-    if dt is None:
-        dt = default_dt(state0, problem)
-    # the half-step run starts from the same particles and needs none of
-    # the main run's arrays
-    del traj, fields, records
-    traj_half = integrate(state0, problem, t_end, scheme=scheme, dt=dt / 2.0,
-                          tol=tol_i, store_every=store_every)
-    residual_half = var.edb_residual(traj_half)
-    ratio = residual / residual_half if residual_half > 0 else float("inf")
+    table = var.gradient_records(traj)
+    var.write_gradient_csv(table, out / "variational.csv")
+    residual = var.records_residual(table)
+    tol = 1e-6 * (abs(table["F_h"][0]) + 1.0)
     print(f"edb residual: {residual:.6e} (tolerance {tol:.3e})")
-    print(f"half-step residual: {residual_half:.6e}  ratio={ratio:.2f}")
+    _, t_end, scheme, dt, _, store_every = _discretization(cfg)
+    if scheme == "rk45":
+        # rk45 ignores dt: a half-step rerun would repeat the main run
+        print("half-step residual: skipped, the halving check applies to "
+              "rk4 only")
+    else:
+        problem = traj.problem
+        state0 = ParticleState(traj.positions[0].copy(), h=traj.h)
+        if dt is None:
+            dt = default_dt(state0, problem)
+        # the half-step run starts from the same particles and needs none
+        # of the main run's arrays
+        del traj, table
+        residual_half = var.edb_residual(integrate(
+            state0, problem, t_end, dt=dt / 2.0, store_every=store_every))
+        ratio = residual / residual_half if residual_half > 0 \
+            else float("inf")
+        print(f"half-step residual: {residual_half:.6e}  ratio={ratio:.2f}")
     if residual > tol:
         print("invariant violation: energy balance residual above tolerance",
               file=sys.stderr)

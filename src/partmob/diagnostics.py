@@ -11,11 +11,9 @@ from .model import GAUSS_NODES, GAUSS_WEIGHTS, Problem, simpson
 from .reconstruct import ReconstructedFields, write_table
 
 __all__ = [
-    "bv_norm",
     "total_variation",
     "h1_proxy",
     "w1_distance",
-    "DiagnosticsRecord",
     "diagnostics_records",
     "write_diagnostics_csv",
     "BumpTestFunction",
@@ -25,19 +23,34 @@ __all__ = [
     "write_entropy_csv",
 ]
 
-DIAGNOSTICS_COLUMNS = ("t", "mass", "bv", "tv", "h1", "w1_from_initial",
-                       "support", "max_density", "min_cell_ratio")
-ENTROPY_COLUMNS = ("c", "phi_id", "residual")
 
-
-def _total_variations(rho: np.ndarray) -> np.ndarray:
-    # total_variation of one profile or of every row of a block
+def total_variation(densities: np.ndarray):
+    """Jump sum of the piecewise-constant profile, boundary jumps included;
+    one value per row for a block of profiles."""
+    rho = np.asarray(densities, dtype=float)
     return rho[..., 0] + np.sum(np.abs(np.diff(rho, axis=-1)), axis=-1) \
         + rho[..., -1]
 
 
-def _h1_proxies(edges: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    # h1_proxy of one profile or of every row of a block
+def bv_norms(fields: ReconstructedFields) -> np.ndarray:
+    """L1 norm plus total variation at every stored time, over blocks of
+    stored times."""
+    tv = np.empty(len(fields.times))
+    for rows in row_blocks(len(fields.times), fields.n_cells):
+        tv[rows] = total_variation(fields.densities[rows])
+    return fields.masses() + tv
+
+
+def h1_proxy(edges: np.ndarray, densities: np.ndarray):
+    """L2 norm plus L2 norm of the derivative of the midpoint interpolant;
+    one value per row for a block of profiles.
+
+    Nodes are the cell midpoints with the cell values, closed by linear
+    ramps to zero over the first and last half-cells.  A stand-in for a
+    Sobolev norm that is finite on piecewise-constant data.
+    """
+    edges = np.asarray(edges, dtype=float)
+    rho = np.asarray(densities, dtype=float)
     ends = np.zeros(rho.shape[:-1] + (1,))
     mids = 0.5 * (edges[..., :-1] + edges[..., 1:])
     xs = np.concatenate([edges[..., :1], mids, edges[..., -1:]], axis=-1)
@@ -48,36 +61,6 @@ def _h1_proxies(edges: np.ndarray, rho: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         dsq = np.sum(np.where(dx > 0, (vb - va) ** 2 / dx, 0.0), axis=-1)
     return np.sqrt(sq) + np.sqrt(dsq)
-
-
-def total_variation(densities: np.ndarray) -> float:
-    """Jump sum of the piecewise-constant profile, boundary jumps included."""
-    return float(_total_variations(np.asarray(densities, dtype=float)))
-
-
-def bv_norm(fields: ReconstructedFields, t: float) -> float:
-    """L1 norm plus total variation at a stored time."""
-    _, rho = fields.profile(t)
-    return fields.mass_at(t) + total_variation(rho)
-
-
-def bv_norms(fields: ReconstructedFields) -> np.ndarray:
-    """:func:`bv_norm` at every stored time, over blocks of stored times."""
-    tv = np.empty(len(fields.times))
-    for rows in row_blocks(len(fields.times), fields.n_cells):
-        tv[rows] = _total_variations(fields.densities[rows])
-    return fields.masses() + tv
-
-
-def h1_proxy(edges: np.ndarray, densities: np.ndarray) -> float:
-    """L2 norm plus L2 norm of the derivative of the midpoint interpolant.
-
-    Nodes are the cell midpoints with the cell values, closed by linear
-    ramps to zero over the first and last half-cells.  A stand-in for a
-    Sobolev norm that is finite on piecewise-constant data.
-    """
-    return float(_h1_proxies(np.asarray(edges, dtype=float),
-                             np.asarray(densities, dtype=float)))
 
 
 def _segment_abs_integral(lengths, da, db):
@@ -111,22 +94,9 @@ def w1_distance(fields: ReconstructedFields, s: float, t: float) -> float:
                        _cumulative(*fields.profile(t)), fields.mass)
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    t: float
-    l1_mass: float
-    bv_norm: float
-    tv_only: float
-    h1_proxy: float
-    w1_from_initial: float
-    support_measure: float
-    max_density: float
-    min_cell_ratio: float
-
-
 def diagnostics_records(fields: ReconstructedFields,
-                        problem: Problem) -> list[DiagnosticsRecord]:
-    """One record per stored time, computed over blocks of stored times;
+                        problem: Problem) -> dict:
+    """The ``diagnostics.csv`` table, computed over blocks of stored times;
     the W1 distance row by row within a block, against the initial
     profile's cumulative masses built once."""
     h = fields.mass / fields.n_cells
@@ -137,22 +107,22 @@ def diagnostics_records(fields: ReconstructedFields,
     # the widest temporaries are the n_cells + 2 interpolant nodes per row
     for rows in row_blocks(n, fields.n_cells + 2):
         edges, rho = fields.edges[rows], fields.densities[rows]
-        tv[rows] = _total_variations(rho)
-        h1[rows] = _h1_proxies(edges, rho)
+        tv[rows] = total_variation(rho)
+        h1[rows] = h1_proxy(edges, rho)
         w1[rows] = [_w1_between(initial, cum, fields.mass)
                     for cum in zip(*_cumulative(edges, rho))]
         support[rows] = edges[:, -1] - edges[:, 0]
         max_rho[rows] = np.max(rho, axis=1)
         min_width[rows] = np.min(np.diff(edges, axis=1), axis=1)
-    return list(map(DiagnosticsRecord, fields.times.tolist(), mass.tolist(),
-                    (mass + tv).tolist(), tv.tolist(), h1.tolist(),
-                    w1.tolist(), support.tolist(), max_rho.tolist(),
-                    (min_width * problem.M / h).tolist()))
+    return {"t": fields.times, "mass": mass, "bv": mass + tv, "tv": tv,
+            "h1": h1, "w1_from_initial": w1, "support": support,
+            "max_density": max_rho,
+            "min_cell_ratio": min_width * problem.M / h}
 
 
-def write_diagnostics_csv(records, path) -> None:
-    """One row per :class:`DiagnosticsRecord`, its fields in column order."""
-    write_table(path, DIAGNOSTICS_COLUMNS, (vars(r).values() for r in records))
+def write_diagnostics_csv(table: dict, path) -> None:
+    """The :func:`diagnostics_records` table as CSV."""
+    write_table(path, table)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +219,7 @@ def _entropy_residuals_for_phi(fields, problem: Problem, c_values,
     series = np.empty((len(indices), len(c_values)))
     for row, k in enumerate(indices):
         t = float(fields.times[k])
-        edges, rho = fields.profile_at_index(k)
+        edges, rho = fields.edges[k], fields.densities[k]
         nodes, weights = _panel_nodes(edges, lo, hi, max_len)
         rho_n = step_values(edges, rho, nodes)
         force, dforce = continuum_force(edges, rho, fields.mass,
@@ -265,7 +235,7 @@ def _entropy_residuals_for_phi(fields, problem: Problem, c_values,
                 - sign * ((theta_n - theta_c[j]) * phi_x - theta_c[j] * phi_v))
     bulk = simpson(series, fields.times[indices], axis=0)
 
-    edges0, rho0 = fields.profile_at_index(0)
+    edges0, rho0 = fields.edges[0], fields.densities[0]
     nodes, weights = _panel_nodes(edges0, lo, hi, max_len)
     rho_n = step_values(edges0, rho0, nodes)
     phi0 = phi.value(float(fields.times[0]), nodes) * weights
@@ -287,17 +257,19 @@ def entropy_residual(fields, problem: Problem, c: float,
 
 
 def entropy_report(fields, problem: Problem, c_values, phis,
-                   time_stride: int = 1):
-    """Rows (c, phi_id, residual) over the level/test-function grid."""
-    rows = []
+                   time_stride: int = 1) -> dict:
+    """The ``entropy.csv`` table: one residual per (level, test function)
+    of the grid, the levels varying fastest."""
+    table = {"c": [], "phi_id": [], "residual": []}
     for i, phi in enumerate(phis):
         vals = _entropy_residuals_for_phi(fields, problem, c_values, phi,
                                           time_stride)
-        for c, value in zip(c_values, vals):
-            rows.append((float(c), phi.label or str(i), float(value)))
-    return rows
+        table["c"] += map(float, c_values)
+        table["phi_id"] += [phi.label or str(i)] * len(vals)
+        table["residual"] += vals.tolist()
+    return table
 
 
-def write_entropy_csv(rows, path) -> None:
-    """The :func:`entropy_report` rows ``(c, phi_id, residual)``."""
-    write_table(path, ENTROPY_COLUMNS, rows)
+def write_entropy_csv(table: dict, path) -> None:
+    """The :func:`entropy_report` table as CSV."""
+    write_table(path, table)

@@ -188,7 +188,9 @@ def continuum_force(edges: np.ndarray, densities: np.ndarray, mass: float,
 
     if w.is_newtonian:
         s = float(w.newtonian_sign)
-        rho_at = step_values(edges, densities, x)
+        # the step_values selection, from the one cell lookup
+        cell = _cell_index(edges, x) if own is None else own
+        rho_at = np.where(cell >= 0, densities[cell], 0.0)
         cum_edges = np.concatenate([[0.0], np.cumsum(densities * np.diff(edges))])
         cum = np.interp(x, edges, cum_edges)
         force += s * (2.0 * cum - mass)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forces import continuum_force, step_values
-from .model import GAUSS_NODES, GAUSS_WEIGHTS, Problem
+from .model import Problem, cell_gauss
 from .reconstruct import ReconstructedFields
 
 __all__ = [
@@ -253,8 +253,5 @@ def l1_compare(particle_fields, fv_fields, t: float) -> float:
 def l1_compare_exact(grid: FvGrid, exact_fn) -> float:
     """L1 distance between the grid and a pointwise reference, by 4-point
     Gauss per cell."""
-    mids = grid.centers
-    half = 0.5 * grid.dx
-    nodes = mids[:, None] + half * GAUSS_NODES[None, :]
-    vals = np.abs(exact_fn(nodes) - grid.rho[:, None])
-    return float(np.sum(half * GAUSS_WEIGHTS[None, :] * vals))
+    nodes, weights = cell_gauss(grid.edges)
+    return float(np.sum(weights * np.abs(exact_fn(nodes) - grid.rho[:, None])))

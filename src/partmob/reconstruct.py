@@ -11,7 +11,6 @@ import numpy as np
 
 from .forces import row_blocks, step_values
 from .model import cell_gauss, simpson
-from .solver import StoredTimes, Trajectory
 
 __all__ = ["ReconstructedFields", "continuity_residual", "write_snapshots_csv"]
 
@@ -24,9 +23,21 @@ def profile_masses(edges: np.ndarray, densities: np.ndarray) -> np.ndarray:
     return np.sum(densities * np.diff(edges, axis=-1), axis=-1)
 
 
+class StoredTimes:
+    """Lookup of a stored output time in ``self.times``."""
+
+    times: np.ndarray
+
+    def index_of(self, t: float) -> int:
+        k = int(np.argmin(np.abs(self.times - t)))
+        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(self.times[-1])):
+            raise KeyError(f"time {t!r} is not a stored output time")
+        return k
+
+
 @dataclass(eq=False)
 class ReconstructedFields(StoredTimes):
-    """Density/flux pair built from a stored trajectory.
+    """Density/flux pair of a stored trajectory (its ``fields``).
 
     At each stored time the density is ``h / width`` on every moving cell
     (half-open cells, zero outside) and the flux is that density times the
@@ -43,13 +54,6 @@ class ReconstructedFields(StoredTimes):
     edge_velocities: np.ndarray  # (n_times, n_particles)
     mass: float
 
-    @classmethod
-    def from_trajectory(cls, traj: Trajectory) -> "ReconstructedFields":
-        densities = traj.densities()
-        mass = traj.h * traj.n_cells
-        return cls(traj.times, traj.positions, densities,
-                   traj.velocities, mass)
-
     @property
     def n_cells(self) -> int:
         return self.densities.shape[1]
@@ -57,9 +61,6 @@ class ReconstructedFields(StoredTimes):
     def profile(self, t: float):
         """(edges, densities) arrays at a stored time."""
         k = self.index_of(t)
-        return self.edges[k], self.densities[k]
-
-    def profile_at_index(self, k: int):
         return self.edges[k], self.densities[k]
 
     def density_at(self, t: float, x) -> np.ndarray:
@@ -77,11 +78,9 @@ class ReconstructedFields(StoredTimes):
     def flux_at(self, t: float, x) -> np.ndarray:
         return self.density_at(t, x) * self.velocity_at(t, x)
 
-    def mass_at(self, t: float) -> float:
-        return float(profile_masses(*self.profile(t)))
-
     def masses(self) -> np.ndarray:
-        """:meth:`mass_at` every stored time, over blocks of stored times."""
+        """Mass of the profile at every stored time, over blocks of stored
+        times."""
         out = np.empty(len(self.times))
         for rows in row_blocks(len(self.times), self.n_cells + 1):
             out[rows] = profile_masses(self.edges[rows], self.densities[rows])
@@ -128,14 +127,15 @@ def continuity_residual(fields: ReconstructedFields, phi, dphi,
     return abs(lhs - rhs)
 
 
-def write_table(path, columns, rows) -> None:
-    """CSV with the header ``columns`` and one line per row.  ``csv``
-    writes every float (numpy's included) as ``repr(float(x))``, so each
-    value reads back to the same bits, and quotes a string with a comma."""
+def write_table(path, table: dict) -> None:
+    """CSV of a table: a dict of equal-length columns keyed by their
+    header, one line per row.  ``csv`` writes every float (numpy's
+    included) as ``repr(float(x))``, so each value reads back to the same
+    bits, and quotes a string with a comma."""
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
-        out.writerow(columns)
-        out.writerows(rows)
+        out.writerow(table)
+        out.writerows(zip(*table.values()))
 
 
 def write_snapshots_csv(fields: ReconstructedFields, path,

@@ -10,12 +10,14 @@ what keeps particles from crossing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .forces import force_rows
+from .forces import force_rows, row_blocks
 from .model import Mobility, Problem
 from .quantile import ParticleState
+from .reconstruct import ReconstructedFields, StoredTimes
 
 __all__ = [
     "StepUnderflow",
@@ -82,18 +84,6 @@ def rhs(state: ParticleState, problem: Problem) -> np.ndarray:
     return velocity_field(problem, state.h)(state.positions)
 
 
-class StoredTimes:
-    """Lookup of a stored output time in ``self.times``."""
-
-    times: np.ndarray
-
-    def index_of(self, t: float) -> int:
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(self.times[-1])):
-            raise KeyError(f"time {t!r} is not a stored output time")
-        return k
-
-
 @dataclass(eq=False)
 class Trajectory(StoredTimes):
     times: np.ndarray
@@ -109,11 +99,15 @@ class Trajectory(StoredTimes):
     def state_at(self, k: int) -> ParticleState:
         return ParticleState(self.positions[k], h=self.h)
 
-    def widths(self) -> np.ndarray:
-        return np.diff(self.positions, axis=1)
-
-    def densities(self) -> np.ndarray:
-        return self.h / self.widths()
+    @cached_property
+    def fields(self) -> ReconstructedFields:
+        """The run's density/flux reconstruction, built on first use: the
+        position and velocity arrays themselves, the densities
+        ``h / width`` and the mass ``h * n_cells``."""
+        return ReconstructedFields(
+            self.times, self.positions,
+            self.h / np.diff(self.positions, axis=1), self.velocities,
+            self.h * self.n_cells)
 
 
 def _rk4_step(x, dt, velocity):
@@ -260,22 +254,33 @@ class CellBoundReport:
     min_width_ratio: float            # min over time of min_i width * M / h
     max_width_ratio: float | None     # max over time of max_i width * sigma / h
     growth_bound: float | None        # e^(mu T) with mu slightly above c_f * beta_max
+    max_density: float                # max over time of max_i h / width
 
     @property
     def lower_bound_ok(self) -> bool:
         return self.min_width_ratio >= 1.0 - 1e-6
 
 
-def check_cell_bounds(traj: Trajectory, problem: Problem) -> CellBoundReport:
-    """Width bounds along the trajectory, scaled to their guaranteed limits."""
-    widths = traj.widths()
-    h = traj.h
-    min_ratio = float(np.min(widths) * problem.M / h)
+def check_cell_bounds(traj: Trajectory) -> CellBoundReport:
+    """Width bounds along the trajectory, scaled to their guaranteed
+    limits.  The widths are reduced over blocks of stored times; since
+    division rounds monotonically, ``h / min(width)`` is the largest
+    density bit for bit."""
+    problem, h = traj.problem, traj.h
+    n = len(traj.times)
+    least, most = np.empty(n), np.empty(n)
+    for rows in row_blocks(n, traj.n_cells):
+        widths = np.diff(traj.positions[rows], axis=1)
+        least[rows] = np.min(widths, axis=1)
+        most[rows] = np.max(widths, axis=1)
+    min_width = np.min(least)
+    min_ratio = float(min_width * problem.M / h)
     sigma = problem.initial.lower_bound
     if sigma > 0:
-        max_ratio = float(np.max(widths) * sigma / h)
+        max_ratio = float(np.max(most) * sigma / h)
         mu = problem.c_force * problem.mobility.beta_max * 1.01
         growth = float(np.exp(mu * traj.times[-1]))
     else:
         max_ratio, growth = None, None
-    return CellBoundReport(min_ratio, max_ratio, growth)
+    return CellBoundReport(min_ratio, max_ratio, growth,
+                           float(h / min_width))

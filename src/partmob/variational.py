@@ -16,15 +16,13 @@ All functionals here sum over the full particle range 0..N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .forces import cell_pair_means, continuum_force, force_rows, row_blocks
 from .model import (Mobility, Potentials, Problem, cell_gauss,
                     cumulative_simpson, simpson)
 from .quantile import ParticleState, row_densities
-from .reconstruct import ReconstructedFields, write_table
+from .reconstruct import write_table
 from .solver import Trajectory, forces_for, upwind_betas
 
 __all__ = [
@@ -37,12 +35,9 @@ __all__ = [
     "edb_series",
     "records_residual",
     "continuous_dual_dissipation",
-    "GradientRecord",
     "gradient_records",
     "write_gradient_csv",
 ]
-
-GRADIENT_COLUMNS = ("t", "F_h", "Fhat_h", "R_h", "R_h_star", "D_h", "edb_partial")
 
 
 def free_energy(state: ParticleState, potentials: Potentials) -> float:
@@ -159,17 +154,15 @@ def edb_residual(traj: Trajectory, s: float | None = None,
     return _balance_defect(times[sl], r, r_star, f_start, f_end)
 
 
-def records_residual(records) -> float:
+def records_residual(table: dict) -> float:
     """:func:`edb_residual` over the whole run, from the
-    :func:`gradient_records` of its trajectory (same arrays, same
+    :func:`gradient_records` table of its trajectory (same arrays, same
     quadrature, nothing recomputed)."""
-    if len(records) < 3:
+    if len(table["t"]) < 3:
         raise ValueError("need at least three stored times between s and t")
-    times = np.array([rec.t for rec in records])
-    r = np.array([rec.rate for rec in records])
-    r_star = np.array([rec.dual_rate for rec in records])
-    return _balance_defect(times, r, r_star, records[0].energy,
-                           records[-1].energy)
+    energies = table["F_h"]
+    return _balance_defect(table["t"], table["R_h"], table["R_h_star"],
+                           float(energies[0]), float(energies[-1]))
 
 
 def edb_series(traj: Trajectory):
@@ -221,33 +214,17 @@ def continuous_dual_dissipation(edges: np.ndarray, densities: np.ndarray,
     return 0.5 * float(np.sum(weights.ravel() * force**2 * theta_vals))
 
 
-@dataclass(frozen=True)
-class GradientRecord:
-    t: float
-    energy: float
-    reconstructed: float
-    rate: float
-    dual_rate: float
-    decay: float
-    balance_defect: float
-
-
-def gradient_records(traj: Trajectory, fields: ReconstructedFields | None = None
-                     ) -> list[GradientRecord]:
-    if fields is None:
-        fields = ReconstructedFields.from_trajectory(traj)
+def gradient_records(traj: Trajectory) -> dict:
+    """The ``variational.csv`` table: :func:`edb_series` and the
+    reconstructed energy of the run's fields at every stored time."""
     times, energies, r, r_star, d, defect = edb_series(traj)
-    pots = traj.problem.potentials
-    records = []
-    for k, t in enumerate(times):
-        fhat = reconstructed_energy(fields.edges[k], fields.densities[k],
-                                    pots, traj.h)
-        records.append(GradientRecord(float(t), float(energies[k]), fhat,
-                                      float(r[k]), float(r_star[k]),
-                                      float(d[k]), float(defect[k])))
-    return records
+    fields, pots = traj.fields, traj.problem.potentials
+    fhat = [reconstructed_energy(fields.edges[k], fields.densities[k],
+                                 pots, traj.h) for k in range(len(times))]
+    return {"t": times, "F_h": energies, "Fhat_h": fhat, "R_h": r,
+            "R_h_star": r_star, "D_h": d, "edb_partial": defect}
 
 
-def write_gradient_csv(records, path) -> None:
-    """One row per :class:`GradientRecord`, its fields in column order."""
-    write_table(path, GRADIENT_COLUMNS, (vars(r).values() for r in records))
+def write_gradient_csv(table: dict, path) -> None:
+    """The :func:`gradient_records` table as CSV."""
+    write_table(path, table)

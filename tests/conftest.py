@@ -39,8 +39,7 @@ def reduction_problem():
 def short_attractive_run(attractive_problem):
     """Small, fast trajectory shared by unit tests."""
     state = pm.quantile_partition(attractive_problem.initial, 40)
-    traj = pm.integrate(state, attractive_problem, 0.2, dt=2e-3)
-    return traj, pm.ReconstructedFields.from_trajectory(traj)
+    return pm.integrate(state, attractive_problem, 0.2, dt=2e-3)
 
 
 def ordered_state(positions, h=None):

@@ -62,7 +62,7 @@ class Runs:
         traj = pm.integrate(state, problem, t_end, **kw)
         self.problems[name] = problem
         self.trajectories[name] = traj
-        self.fields[name] = pm.ReconstructedFields.from_trajectory(traj)
+        self.fields[name] = traj.fields
         self.elapsed[name] = time.perf_counter() - t0
 
 
@@ -85,7 +85,7 @@ FIGURE_RUNS = ("attractive", "repulsive_confined", "repulsive_free")
 def test_criterion_1_cell_lower_bound(runs):
     traj = runs.trajectories["attractive"]
     problem = runs.problems["attractive"]
-    report = pm.check_cell_bounds(traj, problem)
+    report = pm.check_cell_bounds(traj)
     assert report.min_width_ratio >= 1.0 - 1e-6
     assert runs.elapsed["attractive"] < 30.0
     print(f"PASS criterion 1: min cell width ratio "
@@ -140,9 +140,9 @@ def test_criterion_4_energy_monotone_and_norm_trends(runs):
     fields = runs.fields["attractive"]
     h1 = np.array([diag.h1_proxy(fields.edges[k], fields.densities[k])
                    for k in range(len(fields.times))])
-    bv = np.array([fields.mass_at(float(t))
-                   + diag.total_variation(fields.densities[k])
-                   for k, t in enumerate(fields.times)])
+    masses = fields.masses()
+    bv = np.array([masses[k] + diag.total_variation(fields.densities[k])
+                   for k in range(len(fields.times))])
     checkpoints = np.linspace(0, len(fields.times) - 1, 5).astype(int)
     assert np.all(np.diff(h1[checkpoints]) > 0)
     assert np.max(bv) <= 3.0 * bv[0]
@@ -154,8 +154,8 @@ def test_criterion_4_energy_monotone_and_norm_trends(runs):
 def test_criterion_5_mass_conservation(runs):
     worst = 0.0
     for name, fields in runs.fields.items():
-        for t in fields.times:
-            drift = abs(fields.mass_at(float(t)) - fields.mass) / fields.mass
+        for mass in fields.masses():
+            drift = abs(mass - fields.mass) / fields.mass
             worst = max(worst, drift)
             assert drift <= 1e-12
     print(f"PASS criterion 5: worst relative mass drift {worst:.2e} <= 1e-12")
@@ -200,7 +200,7 @@ def test_criterion_7_cauchy_refinement():
                                    "reduction": (reduction(), 0.5)}.items():
         fields_by_n = {}
         for n in (50, 100, 200, 400):
-            _, fields_by_n[n] = _aligned_run(problem, n, t_end)
+            fields_by_n[n] = _aligned_run(problem, n, t_end).fields
         diffs = [space_time_l1(fields_by_n[n], fields_by_n[2 * n])
                  for n in (50, 100, 200)]
         assert diffs[0] > diffs[1] > diffs[2]
@@ -221,9 +221,9 @@ def test_criterion_8_entropy_inequality(runs):
     assert len(phis) == 9
     worst = {}
     for name in ("reduction_200", "reduction_400"):
-        rows = diag.entropy_report(runs.fields[name], runs.problems[name],
-                                   c_values, phis)
-        worst[name] = min(r[2] for r in rows)
+        table = diag.entropy_report(runs.fields[name], runs.problems[name],
+                                    c_values, phis)
+        worst[name] = min(table["residual"])
     assert worst["reduction_200"] >= -1e-2
     assert max(0.0, -worst["reduction_400"]) <= \
         max(0.0, -worst["reduction_200"])
@@ -306,7 +306,7 @@ def test_criterion_11_energy_consistency():
     for n in (50, 100, 200):
         state = pm.quantile_partition(problem.initial, n)
         traj = pm.integrate(state, problem, 1.0, dt=1e-3, store_every=50)
-        fields = pm.ReconstructedFields.from_trajectory(traj)
+        fields = traj.fields
         h = traj.h
         worst = max(
             abs(reconstructed_energy(fields.edges[k], fields.densities[k],

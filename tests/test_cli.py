@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import partmob as pm
+from partmob import cli
 from partmob import fv as fvmod
 from partmob.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
                          ConfigError, build_problem, main, parse_config)
@@ -371,6 +372,27 @@ def test_edb_check_prints_fresh_residual(tmp_path, capsys):
     state = pm.quantile_partition(problem.initial, 24)
     traj = pm.integrate(state, problem, 0.05, dt=1e-3)
     assert printed.startswith(f"edb residual: {pm.edb_residual(traj):.6e} ")
+
+
+def test_edb_check_rk45_skips_the_half_step_rerun(tmp_path, capsys,
+                                                  monkeypatch):
+    # rk45 ignores dt, so a half-step rerun would repeat the main run
+    calls = []
+
+    def counting_integrate(*args, **kwargs):
+        calls.append(kwargs.get("scheme"))
+        return pm.integrate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", counting_integrate)
+    path = write_config(tmp_path)
+    assert main(["--config", str(path), "--out-dir", str(tmp_path / "edb"),
+                 "--override", "discretization.integrator=rk45",
+                 "edb-check"]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert calls == ["rk45"]
+    assert printed.startswith("edb residual: ")
+    assert "ratio=" not in printed
+    assert "rk4 only" in printed
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -17,7 +17,7 @@ def test_total_variation_examples():
 
 def test_bv_norm_single_cell():
     f = static_fields([0.0, 1.0], h=2.0)   # density 2, mass 2
-    assert diag.bv_norm(f, 0.0) == pytest.approx(2.0 + 4.0)
+    assert diag.bv_norms(f)[0] == pytest.approx(2.0 + 4.0)
 
 
 def test_h1_proxy_single_cell_closed_form():
@@ -39,7 +39,7 @@ def test_h1_proxy_flat_profiles_differ_only_by_ramps():
 
 
 def test_w1_same_time_is_zero(short_attractive_run):
-    _, fields = short_attractive_run
+    fields = short_attractive_run.fields
     assert diag.w1_distance(fields, 0.0, 0.0) == 0.0
 
 
@@ -106,9 +106,7 @@ def test_bv_growth_envelope_stable_under_refinement(attractive_problem):
     def bv_series(n):
         s = pm.quantile_partition(p.initial, n)
         traj = pm.integrate(s, p, 1.0, dt=2e-3, store_every=25)
-        fields = pm.ReconstructedFields.from_trajectory(traj)
-        return traj.times, np.array([diag.bv_norm(fields, float(t))
-                                     for t in fields.times])
+        return traj.times, diag.bv_norms(traj.fields)
 
     def fitted_rate(times, bv):
         rates = np.linspace(0.0, 5.0, 501)
@@ -128,18 +126,18 @@ def test_bv_growth_envelope_stable_under_refinement(attractive_problem):
 
 def test_diagnostics_records_and_csv(tmp_path, short_attractive_run,
                                      attractive_problem):
-    _, fields = short_attractive_run
-    records = diag.diagnostics_records(fields, attractive_problem)
-    assert all(r.l1_mass == pytest.approx(fields.mass, rel=1e-12)
-               for r in records)
-    assert all(r.bv_norm == pytest.approx(r.l1_mass + r.tv_only)
-               for r in records)
-    assert all(r.max_density <= attractive_problem.M * (1 + 1e-9)
-               for r in records)
+    fields = short_attractive_run.fields
+    table = diag.diagnostics_records(fields, attractive_problem)
+    assert all(mass == pytest.approx(fields.mass, rel=1e-12)
+               for mass in table["mass"])
+    assert all(bv == pytest.approx(mass + tv) for bv, mass, tv
+               in zip(table["bv"], table["mass"], table["tv"]))
+    assert all(rho <= attractive_problem.M * (1 + 1e-9)
+               for rho in table["max_density"])
     path = tmp_path / "diag.csv"
-    diag.write_diagnostics_csv(records, path)
+    diag.write_diagnostics_csv(table, path)
     header = path.read_text().splitlines()[0]
-    assert header == ",".join(diag.DIAGNOSTICS_COLUMNS)
+    assert header == ",".join(table)
 
 
 # -- entropy ---------------------------------------------------------------
@@ -150,7 +148,7 @@ def test_entropy_static_zero_force_vanishes():
                    pm.parabolic_bump())
     s = pm.quantile_partition(p.initial, 20)
     traj = pm.integrate(s, p, 0.5, dt=0.05)
-    fields = pm.ReconstructedFields.from_trajectory(traj)
+    fields = traj.fields
     phi = diag.BumpTestFunction(0.0, 1.5, 0.5)
     for c in (0.25, 0.6, 1.0):
         r = diag.entropy_residual(fields, p, c, phi)
@@ -164,7 +162,7 @@ def test_entropy_level_above_cap_vanishes():
                    pm.parabolic_bump())
     s = pm.quantile_partition(p.initial, 20)
     traj = pm.integrate(s, p, 0.5, dt=0.05)
-    fields = pm.ReconstructedFields.from_trajectory(traj)
+    fields = traj.fields
     phi = diag.BumpTestFunction(0.3, 1.0, 0.5)
     assert diag.entropy_residual(fields, p, 1.0, phi) == \
         pytest.approx(0.0, abs=1e-12)
@@ -172,7 +170,7 @@ def test_entropy_level_above_cap_vanishes():
 
 def test_entropy_positive_level_required(short_attractive_run,
                                          attractive_problem):
-    _, fields = short_attractive_run
+    fields = short_attractive_run.fields
     phi = diag.BumpTestFunction(0.0, 1.0, float(fields.times[-1]))
     with pytest.raises(ValueError):
         diag.entropy_residual(fields, attractive_problem, -0.5, phi)
@@ -184,21 +182,21 @@ def test_entropy_reduction_particle_vs_reference(reduction_problem):
     p = reduction_problem
     s = pm.quantile_partition(p.initial, 100)
     traj = pm.integrate(s, p, 0.4, store_every=4)
-    fields = pm.ReconstructedFields.from_trajectory(traj)
+    fields = traj.fields
     _, fv_fields = pm.fv_solve(p, (-2.0, 2.0), 4e-3, 0.4,
                                store_times=np.linspace(0, 0.4, 81))
     phis = diag.standard_bump_grid(0.4, -1.5, 1.5)
     cs = [0.25, 0.5, 0.75]
-    rows_particle = diag.entropy_report(fields, p, cs, phis)
-    rows_fv = diag.entropy_report(fv_fields, p, cs, phis)
-    assert min(r[2] for r in rows_particle) >= -2e-2
-    assert min(r[2] for r in rows_fv) >= -2e-2
+    table_particle = diag.entropy_report(fields, p, cs, phis)
+    table_fv = diag.entropy_report(fv_fields, p, cs, phis)
+    assert min(table_particle["residual"]) >= -2e-2
+    assert min(table_fv["residual"]) >= -2e-2
 
 
 def test_entropy_csv_schema(tmp_path):
-    rows = [(0.25, "a", 0.1), (0.5, "b", -0.002)]
+    table = {"c": [0.25, 0.5], "phi_id": ["a", "b"], "residual": [0.1, -0.002]}
     path = tmp_path / "entropy.csv"
-    diag.write_entropy_csv(rows, path)
+    diag.write_entropy_csv(table, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(diag.ENTROPY_COLUMNS)
-    assert len(lines) == 3
+    assert lines[0] == "c,phi_id,residual"
+    assert lines[1:] == ["0.25,a,0.1", "0.5,b,-0.002"]

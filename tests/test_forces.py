@@ -82,7 +82,7 @@ def test_second_difference_vanishes_for_newtonian_part():
 
 def test_neighbour_difference_bound_along_trajectory(attractive_problem,
                                                      short_attractive_run):
-    traj, _ = short_attractive_run
+    traj = short_attractive_run
     c_f = attractive_problem.c_force
     for k in range(0, len(traj.times), 10):
         state = traj.state_at(k)

@@ -145,6 +145,6 @@ def test_particle_fv_agreement_improves_with_n(reduction_problem):
     for n in (100, 200, 400):
         s = pm.quantile_partition(p.initial, n)
         traj = pm.integrate(s, p, 0.5, store_every=100)
-        fields = pm.ReconstructedFields.from_trajectory(traj)
+        fields = traj.fields
         errs.append(pm.l1_compare(fields, fv_fields, 0.5))
     assert errs[0] > errs[1] > errs[2]

@@ -51,14 +51,13 @@ def test_flux_interpolates_edge_velocities():
 
 
 def test_mass_constant_along_run(short_attractive_run):
-    _, fields = short_attractive_run
-    for t in fields.times:
-        assert fields.mass_at(float(t)) == pytest.approx(fields.mass,
-                                                         rel=1e-12)
+    fields = short_attractive_run.fields
+    for mass in fields.masses():
+        assert mass == pytest.approx(fields.mass, rel=1e-12)
 
 
 def test_continuity_constant_test_function(short_attractive_run):
-    _, fields = short_attractive_run
+    fields = short_attractive_run.fields
     r = continuity_residual(fields, lambda x: np.ones_like(x),
                             lambda x: np.zeros_like(x), 0.0,
                             float(fields.times[-1]))
@@ -75,7 +74,7 @@ def test_continuity_static_any_test_function():
 def test_continuity_center_of_mass(attractive_problem):
     s = pm.quantile_partition(attractive_problem.initial, 100)
     traj = pm.integrate(s, attractive_problem, 1.0, dt=1e-3)
-    fields = pm.ReconstructedFields.from_trajectory(traj)
+    fields = traj.fields
     r = continuity_residual(fields, lambda x: x, lambda x: np.ones_like(x),
                             0.0, 1.0)
     m = fields.mass
@@ -88,14 +87,15 @@ def test_continuity_center_of_mass(attractive_problem):
 
 
 def test_missing_derivative_rejected(short_attractive_run):
-    _, fields = short_attractive_run
+    fields = short_attractive_run.fields
     with pytest.raises(ValueError):
         continuity_residual(fields, lambda x: x, None, 0.0,
                             float(fields.times[-1]))
 
 
 def test_flux_total_variation_bound(short_attractive_run):
-    traj, fields = short_attractive_run
+    traj = short_attractive_run
+    fields = traj.fields
     for k in range(0, len(fields.times), 20):
         t = float(fields.times[k])
         edges = fields.edges[k]
@@ -106,7 +106,7 @@ def test_flux_total_variation_bound(short_attractive_run):
 
 
 def test_snapshot_csv_schema(tmp_path, short_attractive_run):
-    _, fields = short_attractive_run
+    fields = short_attractive_run.fields
     path = tmp_path / "snap.csv"
     pm.write_snapshots_csv(fields, path, time_indices=[0, len(fields.times) - 1])
     with open(path) as fh:
@@ -147,7 +147,7 @@ def with_extreme_values(fields):
 @pytest.mark.parametrize("subset", [None, [0, 1, 7, 3, -1]])
 def test_snapshot_bytes_match_csv_writer(tmp_path, short_attractive_run,
                                          subset):
-    _, fields = short_attractive_run
+    fields = short_attractive_run.fields
     fields = with_extreme_values(fields)
     path, ref = tmp_path / "snap.csv", tmp_path / "ref.csv"
     pm.write_snapshots_csv(fields, path, time_indices=subset)
@@ -173,7 +173,7 @@ def test_fv_snapshot_bytes_match_csv_writer(tmp_path):
     assert path.read_bytes() == ref.read_bytes()
 
 
-# reference: the csv.writer + explicit repr formulation of the record
+# reference: the csv.writer + explicit repr formulation of the old row
 # writers, one formatter per column, that write_table must keep
 # reproducing byte for byte
 def csv_writer_table(path, columns, formats, rows):
@@ -200,45 +200,44 @@ def extreme_rows(n_columns, n_rows=len(EXTREMES)):
             for k in range(n_rows)]
 
 
-def write_diagnostics(path, rows):
-    diag.write_diagnostics_csv([diag.DiagnosticsRecord(*r) for r in rows],
-                               path)
+DIAGNOSTICS_HEADER = ("t", "mass", "bv", "tv", "h1", "w1_from_initial",
+                      "support", "max_density", "min_cell_ratio")
+GRADIENT_HEADER = ("t", "F_h", "Fhat_h", "R_h", "R_h_star", "D_h",
+                   "edb_partial")
 
-
-def write_gradient(path, rows):
-    var.write_gradient_csv([var.GradientRecord(*r) for r in rows], path)
-
-
-# schema -> (columns, per-column formatter of the old writer, rows, writer)
+# schema -> (header, per-column formatter of the old writer, rows, writer,
+# column type); the diagnostics and variational tables hold numpy arrays
 TABLE_SCHEMAS = {
-    "diagnostics": (diag.DIAGNOSTICS_COLUMNS, (repr,) * 9, extreme_rows(9),
-                    write_diagnostics),
-    "variational": (var.GRADIENT_COLUMNS, (repr,) * 7, extreme_rows(7),
-                    write_gradient),
-    "entropy": (diag.ENTROPY_COLUMNS, (float_repr, same_value, float_repr),
+    "diagnostics": (DIAGNOSTICS_HEADER, (repr,) * 9, extreme_rows(9),
+                    diag.write_diagnostics_csv, np.array),
+    "variational": (GRADIENT_HEADER, (repr,) * 7, extreme_rows(7),
+                    var.write_gradient_csv, np.array),
+    "entropy": (("c", "phi_id", "residual"),
+                (float_repr, same_value, float_repr),
                 [(c, label, res) for (c, res), label in zip(
                     extreme_rows(2), ["a=-0.5,r=0.2", "a=1e+300,r=5e-324",
                                       "3", 'q"uote', "plain"])],
-                lambda path, rows: diag.write_entropy_csv(rows, path)),
+                diag.write_entropy_csv, list),
     "refinement": (("N", "cauchy_diff", "bv_max", "edb_residual"),
                    (same_value,) + (repr,) * 3,
                    [(n, *r) for n, r in zip((50, 100, 200, 400, 800),
                                             extreme_rows(3))],
-                   None),
+                   None, list),
     # numpy floats where the old writer converted with float()
     "oracle_compare": (("t", "l1_error"), (float_repr,) * 2,
                        extreme_rows(2) + [(np.float64(0.5), np.float64(-0.0))],
-                       None),
+                       None, list),
 }
 
 
 @pytest.mark.parametrize("schema", sorted(TABLE_SCHEMAS))
 def test_table_bytes_match_csv_writer(tmp_path, schema):
-    columns, formats, rows, writer = TABLE_SCHEMAS[schema]
+    columns, formats, rows, writer, column = TABLE_SCHEMAS[schema]
+    table = {name: column(values) for name, values in zip(columns, zip(*rows))}
     path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
     if writer is None:
-        write_table(path, columns, rows)
+        write_table(path, table)
     else:
-        writer(path, rows)
+        writer(table, path)
     csv_writer_table(ref, columns, formats, rows)
     assert path.read_bytes() == ref.read_bytes()

@@ -78,8 +78,8 @@ def test_oracle_agrees_on_random_states(attractive_problem):
 
 
 def test_ordering_and_velocity_bound(attractive_problem, short_attractive_run):
-    traj, _ = short_attractive_run
-    assert np.all(traj.widths() > 0.0)
+    traj = short_attractive_run
+    assert np.all(np.diff(traj.positions, axis=1) > 0.0)
     beta_max = attractive_problem.mobility.beta_max
     for k in range(len(traj.times)):
         f = pm.forces_for(traj.state_at(k), attractive_problem)
@@ -88,8 +88,8 @@ def test_ordering_and_velocity_bound(attractive_problem, short_attractive_run):
 
 
 def test_cell_lower_bound_report(attractive_problem, short_attractive_run):
-    traj, _ = short_attractive_run
-    report = pm.check_cell_bounds(traj, attractive_problem)
+    traj = short_attractive_run
+    report = pm.check_cell_bounds(traj)
     assert report.lower_bound_ok
     assert report.max_width_ratio is None  # bump touches zero at the edges
 
@@ -100,10 +100,46 @@ def test_upper_bound_report_for_uniform_data():
                    pm.uniform_density(0.0, 1.0, 1.0))
     s = pm.quantile_partition(p.initial, 8)
     traj = pm.integrate(s, p, 0.3, dt=0.05)
-    report = pm.check_cell_bounds(traj, p)
+    report = pm.check_cell_bounds(traj)
     assert report.min_width_ratio == pytest.approx(1.0)
     assert report.max_width_ratio == pytest.approx(1.0)
     assert report.max_width_ratio <= report.growth_bound * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("budget", [None, 1, 100])
+def test_cell_bounds_match_whole_array_formulas(monkeypatch, budget):
+    # widths reduced over blocks of stored times give the bits of the
+    # whole stored-times x cells array, max(h / w) included
+    if budget is not None:
+        monkeypatch.setattr(pm.forces, "BLOCK_ELEMENTS", budget)
+    p = pm.Problem(pm.power_cap_mobility(1.0),
+                   pm.Potentials(pm.quadratic_potential(1.0),
+                                 pm.newtonian(False)),
+                   pm.uniform_density(-0.5, 0.5, 0.8))
+    s = pm.quantile_partition(p.initial, 16)
+    traj = pm.integrate(s, p, 0.2, dt=0.01)
+    widths = np.diff(traj.positions, axis=1)
+    report = pm.check_cell_bounds(traj)
+    assert report.min_width_ratio == float(np.min(widths) * p.M / traj.h)
+    assert report.max_width_ratio == float(
+        np.max(widths) * p.initial.lower_bound / traj.h)
+    assert report.max_density == float(np.max(traj.h / widths))
+
+
+def test_fields_are_lazy_and_share_the_run_arrays(attractive_problem):
+    s = pm.quantile_partition(attractive_problem.initial, 20)
+    traj = pm.integrate(s, attractive_problem, 0.05, dt=1e-3)
+    assert "fields" not in vars(traj)
+    pm.edb_residual(traj)
+    assert "fields" not in vars(traj)
+    fields = traj.fields
+    assert fields is traj.fields
+    assert fields.times is traj.times
+    assert fields.edges is traj.positions
+    assert fields.edge_velocities is traj.velocities
+    assert np.array_equal(fields.densities,
+                          traj.h / np.diff(traj.positions, axis=1))
+    assert fields.mass == traj.h * traj.n_cells
 
 
 def test_rk4_step_count_and_storage(attractive_problem):

@@ -137,7 +137,7 @@ def test_legendre_dual_by_grid_search():
 
 def test_fenchel_young_equality_along_flow(short_attractive_run,
                                            attractive_problem):
-    traj, _ = short_attractive_run
+    traj = short_attractive_run
     mob = attractive_problem.mobility
     for k in range(0, len(traj.times), 7):
         state = traj.state_at(k)
@@ -149,7 +149,7 @@ def test_fenchel_young_equality_along_flow(short_attractive_run,
 
 def test_decay_rate_equals_twice_dual(short_attractive_run,
                                       attractive_problem):
-    traj, _ = short_attractive_run
+    traj = short_attractive_run
     state = traj.state_at(5)
     f = pm.forces_for(state, attractive_problem)
     d = dissipation_rate(state, attractive_problem)
@@ -176,9 +176,9 @@ def test_energy_balance_order(short_attractive_run, attractive_problem):
 
 
 def test_records_residual_matches_edb_residual(short_attractive_run):
-    traj, fields = short_attractive_run
-    records = pm.gradient_records(traj, fields)
-    assert records_residual(records) == pm.edb_residual(traj)
+    traj = short_attractive_run
+    table = pm.gradient_records(traj)
+    assert records_residual(table) == pm.edb_residual(traj)
     _, _, _, _, d, _ = edb_series(traj)
     assert np.array_equal(d, [dissipation_rate(traj.state_at(k),
                                                traj.problem)
@@ -186,7 +186,7 @@ def test_records_residual_matches_edb_residual(short_attractive_run):
 
 
 def test_energy_monotone_along_flow(short_attractive_run):
-    traj, _ = short_attractive_run
+    traj = short_attractive_run
     _, energies, *_ = edb_series(traj)
     assert np.all(np.diff(energies) <= 1e-8)
 
@@ -266,7 +266,7 @@ def test_energy_consistency_under_refinement(attractive_problem):
     for n in (25, 50, 100):
         s = pm.quantile_partition(p.initial, n)
         traj = pm.integrate(s, p, 0.2, dt=2e-3, store_every=20)
-        fields = pm.ReconstructedFields.from_trajectory(traj)
+        fields = traj.fields
         worst = max(
             abs(reconstructed_energy(fields.edges[k], fields.densities[k],
                                      p.potentials, traj.h)
@@ -301,7 +301,7 @@ def test_profile_dual_dissipation_close_to_particle_one(attractive_problem):
     for n in (50, 100):
         s = pm.quantile_partition(p.initial, n)
         traj = pm.integrate(s, p, 0.1, dt=2e-3, store_every=25)
-        fields = pm.ReconstructedFields.from_trajectory(traj)
+        fields = traj.fields
         worst = -np.inf
         for k in range(len(fields.times)):
             state = traj.state_at(k)
@@ -325,12 +325,12 @@ def test_action_consistency_shrinks_with_h(attractive_problem):
     for n in (50, 100, 200):
         s = pm.quantile_partition(p.initial, n)
         traj = pm.integrate(s, p, 0.1, dt=2e-3, store_every=50)
-        fields = pm.ReconstructedFields.from_trajectory(traj)
+        fields = traj.fields
         k = len(fields.times) - 1
         t = float(fields.times[k])
         state = traj.state_at(k)
         # continuous action: <phi, flux> - (1/2) int phi^2 theta(rho)
-        edges, rho = fields.profile_at_index(k)
+        edges, rho = fields.edges[k], fields.densities[k]
         xs = np.linspace(edges[0], edges[-1], 20001)
         theta_vals = p.mobility.theta(fields.density_at(t, xs))
         pair_cont = fields.integrate_flux(t, phi) \
