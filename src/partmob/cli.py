@@ -29,7 +29,7 @@ from .model import (InvalidProblem, Potentials, Problem, linear_potential,
                     quadratic_potential, simpson, tabulated_mobility,
                     uniform_density, validate, zero_potential)
 from .quantile import ParticleState, QuantileError, quantile_partition
-from .reconstruct import write_snapshots_csv, write_table
+from .reconstruct import TimeGridMismatch, write_snapshots_csv, write_table
 from .solver import (NonFiniteState, StepUnderflow, Trajectory,
                      UnorderedState, check_cell_bounds, default_dt, integrate)
 
@@ -268,7 +268,8 @@ def space_time_l1(fields_a, fields_b) -> float:
     """``int_0^T ||rho_a(t) - rho_b(t)||_L1 dt`` on the shared stored grid."""
     if len(fields_a.times) != len(fields_b.times) or \
             np.max(np.abs(fields_a.times - fields_b.times)) > 1e-9:
-        raise ValueError("refinement runs must share their output times")
+        raise TimeGridMismatch("refinement runs must share their output "
+                               "times")
     dists = np.array([
         fvmod.l1_distance(fields_a.edges[k], fields_a.densities[k],
                           fields_b.edges[k], fields_b.densities[k])
@@ -397,6 +398,11 @@ def cmd_entropy_check(cfg, args) -> int:
 
 def cmd_edb_check(cfg, args) -> int:
     traj = run_trajectory(cfg)
+    if len(traj.times) < 3:
+        # the balance integrates in time by Simpson's rule
+        raise ConfigError("edb-check needs at least three stored times; "
+                          f"this run stored {len(traj.times)}: lower "
+                          "discretization.dt or discretization.output_every")
     out = _out_dir(cfg, args)
     table = var.gradient_records(traj)
     var.write_gradient_csv(table, out / "variational.csv")
@@ -463,7 +469,7 @@ def main(argv=None) -> int:
         apply_overrides(cfg, args.override)
         return _COMMANDS[args.command](cfg, args)
     except (StepUnderflow, NonFiniteState, UnorderedState, QuantileError,
-            fvmod.CflViolation, fvmod.WindowExceeded) as exc:
+            TimeGridMismatch, fvmod.CflViolation, fvmod.WindowExceeded) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, InvalidProblem, OSError, ValueError) as exc:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .forces import continuum_force, row_blocks, step_values
 from .model import GAUSS_NODES, GAUSS_WEIGHTS, Problem, simpson
-from .reconstruct import ReconstructedFields, write_table
+from .reconstruct import ReconstructedFields, TimeGridMismatch, write_table
 
 __all__ = [
     "total_variation",
@@ -214,7 +214,8 @@ def _entropy_residuals_for_phi(fields, problem: Problem, c_values,
     # beyond it, so the stored window must end there
     horizon = float(fields.times[indices[-1]])
     if abs(phi.t_end - horizon) > 1e-9 * max(1.0, phi.t_end):
-        raise ValueError("test function horizon must match the stored window")
+        raise TimeGridMismatch("test function horizon must match the stored "
+                               "window")
 
     series = np.empty((len(indices), len(c_values)))
     for row, k in enumerate(indices):

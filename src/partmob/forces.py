@@ -73,10 +73,10 @@ def force_rows(positions: np.ndarray, h: float,
         if positions.ndim == 1:
             return particle_forces(ParticleState(positions, h=h), potentials)
         return np.array([force_rows(row, h, potentials) for row in positions])
-    f = np.array(potentials.external.dv(positions), dtype=float, copy=True)
     if w.is_newtonian:
-        f += rank_term(w.newtonian_sign, h, positions.shape[-1])
-    return f
+        return np.add(potentials.external.dv(positions),
+                      rank_term(w.newtonian_sign, h, positions.shape[-1]))
+    return np.array(potentials.external.dv(positions), dtype=float, copy=True)
 
 
 @lru_cache(maxsize=32)
@@ -90,14 +90,27 @@ def rank_term(sign: int, h: float, n_particles: int) -> np.ndarray:
     return term
 
 
+def pair_sum(points: np.ndarray, kernel) -> float:
+    """``sum_{i != j} W(a_i - a_j)`` over the points ``a``, with the bits of
+    ``np.sum`` over the full pair matrix with a zeroed diagonal.
+
+    For ``W(x) = s |x|`` the matrix is ``|a_i - a_j|`` built in place, its
+    diagonal already +0.0, and the sign is applied to the sum: negating a
+    pairwise sum is exact.  Other kernels evaluate the dense matrix."""
+    diff = np.subtract.outer(points, points)
+    if kernel.is_newtonian:
+        np.abs(diff, out=diff)
+        return kernel.newtonian_sign * float(np.sum(diff))
+    pair = kernel.w(diff)
+    np.fill_diagonal(pair, 0.0)
+    return float(np.sum(pair))
+
+
 def cell_pair_means(edges: np.ndarray, kernel) -> np.ndarray:
     """Matrix of the means of ``W(x - y)`` over ``x`` in cell ``i`` and
-    ``y`` in cell ``j``.  Cells are disjoint, so for ``W(x) = s |x|`` the
-    mean is ``s |mid_i - mid_j|`` off the diagonal; other kernels take a
-    4x4 Gauss rule per pair, built over blocks of rows ``i``."""
-    if kernel.is_newtonian:
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        return kernel.newtonian_sign * np.abs(mids[:, None] - mids[None, :])
+    ``y`` in cell ``j``, by a 4x4 Gauss rule per pair, built over blocks of
+    rows ``i``.  The |x| kernel needs no rule: cells are disjoint, so off
+    the diagonal the mean is ``s |mid_i - mid_j|`` (see :func:`pair_sum`)."""
     nodes, _ = cell_gauss(edges)
     wts = GAUSS_WEIGHTS * 0.5  # reference-interval averages
     n = len(nodes)

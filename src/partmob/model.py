@@ -192,8 +192,9 @@ def power_cap_mobility(m_beta: float = 1.0, gamma: float = 1.0) -> Mobility:
     cap = m_beta ** (1.0 / gamma)
 
     def beta(s, _m=m_beta, _g=gamma):
-        s = np.asarray(s, dtype=float)
-        return np.maximum(_m - np.abs(s) ** _g, 0.0)
+        s = np.abs(np.asarray(s, dtype=float))
+        # s ** 1.0 == s exactly, so gamma = 1 skips the power
+        return np.maximum(_m - (s if _g == 1.0 else s ** _g), 0.0)
 
     def dbeta(s, _m=m_beta, _g=gamma, _cap=cap):
         # left derivative at the cap so theta' is one-sided on [0, cap]
@@ -265,7 +266,7 @@ class ExternalPotential:
 
 
 def zero_potential() -> ExternalPotential:
-    z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    z = lambda x: np.zeros(np.shape(x))
     return ExternalPotential(z, z, z, 0.0, 0.0)
 
 
@@ -444,6 +445,12 @@ class InitialDensity:
     interior_vacuum: bool = False
 
 
+def _clamp(x, lo: float, hi: float):
+    """``np.clip(x, lo, hi)`` in two ufunc calls, without ``clip``'s
+    dispatch overhead: the same value for every float, NaN propagated."""
+    return np.minimum(hi, np.maximum(lo, x))
+
+
 def uniform_density(a: float, b: float, height: float,
                     mass: float | None = None) -> InitialDensity:
     a, b, height = float(a), float(b), float(height)
@@ -457,7 +464,7 @@ def uniform_density(a: float, b: float, height: float,
 
     def cumulative(x):
         x = np.asarray(x, dtype=float)
-        return height * np.clip(x - a, 0.0, b - a)
+        return height * _clamp(x - a, 0.0, b - a)
 
     return InitialDensity(density, cumulative,
                           float(true_mass if mass is None else mass),
@@ -478,7 +485,7 @@ def parabolic_bump(amplitude: float = 0.75, center: float = 0.0,
         return amp * np.maximum(1.0 - u * u, 0.0)
 
     def cumulative(x):
-        u = np.clip((np.asarray(x, dtype=float) - c) / r, -1.0, 1.0)
+        u = _clamp((np.asarray(x, dtype=float) - c) / r, -1.0, 1.0)
         return amp * r * (u - u**3 / 3.0 + 2.0 / 3.0)
 
     return InitialDensity(density, cumulative,

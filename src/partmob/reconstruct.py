@@ -23,6 +23,12 @@ def profile_masses(edges: np.ndarray, densities: np.ndarray) -> np.ndarray:
     return np.sum(densities * np.diff(edges, axis=-1), axis=-1)
 
 
+class TimeGridMismatch(ValueError):
+    """Stored times that should agree up to rounding do not: the
+    floating-point time grids of two runs, or of a run and a test
+    function, drifted apart."""
+
+
 class StoredTimes:
     """Lookup of a stored output time in ``self.times``."""
 

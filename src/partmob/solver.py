@@ -63,17 +63,29 @@ def upwind_betas(densities: np.ndarray,
 def velocity_field(problem: Problem, h: float):
     """Particle velocities as a function of the positions, built once per
     run; one :func:`forces_for` call per evaluation.  The function raises
-    ``UnorderedState`` unless the positions strictly increase."""
-    mobility = problem.mobility
+    ``UnorderedState`` unless the positions strictly increase.  It keeps
+    one density buffer between calls, so one thread at a time may use it;
+    every call returns a fresh array."""
+    beta = problem.mobility.beta
+    padded = np.zeros(0)  # densities with vacuum ghost cells
 
     def velocity(x):
+        nonlocal padded
         widths = x[1:] - x[:-1]
         if (widths <= 0.0).any():
             raise UnorderedState("state is not strictly ordered")
-        beta_left, beta_right = upwind_betas(h / widths, mobility)
+        if len(padded) != len(x) + 1:
+            padded = np.zeros(len(x) + 1)
+        np.divide(h, widths, out=padded[1:-1])
+        betas = beta(padded)
         f = forces_for(ParticleState(x, h=h), problem)
-        return -beta_right * np.minimum(f, 0.0) \
-            - beta_left * np.maximum(f, 0.0)
+        # (-beta_right) * f^- - beta_left * f^+, the upwind_betas split;
+        # -(beta_right * f^- + ...) would flip the sign of some zeros
+        v = np.minimum(f, 0.0)
+        np.multiply(np.negative(betas[1:]), v, out=v)
+        np.maximum(f, 0.0, out=f)
+        np.multiply(betas[:-1], f, out=f)
+        return np.subtract(v, f, out=v)
 
     return velocity
 
@@ -111,20 +123,31 @@ class Trajectory(StoredTimes):
 
 
 def _rk4_step(x, dt, velocity):
+    """``x + (dt/6) (k1 + 2 k2 + 2 k3 + k4)``, the stage points and the sum
+    formed in place in the order of that expression; ``velocity`` returns a
+    fresh array per call and keeps no reference to its argument."""
+    half = 0.5 * dt
     k1 = velocity(x)
-    k2 = velocity(x + 0.5 * dt * k1)
-    k3 = velocity(x + 0.5 * dt * k2)
-    k4 = velocity(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stage = np.multiply(k1, half)
+    k2 = velocity(np.add(x, stage, out=stage))
+    k3 = velocity(np.add(x, np.multiply(k2, half, out=stage), out=stage))
+    k4 = velocity(np.add(x, np.multiply(k3, dt, out=stage), out=stage))
+    acc = np.multiply(k2, 2.0, out=k2)
+    np.add(k1, acc, out=acc)
+    acc += np.multiply(k3, 2.0, out=k3)
+    acc += k4
+    acc *= dt / 6.0
+    return np.add(x, acc, out=acc)
 
 
 def _advance(x, dt, velocity, min_dt, t_now):
     """One interval of size dt, recursively halved on ordering violations."""
     try:
         y = _rk4_step(x, dt, velocity)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise NonFiniteState(f"non-finite state near t={t_now:.6g}")
-        if np.all(np.diff(y) > 0.0):
+        # y is finite, so y[i+1] > y[i] exactly when y[i+1] - y[i] > 0
+        if (y[1:] > y[:-1]).all():
             return y
     except UnorderedState:
         pass
@@ -163,14 +186,19 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 
 
 def _integrate_rk45(x, t_end, velocity, tol, min_dt, store_every):
+    # k1 is the velocity at x: kept after a rejected step, taken from the
+    # stored velocity after a stored step, None until evaluated otherwise
     t = 0.0
     dt = min(1e-2, t_end / 10.0)
-    times, states, vels = [0.0], [x.copy()], [velocity(x)]
+    k1 = velocity(x)
+    times, states, vels = [0.0], [x.copy()], [k1]
     accepted = 0
     while t < t_end:
         dt = min(dt, t_end - t)
         try:
-            k = [velocity(x)]
+            if k1 is None:
+                k1 = velocity(x)
+            k = [k1]
             for row in _DP_A[1:]:
                 xi = x + dt * sum(a * ki for a, ki in zip(row, k))
                 k.append(velocity(xi))
@@ -185,11 +213,13 @@ def _integrate_rk45(x, t_end, velocity, tol, min_dt, store_every):
         if err_norm <= 1.0 and ordered:
             t += dt
             x = x5
+            k1 = None
             accepted += 1
             if accepted % store_every == 0 or t >= t_end:
+                k1 = velocity(x)
                 times.append(t)
                 states.append(x.copy())
-                vels.append(velocity(x))
+                vels.append(k1)
             dt *= min(5.0, max(0.2, 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0))
         else:
             dt *= 0.5 if not np.isfinite(err_norm) \

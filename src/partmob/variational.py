@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forces import cell_pair_means, continuum_force, force_rows, row_blocks
+from .forces import (cell_pair_means, continuum_force, force_rows, pair_sum,
+                     row_blocks)
 from .model import (Mobility, Potentials, Problem, cell_gauss,
                     cumulative_simpson, simpson)
 from .quantile import ParticleState, row_densities
@@ -46,9 +47,7 @@ def free_energy(state: ParticleState, potentials: Potentials) -> float:
     total = float(np.sum(potentials.external.v(x)))
     w = potentials.interaction
     if not w.is_zero:
-        pair = w.w(x[:, None] - x[None, :])
-        np.fill_diagonal(pair, 0.0)
-        total += 0.5 * state.h * float(np.sum(pair))
+        total += 0.5 * state.h * pair_sum(x, w)
     return total
 
 
@@ -191,11 +190,16 @@ def reconstructed_energy(edges: np.ndarray, densities: np.ndarray,
     nodes, weights = cell_gauss(edges)
     total = float(np.sum(densities[:, None] * weights
                          * potentials.external.v(nodes)))
-    if potentials.interaction.is_zero:
+    w = potentials.interaction
+    if w.is_zero:
         return total
-    means = cell_pair_means(edges, potentials.interaction)
-    np.fill_diagonal(means, 0.0)
-    total += 0.5 * h * h * float(np.sum(means))
+    if w.is_newtonian:
+        pairs = pair_sum(0.5 * (edges[:-1] + edges[1:]), w)
+    else:
+        means = cell_pair_means(edges, w)
+        np.fill_diagonal(means, 0.0)
+        pairs = float(np.sum(means))
+    total += 0.5 * h * h * pairs
     return total
 
 

@@ -395,6 +395,73 @@ def test_edb_check_rk45_skips_the_half_step_rerun(tmp_path, capsys,
     assert "rk4 only" in printed
 
 
+# -- exit codes of the stored-time errors: 1 for a config that stores too
+# few times, 3 for time grids that rounding drove apart --------------------
+
+def run_main(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+@pytest.mark.parametrize("overrides", [
+    ["discretization.dt=0.05"],                                # one step
+    ["discretization.output_every=50"],                        # t = 0, 0.05
+    ["discretization.integrator=rk45", "discretization.output_every=1000"],
+])
+def test_edb_check_needs_three_stored_times(tmp_path, capsys, overrides):
+    # a configuration that stores too few times for Simpson's rule
+    path = write_config(tmp_path)
+    out = tmp_path / "edb"
+    argv = ["--config", str(path), "--out-dir", str(out)]
+    for item in overrides:
+        argv += ["--override", item]
+    code, err = run_main(capsys, argv + ["edb-check"])
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: edb-check needs at least three "
+                          "stored times; this run stored 2")
+    assert not out.exists()
+
+
+def drift_times(traj):
+    # stored times moved by more than the 1e-9 the grids may differ by
+    traj.times = traj.times * (1.0 + 1e-6)
+    return traj
+
+
+def test_converge_levels_off_the_shared_grid_are_numerical(tmp_path, capsys,
+                                                           monkeypatch):
+    real = cli._aligned_run
+
+    def drifting_run(problem, n_cells, *args):
+        traj = real(problem, n_cells, *args)
+        return drift_times(traj) if n_cells == 16 else traj
+
+    monkeypatch.setattr(cli, "_aligned_run", drifting_run)
+    path = write_config(tmp_path, BASE_CONFIG +
+                        "discretization.N_list = 8, 16\n")
+    code, err = run_main(capsys, ["--config", str(path), "--out-dir",
+                                  str(tmp_path / "conv"), "converge"])
+    assert code == EXIT_NUMERICAL
+    assert err == ("numerical failure: refinement runs must share their "
+                   "output times\n")
+    assert not (tmp_path / "conv" / "refinement.csv").exists()
+
+
+def test_entropy_window_off_the_horizon_is_numerical(tmp_path, capsys,
+                                                     monkeypatch):
+    real = cli.run_trajectory
+    monkeypatch.setattr(cli, "run_trajectory",
+                        lambda cfg: drift_times(real(cfg)))
+    path = write_config(tmp_path)
+    code, err = run_main(capsys, ["--config", str(path), "--out-dir",
+                                  str(tmp_path / "ec"), "entropy-check"])
+    assert code == EXIT_NUMERICAL
+    assert err == ("numerical failure: test function horizon must match the "
+                   "stored window\n")
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # scipy is a test-only dependency: importing the CLI and running every

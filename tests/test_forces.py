@@ -256,3 +256,49 @@ def test_blocked_particle_forces_match_dense(kernel, n, block_elements,
     pots = pm.Potentials(pm.quadratic_potential(0.5), kernel)
     assert np.array_equal(pm.particle_forces(state, pots),
                           dense_particle_forces(state, pots))
+
+
+def dense_pair_sum(points, kernel):
+    # the full pair matrix with a zeroed diagonal, summed by np.sum: the
+    # reference whose bits pair_sum keeps
+    pair = kernel.w(points[:, None] - points[None, :])
+    np.fill_diagonal(pair, 0.0)
+    return float(np.sum(pair))
+
+
+@composite
+def sorted_points(draw, n_max=60):
+    # distinct increasing points; up to 3600 pairs, past np.sum's
+    # 128-element pairwise blocks
+    n = draw(st.integers(min_value=2, max_value=n_max))
+    gaps = draw(st.lists(st.floats(min_value=1e-6, max_value=3.0),
+                         min_size=n - 1, max_size=n - 1))
+    x0 = draw(st.floats(min_value=-50.0, max_value=50.0))
+    return x0 + np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+@given(sorted_points(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_abs_pair_sum_has_the_dense_bits(points, attractive):
+    kernel = pm.newtonian(attractive)
+    fast = forces.pair_sum(points, kernel)
+    assert fast == dense_pair_sum(points, kernel)
+    assert np.signbit(fast) == (not attractive)
+
+
+@pytest.mark.parametrize("attractive", [True, False])
+@pytest.mark.parametrize("n_cells", [200, 400])
+def test_abs_pair_sum_on_the_bump_partition(attractive, n_cells):
+    x = pm.quantile_partition(pm.parabolic_bump(), n_cells).positions
+    mids = 0.5 * (x[:-1] + x[1:])
+    kernel = pm.newtonian(attractive)
+    for points in (x, mids):
+        assert forces.pair_sum(points, kernel) == \
+            dense_pair_sum(points, kernel)
+
+
+@given(sorted_points(n_max=20))
+@settings(max_examples=50, deadline=None)
+def test_other_kernels_keep_the_dense_pair_sum(points):
+    kernel = pm.morse(1.0, 1.0, 0.5, 0.3)
+    assert forces.pair_sum(points, kernel) == dense_pair_sum(points, kernel)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import partmob as pm
 from partmob.model import (MASS_MISMATCH, NEGATIVE_DENSITY,
-                           NON_MONOTONE_MOBILITY, InvalidProblem,
+                           NON_MONOTONE_MOBILITY, InvalidProblem, _clamp,
                            check_problem)
 
 
@@ -226,3 +226,45 @@ def test_parabolic_bump_mass_and_cumulative():
     assert init.mass == pytest.approx(1.0)
     assert float(init.cumulative(1.0)) == pytest.approx(1.0, abs=1e-14)
     assert float(init.cumulative(0.0)) == pytest.approx(0.5)
+
+
+# the clamp ends, points outside them, both zeros, NaN and infinities
+CLAMP_POINTS = [-1.0, 1.0, 0.0, -0.0, -3.0, 2.5, 0.25, np.nan, np.inf,
+                -np.inf, 5e-324]
+
+
+def same_values(a, b):
+    # == on every value; NaN where the other is NaN
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.all((a == b) | (np.isnan(a) & np.isnan(b)))
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 2.0), (-0.0, 1.0)])
+def test_clamp_equals_clip(lo, hi):
+    for x in CLAMP_POINTS:
+        assert same_values(_clamp(x, lo, hi), np.clip(x, lo, hi)), x
+        assert same_values(_clamp(np.float64(x), lo, hi),
+                           np.clip(np.float64(x), lo, hi)), x
+    # arrays below and above the 8- and 16-lane widths of the SIMD loops
+    rng = np.random.default_rng(7)
+    for n in (1, 7, 8, 9, 17, 64):
+        xs = rng.choice(CLAMP_POINTS, size=n)
+        assert same_values(_clamp(xs, lo, hi), np.clip(xs, lo, hi))
+
+
+@pytest.mark.parametrize("make, clipped", [
+    (lambda: pm.uniform_density(-0.5, 1.5, 0.5),
+     lambda x: 0.5 * np.clip(x + 0.5, 0.0, 2.0)),
+    (lambda: pm.uniform_density(0.0, 1.0, 1.0),
+     lambda x: 1.0 * np.clip(x - 0.0, 0.0, 1.0)),
+    (lambda: pm.parabolic_bump(0.75, 0.1, 0.8),
+     lambda x: 0.75 * 0.8 * (np.clip((x - 0.1) / 0.8, -1.0, 1.0)
+                             - np.clip((x - 0.1) / 0.8, -1.0, 1.0) ** 3 / 3.0
+                             + 2.0 / 3.0)),
+])
+def test_cumulatives_equal_their_clip_forms(make, clipped):
+    cumulative = make().cumulative
+    points = np.array(CLAMP_POINTS + [-0.5, 1.5, 0.9, -0.7, 0.1 + 1e-9])
+    assert same_values(cumulative(points), clipped(points))
+    for x in points:
+        assert same_values(cumulative(float(x)), clipped(float(x))), x

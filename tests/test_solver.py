@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import partmob as pm
-from partmob.solver import StepUnderflow
+from partmob import solver
+from partmob.solver import StepUnderflow, _rk4_step, velocity_field
 
 
 def upwind_oracle(positions, h, problem):
@@ -229,3 +232,133 @@ def test_disordered_initial_state_rejected(attractive_problem):
     with pytest.raises(pm.UnorderedState, match="strictly ordered"):
         pm.rhs(s, attractive_problem)
     assert issubclass(pm.UnorderedState, ValueError)
+
+
+# -- the stage loop against its plain expressions, bit for bit -------------
+
+def plain_velocity(problem, h, m_beta=1.0):
+    # velocity_field with one temporary per operation and the power-cap
+    # beta with its ** 1.0
+    def beta(s):
+        return np.maximum(m_beta - np.abs(np.asarray(s, dtype=float)) ** 1.0,
+                          0.0)
+
+    def velocity(x):
+        widths = x[1:] - x[:-1]
+        padded = np.zeros(len(widths) + 2)
+        padded[1:-1] = h / widths
+        betas = beta(padded)
+        beta_left, beta_right = betas[:-1], betas[1:]
+        f = solver.forces_for(pm.ParticleState(x, h=h), problem)
+        return -beta_right * np.minimum(f, 0.0) \
+            - beta_left * np.maximum(f, 0.0)
+
+    return velocity
+
+
+def plain_rk4_step(x, dt, velocity):
+    k1 = velocity(x)
+    k2 = velocity(x + 0.5 * dt * k1)
+    k3 = velocity(x + 0.5 * dt * k2)
+    k4 = velocity(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                   np.signbit(b))
+
+
+def given_forces(values):
+    # an external potential whose V' is the given per-particle array
+    values = np.asarray(values, dtype=float)
+    dv = lambda x: values.copy()
+    return pm.Problem(pm.power_cap_mobility(1.0),
+                      pm.Potentials(pm.external_potential(dv, dv, dv, 0.0,
+                                                          0.0),
+                                    pm.no_interaction()),
+                      pm.parabolic_bump())
+
+
+# forces of both signs and both zeros; gaps of exactly h put a cell at the
+# density cap 1, where beta = 0
+FORCE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -2.5])
+GAPS = st.one_of(st.just(0.5), st.floats(min_value=0.05, max_value=2.0))
+
+
+@given(st.lists(st.tuples(FORCE_VALUES, GAPS), min_size=2, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_velocity_keeps_the_bits_of_signed_zeros_and_capped_cells(pairs):
+    f, gaps = map(list, zip(*pairs))
+    x = np.concatenate([[0.0], np.cumsum(gaps[1:])])
+    problem = given_forces(f)
+    velocity = velocity_field(problem, 0.5)
+    expected = plain_velocity(problem, 0.5)(x)
+    assert same_bits(velocity(x), expected)
+    assert same_bits(velocity(x), expected)   # the reused buffer
+
+
+def test_velocity_zero_signs_at_the_cap():
+    # both cells at the cap: the middle particle's (-0.0) * -1 - 0 * 0 is
+    # +0.0, where the regrouped -(0 * -1 + 0 * 0) would be -0.0
+    x = np.array([0.0, 0.5, 1.0])
+    f = np.array([-0.0, -1.0, 0.0])
+    problem = given_forces(f)
+    v = velocity_field(problem, 0.5)(x)
+    assert same_bits(v, plain_velocity(problem, 0.5)(x))
+    betas = np.array([1.0, 0.0, 0.0, 1.0])
+    regrouped = -(betas[1:] * np.minimum(f, 0.0)
+                  + betas[:-1] * np.maximum(f, 0.0))
+    assert v[1] == 0.0 and not np.signbit(v[1])
+    assert np.signbit(regrouped[1])
+
+
+@pytest.mark.parametrize("kernel", [pm.newtonian(True), pm.newtonian(False),
+                                    pm.morse(1.0, 1.0, 0.5, 0.3),
+                                    pm.no_interaction()])
+@pytest.mark.parametrize("external", [pm.zero_potential(),
+                                      pm.quadratic_potential(1.0),
+                                      pm.linear_potential(-1.0)])
+def test_rk4_step_keeps_the_bits(kernel, external):
+    problem = pm.Problem(pm.power_cap_mobility(1.0),
+                         pm.Potentials(external, kernel), pm.parabolic_bump())
+    state = pm.quantile_partition(problem.initial, 60)
+    x = state.positions.copy()
+    velocity = velocity_field(problem, state.h)
+    reference = plain_velocity(problem, state.h)
+    for dt in (1e-3, 0.05):
+        assert same_bits(velocity(x), reference(x))
+        y = _rk4_step(x, dt, velocity)
+        assert same_bits(y, plain_rk4_step(x, dt, reference))
+        assert np.array_equal(x, state.positions)   # x is read only
+
+
+def test_rk45_reuses_the_first_stage(attractive_problem, monkeypatch):
+    calls = []
+    real = solver.forces_for
+
+    def counting(state, problem):
+        calls.append(len(state.positions))
+        return real(state, problem)
+
+    monkeypatch.setattr(solver, "forces_for", counting)
+    state = pm.quantile_partition(attractive_problem.initial, 50)
+    traj = pm.integrate(state, attractive_problem, 0.2, scheme="rk45")
+    # 7 attempts (5 accepted, 2 rejected) of six new stages each, plus
+    # the velocity at the 6 stored states; k1 of an attempt is the stored
+    # velocity or the rejected attempt's k1
+    assert len(traj.times) == 6
+    assert len(calls) == 7 * 6 + 6
+
+
+def test_rk45_steps_do_not_depend_on_storage(attractive_problem):
+    # a k1 evaluated afresh and one reused from a stored velocity are the
+    # same bits, so storing every second step takes the same steps
+    state = pm.quantile_partition(attractive_problem.initial, 50)
+    every = pm.integrate(state, attractive_problem, 0.2, scheme="rk45")
+    second = pm.integrate(state, attractive_problem, 0.2, scheme="rk45",
+                          store_every=2)
+    rows = [0, 2, 4, 5]
+    assert np.array_equal(second.times, every.times[rows])
+    assert np.array_equal(second.positions, every.positions[rows])
+    assert np.array_equal(second.velocities, every.velocities[rows])

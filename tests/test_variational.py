@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import partmob as pm
 from partmob import forces
-from partmob.model import GAUSS_NODES, GAUSS_WEIGHTS
+from partmob.model import GAUSS_NODES, GAUSS_WEIGHTS, cell_gauss
 from partmob.solver import upwind_betas
 from partmob.variational import (continuous_dual_dissipation, dissipation,
                                  dissipation_rate, dual_dissipation,
@@ -341,3 +341,39 @@ def test_action_consistency_shrinks_with_h(attractive_problem):
         gaps.append(abs(pair_cont - pair_disc))
     assert gaps[2] < gaps[0]
     assert gaps[2] <= 0.6 * gaps[0]
+
+
+def dense_energies(x, h, potentials):
+    # free_energy and reconstructed_energy of the |x| kernel from the
+    # dense pair and cell-pair-mean matrices, diagonals zeroed
+    w = potentials.interaction
+    pair = w.w(x[:, None] - x[None, :])
+    np.fill_diagonal(pair, 0.0)
+    f_h = float(np.sum(potentials.external.v(x))) \
+        + 0.5 * h * float(np.sum(pair))
+    edges = x
+    densities = h / np.diff(edges)
+    nodes, weights = cell_gauss(edges)
+    fhat = float(np.sum(densities[:, None] * weights
+                        * potentials.external.v(nodes)))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    means = w.newtonian_sign * np.abs(mids[:, None] - mids[None, :])
+    np.fill_diagonal(means, 0.0)
+    fhat += 0.5 * h * h * float(np.sum(means))
+    return f_h, fhat
+
+
+@given(st.lists(st.floats(min_value=1e-4, max_value=2.0), min_size=2,
+                max_size=50),
+       st.floats(min_value=-3.0, max_value=3.0),
+       st.floats(min_value=1e-3, max_value=1.0),
+       st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_abs_kernel_energies_keep_their_bits(gaps, x0, h, attractive,
+                                             confined):
+    external = pm.quadratic_potential(1.0) if confined else pm.zero_potential()
+    pots = pm.Potentials(external, pm.newtonian(attractive))
+    x = x0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    f_h, fhat = dense_energies(x, h, pots)
+    assert free_energy(pm.ParticleState(x, h=h), pots) == f_h
+    assert reconstructed_energy(x, h / np.diff(x), pots, h) == fhat
