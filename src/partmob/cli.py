@@ -368,13 +368,20 @@ def cmd_oracle_compare(cfg, args) -> int:
 
 
 def cmd_entropy_check(cfg, args) -> int:
+    # the entropy keys are checked before the run they are applied to
+    c_values = _numbers(cfg, "diagnostics.entropy.c")
+    if not all(0.0 < c < np.inf for c in c_values):
+        raise ConfigError("diagnostics.entropy.c entries must be finite and "
+                          "positive")
+    n_phi = _number(cfg, "diagnostics.entropy.phi_grid", 9, kind=int)
+    if n_phi < 1:
+        raise ConfigError("diagnostics.entropy.phi_grid must be at least 1")
+    tol = _number(cfg, "diagnostics.entropy.tol", 1e-2)
     traj = run_trajectory(cfg)
     problem, fields = traj.problem, traj.fields
     _, t_end, *_ = _discretization(cfg)
     cap = problem.mobility.cap
-    c_values = _numbers(cfg, "diagnostics.entropy.c",
-                        [0.25 * cap, 0.5 * cap, 0.75 * cap])
-    n_phi = _number(cfg, "diagnostics.entropy.phi_grid", 9, kind=int)
+    c_values = c_values or [0.25 * cap, 0.5 * cap, 0.75 * cap]
     n_centers = max(1, int(round(n_phi / 3)))
     pad = problem.mobility.beta_max * t_end
     phis = diag.standard_bump_grid(t_end, problem.initial.x_min - pad,
@@ -388,7 +395,6 @@ def cmd_entropy_check(cfg, args) -> int:
     worst = min(table["residual"])
     print(f"entropy residuals: min={worst:.6e} over "
           f"{len(table['residual'])} cases")
-    tol = _number(cfg, "diagnostics.entropy.tol", 1e-2)
     if worst < -tol:
         print(f"invariant violation: entropy residual {worst:.3e} below "
               f"-{tol:g}", file=sys.stderr)

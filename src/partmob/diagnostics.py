@@ -145,20 +145,16 @@ class BumpTestFunction:
     def support(self) -> tuple[float, float]:
         return self.center - self.radius, self.center + self.radius
 
-    def _bump(self, x):
-        u = (np.asarray(x, dtype=float) - self.center) / self.radius
-        return np.maximum(1.0 - u * u, 0.0) ** 3
-
-    def value(self, t, x):
-        return (1.0 - t / self.t_end) * self._bump(x)
-
-    def dt(self, t, x):
-        return -self._bump(x) / self.t_end
-
-    def dx(self, t, x):
+    def parts(self, t, x):
+        """``(d phi/dt, d phi/dx, phi)`` at ``(t, x)``; ``t`` may be one
+        time or one per point."""
         u = (np.asarray(x, dtype=float) - self.center) / self.radius
         core = np.maximum(1.0 - u * u, 0.0)
-        return (1.0 - t / self.t_end) * 3.0 * core**2 * (-2.0 * u / self.radius)
+        bump = core**3
+        fade = 1.0 - t / self.t_end
+        return (-bump / self.t_end,
+                fade * 3.0 * core**2 * (-2.0 * u / self.radius),
+                fade * bump)
 
 
 def standard_bump_grid(t_end: float, x_lo: float, x_hi: float,
@@ -177,39 +173,87 @@ def standard_bump_grid(t_end: float, x_lo: float, x_hi: float,
 
 
 def _panel_nodes(edges, lo, hi, max_len):
-    """Gauss nodes/weights on [lo, hi] split at the profile edges, long
-    segments subdivided so the quadrature resolves the test function."""
-    cuts = edges[(edges > lo) & (edges < hi)]
-    brk = np.concatenate([[lo], cuts, [hi]])
-    a, b = brk[:-1], brk[1:]
+    """Gauss nodes and weights on [lo, hi] split at the profile edges, long
+    segments subdivided so the quadrature resolves the test function.
+
+    ``edges`` is one profile's edges or a block of them, one row each; the
+    rows' nodes are concatenated, row r's at ``offsets[r]:offsets[r + 1]``.
+    Every node and weight gets the bits of the same row built alone.
+    """
+    edges = np.atleast_2d(edges)
+    inside = (edges > lo) & (edges < hi)
+    cuts = edges[inside]
+    n_cuts = np.count_nonzero(inside, axis=1)
+    cut_ends = np.cumsum(n_cuts)
+    # each row's breaks are lo, its cuts and hi: its segments start at lo
+    # and at its cuts, and end at its cuts and at hi
+    a = np.insert(cuts, cut_ends - n_cuts, lo)
+    b = np.insert(cuts, cut_ends, hi)
     n_sub = np.maximum(1, np.ceil((b - a) / max_len).astype(int))
+    panel_ends = np.cumsum(n_sub)
     seg = np.repeat(np.arange(len(a)), n_sub)
-    offsets = np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
-    k = np.arange(len(seg)) - offsets
+    k = np.arange(len(seg)) - np.repeat(panel_ends - n_sub, n_sub)
     width = (b - a) / n_sub
     starts = a[seg] + k * width[seg]
     mids = starts + 0.5 * width[seg]
     halves = 0.5 * width[seg]
     nodes = (mids[:, None] + halves[:, None] * GAUSS_NODES[None, :]).ravel()
     weights = (halves[:, None] * GAUSS_WEIGHTS[None, :]).ravel()
-    return nodes, weights
+    # row r's last segment is number cut_ends[r] + r
+    row_panels = panel_ends[cut_ends + np.arange(len(n_cuts))]
+    offsets = len(GAUSS_NODES) * np.concatenate([[0], row_panels])
+    return nodes, weights, offsets
+
+
+def _block_series(fields, problem: Problem, phi: BumpTestFunction, block,
+                  max_len, c_values, theta_c) -> np.ndarray:
+    """The entropy integrand's space integral at the stored times ``block``
+    (rows) and every level (columns).  The rows' panel nodes form one flat
+    array; each integral is one ``np.sum`` over its row's slice, so a block
+    gives the bits of one stored time done alone."""
+    nodes, weights, offsets = _panel_nodes(fields.edges[block], *phi.support,
+                                           max_len)
+    spans = list(zip(offsets[:-1], offsets[1:]))
+    phi_t, phi_x, phi_v = phi.parts(
+        np.repeat(fields.times[block], np.diff(offsets)), nodes)
+    rho_n = np.empty(len(nodes))
+    for k, (i, j) in zip(block, spans):
+        edges, rho = fields.edges[k], fields.densities[k]
+        rho_n[i:j] = step_values(edges, rho, nodes[i:j])
+        force, dforce = continuum_force(edges, rho, fields.mass,
+                                        problem.potentials, nodes[i:j])
+        # in place, left to right: dphi/dx * force * weights and so on
+        phi_x[i:j] *= force
+        phi_v[i:j] *= dforce
+    phi_t *= weights
+    phi_x *= weights
+    phi_v *= weights
+    del nodes, weights   # two fewer block arrays alive in the level loop
+    theta_n = problem.mobility.theta(rho_n)
+    out = np.empty((len(block), len(c_values)))
+    for col, (c, theta) in enumerate(zip(c_values, theta_c)):
+        terms = np.abs(rho_n - c) * phi_t - np.sign(rho_n - c) * (
+            (theta_n - theta) * phi_x - theta * phi_v)
+        out[:, col] = [np.sum(terms[i:j]) for i, j in spans]
+    return out
 
 
 def _entropy_residuals_for_phi(fields, problem: Problem, c_values,
                                phi: BumpTestFunction,
                                time_stride: int = 1) -> np.ndarray:
     """Residuals for one test bump across several entropy levels, sharing
-    the profile/force evaluations per stored time."""
+    the profile/force evaluations per stored time, over blocks of stored
+    times."""
     c_values = np.asarray(c_values, dtype=float)
     if np.any(c_values <= 0):
         raise ValueError("entropy levels c must be positive")
     lo, hi = phi.support
-    mob = problem.mobility
-    theta_c = mob.theta(c_values)
+    theta_c = problem.mobility.theta(c_values)
     max_len = (hi - lo) / 64.0
-    indices = list(range(0, len(fields.times), time_stride))
-    if indices[-1] != len(fields.times) - 1:
-        indices.append(len(fields.times) - 1)
+    last = len(fields.times) - 1
+    indices = np.arange(0, last + 1, time_stride)
+    if indices[-1] != last:
+        indices = np.append(indices, last)
     # the bump family vanishes exactly at its horizon and is negative
     # beyond it, so the stored window must end there
     horizon = float(fields.times[indices[-1]])
@@ -218,28 +262,20 @@ def _entropy_residuals_for_phi(fields, problem: Problem, c_values,
                                "window")
 
     series = np.empty((len(indices), len(c_values)))
-    for row, k in enumerate(indices):
-        t = float(fields.times[k])
-        edges, rho = fields.edges[k], fields.densities[k]
-        nodes, weights = _panel_nodes(edges, lo, hi, max_len)
-        rho_n = step_values(edges, rho, nodes)
-        force, dforce = continuum_force(edges, rho, fields.mass,
-                                        problem.potentials, nodes)
-        theta_n = mob.theta(rho_n)
-        phi_t = phi.dt(t, nodes) * weights
-        phi_x = phi.dx(t, nodes) * force * weights
-        phi_v = phi.value(t, nodes) * dforce * weights
-        for j, c in enumerate(c_values):
-            sign = np.sign(rho_n - c)
-            series[row, j] = np.sum(
-                np.abs(rho_n - c) * phi_t
-                - sign * ((theta_n - theta_c[j]) * phi_x - theta_c[j] * phi_v))
+    # a row has at most 64 panels plus one per segment, of which there are
+    # at most n_cells + 2, and 4 nodes per panel; about a dozen arrays of a
+    # block's nodes are alive at once, so a block holds at most half of
+    # BLOCK_ELEMENTS nodes
+    row_nodes = len(GAUSS_NODES) * (fields.n_cells + 66)
+    for rows in row_blocks(len(indices), 2 * row_nodes):
+        series[rows] = _block_series(fields, problem, phi, indices[rows],
+                                     max_len, c_values, theta_c)
     bulk = simpson(series, fields.times[indices], axis=0)
 
     edges0, rho0 = fields.edges[0], fields.densities[0]
-    nodes, weights = _panel_nodes(edges0, lo, hi, max_len)
+    nodes, weights, _ = _panel_nodes(edges0, lo, hi, max_len)
     rho_n = step_values(edges0, rho0, nodes)
-    phi0 = phi.value(float(fields.times[0]), nodes) * weights
+    phi0 = phi.parts(float(fields.times[0]), nodes)[2] * weights
     initial = np.array([np.sum(np.abs(rho_n - c) * phi0) for c in c_values])
     return initial + bulk
 

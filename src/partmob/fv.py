@@ -84,21 +84,23 @@ def make_grid(problem: Problem, window: tuple[float, float], dx: float) -> FvGri
     return FvGrid(a, b, rho, t=0.0)
 
 
-def _interface_force(grid: FvGrid, problem: Problem) -> np.ndarray:
-    edges = grid.edges
+def _interface_force(grid: FvGrid, problem: Problem,
+                     edges: np.ndarray) -> np.ndarray:
     force, _ = continuum_force(edges, grid.rho, grid.mass(),
                                problem.potentials, edges)
     return force
 
 
-def _max_dt(grid: FvGrid, problem: Problem, force: np.ndarray,
-            cfl: float = 0.45) -> float:
+def _theta_max(mobility) -> float:
+    # the largest flux mobility, sampled on [0, cap]
+    return float(np.max(mobility.theta(np.linspace(0.0, mobility.cap, 257))))
+
+
+def _max_dt(grid: FvGrid, problem: Problem, force: np.ndarray, cfl: float,
+            theta_max: float) -> float:
     lip_theta = problem.mobility.lip_theta
     fmax = float(np.max(np.abs(force)))
     lip_force = float(np.max(np.abs(np.diff(force)))) / grid.dx if grid.n > 1 else 0.0
-    cap = problem.mobility.cap
-    theta_max = float(np.max(problem.mobility.theta(
-        np.linspace(0.0, cap, 257))))
     speed = fmax * lip_theta + theta_max * lip_force
     if speed <= 0:
         return np.inf
@@ -107,17 +109,21 @@ def _max_dt(grid: FvGrid, problem: Problem, force: np.ndarray,
 
 def fv_step(grid: FvGrid, problem: Problem, dt: float,
             force: np.ndarray | None = None, cfl: float = 0.45,
-            boundary: str = "vacuum") -> FvGrid:
+            boundary: str = "vacuum", max_dt: float | None = None) -> FvGrid:
     """One conservative Rusanov step; raises ``CflViolation`` when ``dt``
     exceeds the stability bound.
 
     ``boundary="vacuum"`` assumes compact support inside the window (ghost
     cells at zero, mass conserved exactly); ``"outflow"`` copies the edge
-    cells into the ghosts for data that fills the window.
+    cells into the ghosts for data that fills the window.  ``max_dt`` is
+    the CFL bound of ``force``, for a caller that has computed it already.
     """
     if force is None:
-        force = _interface_force(grid, problem)
-    if dt > _max_dt(grid, problem, force, cfl) * (1.0 + 1e-12):
+        force = _interface_force(grid, problem, grid.edges)
+    if max_dt is None:
+        max_dt = _max_dt(grid, problem, force, cfl,
+                         _theta_max(problem.mobility))
+    if dt > max_dt * (1.0 + 1e-12):
         raise CflViolation(
             f"dt={dt:.3e} exceeds the CFL bound at t={grid.t:.6g}")
     mob = problem.mobility
@@ -128,14 +134,15 @@ def fv_step(grid: FvGrid, problem: Problem, dt: float,
         ghosts = (rho[0], rho[-1])
     else:
         raise ValueError(f"unknown boundary mode {boundary!r}")
-    rho_l = np.concatenate([[ghosts[0]], rho])
-    rho_r = np.concatenate([rho, [ghosts[1]]])
-    g_l = -mob.theta(rho_l) * force
-    g_r = -mob.theta(rho_r) * force
-    alpha = np.abs(force) * np.maximum(np.abs(mob.dtheta(rho_l)),
-                                       np.abs(mob.dtheta(rho_r)))
-    flux = 0.5 * (g_l + g_r) - 0.5 * alpha * (rho_r - rho_l)
-    new_rho = rho - dt / grid.dx * (flux[1:] - flux[:-1])
+    # cell i + 1 of the padded row is cell i; interface j lies between
+    # padded cells j (left) and j + 1 (right)
+    padded = np.concatenate([[ghosts[0]], rho, [ghosts[1]]])
+    g = -mob.theta(padded)
+    speed = np.abs(mob.dtheta(padded))
+    alpha = np.abs(force) * np.maximum(speed[:-1], speed[1:])
+    flux = 0.5 * (g[:-1] * force + g[1:] * force) \
+        - 0.5 * alpha * np.diff(padded)
+    new_rho = rho - dt / grid.dx * np.diff(flux)
     if boundary == "vacuum" and (abs(new_rho[0]) > 1e-14
                                  or abs(new_rho[-1]) > 1e-14):
         raise WindowExceeded("support reached the window boundary; enlarge it")
@@ -157,20 +164,24 @@ def fv_solve(problem: Problem, window: tuple[float, float], dx: float,
         times.append(grid.t)
         profiles.append(grid.rho.copy())
         next_i += 1
+    # the grid's edges and the mobility's peak are fixed for the whole solve
+    edges = grid.edges
+    theta_max = _theta_max(problem.mobility)
     while grid.t < t_end - 1e-14:
-        force = _interface_force(grid, problem)
-        dt = min(_max_dt(grid, problem, force, cfl), t_end - grid.t)
+        force = _interface_force(grid, problem, edges)
+        bound = _max_dt(grid, problem, force, cfl, theta_max)
+        dt = min(bound, t_end - grid.t)
         if next_i < len(wanted):
             dt = min(dt, wanted[next_i] - grid.t)
-        grid = fv_step(grid, problem, dt, force=force, cfl=cfl,
-                       boundary=boundary)
+        grid = fv_step(grid, problem, dt, force=force, boundary=boundary,
+                       max_dt=bound)
         while next_i < len(wanted) and wanted[next_i] <= grid.t + 1e-12:
             times.append(grid.t)
             profiles.append(grid.rho.copy())
             next_i += 1
-    edges = np.broadcast_to(grid.edges, (len(times), grid.n + 1))
-    fields = ReconstructedFields(np.array(times), edges, np.array(profiles),
-                                 np.zeros(edges.shape), grid.mass())
+    stored = np.broadcast_to(edges, (len(times), grid.n + 1))
+    fields = ReconstructedFields(np.array(times), stored, np.array(profiles),
+                                 np.zeros(stored.shape), grid.mass())
     return grid, fields
 
 

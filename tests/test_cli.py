@@ -462,7 +462,32 @@ def test_entropy_window_off_the_horizon_is_numerical(tmp_path, capsys,
                    "stored window\n")
 
 
-ROOT = Path(__file__).resolve().parents[1]
+@pytest.mark.parametrize("override, key", [
+    ("diagnostics.entropy.c=0.25,-0.5", "diagnostics.entropy.c"),
+    ("diagnostics.entropy.c=0", "diagnostics.entropy.c"),
+    ("diagnostics.entropy.c=inf", "diagnostics.entropy.c"),
+    ("diagnostics.entropy.c=nan", "diagnostics.entropy.c"),
+    ("diagnostics.entropy.phi_grid=0", "diagnostics.entropy.phi_grid"),
+    ("diagnostics.entropy.phi_grid=-3", "diagnostics.entropy.phi_grid"),
+    ("diagnostics.entropy.tol=loose", "diagnostics.entropy.tol"),
+])
+def test_entropy_keys_are_checked_before_the_run(tmp_path, capsys,
+                                                 monkeypatch, override, key):
+    calls = []
+    monkeypatch.setattr(cli, "integrate",
+                        lambda *a, **k: calls.append(1))
+    path = write_config(tmp_path)
+    code, err = run_main(capsys, ["--config", str(path), "--out-dir",
+                                  str(tmp_path / "ec"), "--override",
+                                  override, "entropy-check"])
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: ")
+    assert key in err
+    assert calls == []
+    assert not (tmp_path / "ec" / "entropy.csv").exists()
+
+
+ROOT =Path(__file__).resolve().parents[1]
 
 # scipy is a test-only dependency: importing the CLI and running every
 # subcommand must work with it unimportable, and must not import it

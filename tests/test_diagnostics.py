@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 import partmob as pm
 from partmob import diagnostics as diag
+from partmob.forces import BLOCK_ELEMENTS, continuum_force, step_values
+from partmob.model import GAUSS_NODES, GAUSS_WEIGHTS, simpson
 
 from test_reconstruct import static_fields
 
@@ -200,3 +204,145 @@ def test_entropy_csv_schema(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "c,phi_id,residual"
     assert lines[1:] == ["0.25,a,0.1", "0.5,b,-0.002"]
+
+
+# -- entropy residuals over blocks of stored times --------------------------
+# The report builds the panel nodes of a block of stored times as one flat
+# array; the reference below is the per-stored-time loop it replaced, kept
+# here so the blocked path is pinned to its bits.
+
+def reference_residuals(fields, problem, c_values, phi, time_stride=1):
+    c_values = np.asarray(c_values, dtype=float)
+    lo, hi = phi.support
+    mob = problem.mobility
+    theta_c = mob.theta(c_values)
+    max_len = (hi - lo) / 64.0
+    indices = list(range(0, len(fields.times), time_stride))
+    if indices[-1] != len(fields.times) - 1:
+        indices.append(len(fields.times) - 1)
+
+    def panel_nodes(edges):
+        cuts = edges[(edges > lo) & (edges < hi)]
+        brk = np.concatenate([[lo], cuts, [hi]])
+        a, b = brk[:-1], brk[1:]
+        n_sub = np.maximum(1, np.ceil((b - a) / max_len).astype(int))
+        seg = np.repeat(np.arange(len(a)), n_sub)
+        offsets = np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+        k = np.arange(len(seg)) - offsets
+        width = (b - a) / n_sub
+        starts = a[seg] + k * width[seg]
+        mids = starts + 0.5 * width[seg]
+        halves = 0.5 * width[seg]
+        nodes = (mids[:, None] + halves[:, None] * GAUSS_NODES[None, :]).ravel()
+        weights = (halves[:, None] * GAUSS_WEIGHTS[None, :]).ravel()
+        return nodes, weights
+
+    def bump(x):
+        u = (x - phi.center) / phi.radius
+        return np.maximum(1.0 - u * u, 0.0) ** 3
+
+    def phi_dx(t, x):
+        u = (x - phi.center) / phi.radius
+        core = np.maximum(1.0 - u * u, 0.0)
+        return (1.0 - t / phi.t_end) * 3.0 * core**2 * (-2.0 * u / phi.radius)
+
+    series = np.empty((len(indices), len(c_values)))
+    for row, k in enumerate(indices):
+        t = float(fields.times[k])
+        edges, rho = fields.edges[k], fields.densities[k]
+        nodes, weights = panel_nodes(edges)
+        rho_n = step_values(edges, rho, nodes)
+        force, dforce = continuum_force(edges, rho, fields.mass,
+                                        problem.potentials, nodes)
+        theta_n = mob.theta(rho_n)
+        phi_t = -bump(nodes) / phi.t_end * weights
+        phi_x = phi_dx(t, nodes) * force * weights
+        phi_v = (1.0 - t / phi.t_end) * bump(nodes) * dforce * weights
+        for j, c in enumerate(c_values):
+            sign = np.sign(rho_n - c)
+            series[row, j] = np.sum(
+                np.abs(rho_n - c) * phi_t
+                - sign * ((theta_n - theta_c[j]) * phi_x - theta_c[j] * phi_v))
+    bulk = simpson(series, fields.times[indices], axis=0)
+    nodes, weights = panel_nodes(fields.edges[0])
+    rho_n = step_values(fields.edges[0], fields.densities[0], nodes)
+    phi0 = (1.0 - float(fields.times[0]) / phi.t_end) * bump(nodes) * weights
+    initial = np.array([np.sum(np.abs(rho_n - c) * phi0) for c in c_values])
+    return initial + bulk
+
+
+def morse_problem():
+    return pm.Problem(pm.power_cap_mobility(1.0),
+                      pm.Potentials(pm.zero_potential(),
+                                    pm.morse(1.0, 1.0, 0.5, 0.3)),
+                      pm.parabolic_bump())
+
+
+def assert_report_matches_reference(fields, problem, phis, time_stride):
+    cs = [0.25, 0.5, 0.75]
+    table = diag.entropy_report(fields, problem, cs, phis,
+                                time_stride=time_stride)
+    expected = np.concatenate([reference_residuals(fields, problem, cs, phi,
+                                                   time_stride)
+                               for phi in phis])
+    assert np.array(table["residual"]).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("stride", [1, 3, 7])
+@pytest.mark.parametrize("kind", ["zero", "attractive", "morse"])
+def test_blocked_entropy_report_keeps_the_per_time_bits(
+        kind, stride, reduction_problem, attractive_problem):
+    # 101 stored times: strides 3 and 7 append the last one; at N = 40 a
+    # block holds 19 stored times, so every run spans several blocks
+    problem, n_cells = {"zero": (reduction_problem, 40),
+                        "attractive": (attractive_problem, 40),
+                        "morse": (morse_problem(), 12)}[kind]
+    state = pm.quantile_partition(problem.initial, n_cells)
+    fields = pm.integrate(state, problem, 0.2, dt=2e-3).fields
+    assert len(fields.times) == 101
+    phis = diag.standard_bump_grid(0.2, -1.2, 1.2)
+    assert_report_matches_reference(fields, problem, phis, stride)
+
+
+def test_blocked_entropy_report_with_an_edge_at_the_support_end(
+        reduction_problem):
+    # cells of width 1/16 on (-2, 2): the bump's support ends 0.25 and 0.75
+    # are grid edges exactly, where the strict cut test drops them
+    _, fields = pm.fv_solve(reduction_problem, (-2.0, 2.0), 0.0625, 0.25,
+                            store_times=np.linspace(0.0, 0.25, 6))
+    t_end = float(fields.times[-1])
+    phi = diag.BumpTestFunction(0.5, 0.25, t_end)
+    assert {0.25, 0.75} <= set(fields.edges[0].tolist())
+    assert_report_matches_reference(fields, reduction_problem, [phi], 1)
+
+
+def test_panel_nodes_of_a_block_are_its_rows_concatenated(
+        short_attractive_run):
+    fields = short_attractive_run.fields
+    edges = fields.edges[::10]
+    nodes, weights, offsets = diag._panel_nodes(edges, -0.6, 0.8, 0.02)
+    assert offsets[0] == 0 and offsets[-1] == len(nodes)
+    for row, i, j in zip(edges, offsets[:-1], offsets[1:]):
+        one, one_w, one_off = diag._panel_nodes(row, -0.6, 0.8, 0.02)
+        assert one_off.tolist() == [0, len(one)]
+        assert nodes[i:j].tobytes() == one.tobytes()
+        assert weights[i:j].tobytes() == one_w.tobytes()
+
+
+def test_entropy_report_transient_stays_within_its_block_budget(
+        reduction_problem):
+    # a block holds at most BLOCK_ELEMENTS / 2 panel nodes and about a
+    # dozen node arrays are alive at once; all 101 stored times in one
+    # block would take about 7 MB here
+    state = pm.quantile_partition(reduction_problem.initial, 200)
+    fields = pm.integrate(state, reduction_problem, 0.2, dt=2e-3).fields
+    phi = diag.BumpTestFunction(0.0, 1.5, float(fields.times[-1]))
+    budget = 12 * 8 * (BLOCK_ELEMENTS // 2)
+    tracemalloc.start()
+    try:
+        diag.entropy_report(fields, reduction_problem, [0.25, 0.5, 0.75],
+                            [phi])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget

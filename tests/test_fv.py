@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import partmob as pm
+from partmob import fv as fvmod
+from partmob.forces import continuum_force
 from partmob.fv import (CflViolation, NonConcaveFlux, WindowExceeded, fv_step,
                         l1_compare_exact, l1_distance, make_grid)
 
@@ -148,3 +150,104 @@ def test_particle_fv_agreement_improves_with_n(reduction_problem):
         fields = traj.fields
         errs.append(pm.l1_compare(fields, fv_fields, 0.5))
     assert errs[0] > errs[1] > errs[2]
+
+
+# -- the solve loop against the step it replaced -----------------------------
+# fv_solve computes the edges and the mobility's peak once per solve, the CFL
+# bound once per step, and theta and theta' once on the ghost-padded row.
+# The reference below rebuilds every one of them per use, as before.
+
+def reference_solve(problem, window, dx, t_end, store_times, boundary,
+                    cfl=0.45):
+    mob = problem.mobility
+
+    def force_of(grid):
+        return continuum_force(grid.edges, grid.rho, grid.mass(),
+                               problem.potentials, grid.edges)[0]
+
+    def max_dt(grid, force):
+        fmax = float(np.max(np.abs(force)))
+        lip_force = float(np.max(np.abs(np.diff(force)))) / grid.dx
+        theta_max = float(np.max(mob.theta(np.linspace(0.0, mob.cap, 257))))
+        speed = fmax * mob.lip_theta + theta_max * lip_force
+        return np.inf if speed <= 0 else cfl * grid.dx / speed
+
+    def step(grid, dt, force):
+        assert dt <= max_dt(grid, force) * (1.0 + 1e-12)
+        rho = grid.rho
+        ghosts = (0.0, 0.0) if boundary == "vacuum" else (rho[0], rho[-1])
+        rho_l = np.concatenate([[ghosts[0]], rho])
+        rho_r = np.concatenate([rho, [ghosts[1]]])
+        g_l = -mob.theta(rho_l) * force
+        g_r = -mob.theta(rho_r) * force
+        alpha = np.abs(force) * np.maximum(np.abs(mob.dtheta(rho_l)),
+                                           np.abs(mob.dtheta(rho_r)))
+        flux = 0.5 * (g_l + g_r) - 0.5 * alpha * (rho_r - rho_l)
+        new_rho = rho - dt / grid.dx * (flux[1:] - flux[:-1])
+        return pm.FvGrid(grid.a, grid.b, new_rho, t=grid.t + dt)
+
+    grid = make_grid(problem, window, dx)
+    wanted = sorted({0.0, float(t_end)} | {float(t) for t in store_times})
+    times, profiles = [grid.t], [grid.rho.copy()]
+    next_i = 1
+    while grid.t < t_end - 1e-14:
+        force = force_of(grid)
+        dt = min(max_dt(grid, force), t_end - grid.t)
+        if next_i < len(wanted):
+            dt = min(dt, wanted[next_i] - grid.t)
+        grid = step(grid, dt, force)
+        while next_i < len(wanted) and wanted[next_i] <= grid.t + 1e-12:
+            times.append(grid.t)
+            profiles.append(grid.rho.copy())
+            next_i += 1
+    return np.array(times), np.array(profiles)
+
+
+@pytest.mark.parametrize("case", ["vacuum", "outflow", "attractive"])
+def test_fv_solve_keeps_the_reference_bits(case, attractive_problem):
+    if case == "outflow":
+        problem = reduction_problem_with(
+            pm.piecewise_constant_density([-1.0, 0.0, 1.0], [0.2, 0.8]))
+        window = (-1.0, 1.0)
+    else:
+        problem = attractive_problem if case == "attractive" else \
+            reduction_problem_with(pm.parabolic_bump(0.9, 0.0, 1.0))
+        window = (-2.0, 2.0)
+    boundary = "outflow" if case == "outflow" else "vacuum"
+    store = np.linspace(0.0, 0.3, 7)
+    _, fields = pm.fv_solve(problem, window, 0.01, 0.3, store_times=store,
+                            boundary=boundary)
+    times, profiles = reference_solve(problem, window, 0.01, 0.3, store,
+                                      boundary)
+    assert len(times) == 7
+    assert fields.times.tobytes() == times.tobytes()
+    assert fields.densities.tobytes() == profiles.tobytes()
+
+
+def test_fv_solve_steps_through_fv_step(monkeypatch, reduction_problem):
+    # one fv_step call per step with the grid first: the step count and the
+    # cells per step are read off these calls
+    steps = []
+    real = fvmod.fv_step
+
+    def recording(grid, *args, **kwargs):
+        steps.append((grid, real(grid, *args, **kwargs)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(fvmod, "fv_step", recording)
+    grid, _ = pm.fv_solve(reduction_problem, (-2.0, 2.0), 0.01, 0.1)
+    assert len(steps) > 1
+    assert all(new is following for (_, new), (following, _)
+               in zip(steps[:-1], steps[1:]))
+    assert steps[-1][1] is grid
+
+
+def test_cfl_violation_raised_against_a_given_bound():
+    p = reduction_problem_with(pm.parabolic_bump())
+    grid = make_grid(p, (-2.0, 2.0), 0.01)
+    force = continuum_force(grid.edges, grid.rho, grid.mass(),
+                            p.potentials, grid.edges)[0]
+    with pytest.raises(CflViolation):
+        fv_step(grid, p, 0.5, force=force)
+    with pytest.raises(CflViolation):
+        fv_step(grid, p, 2e-3, force=force, max_dt=1e-3)
