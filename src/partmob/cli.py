@@ -394,7 +394,8 @@ def cmd_entropy_check(cfg, args) -> int:
     diag.write_entropy_csv(table, out / "entropy.csv")
     worst = min(table["residual"])
     print(f"entropy residuals: min={worst:.6e} over "
-          f"{len(table['residual'])} cases")
+          f"{len(table['residual'])} cases ({len(phis)} test bumps, "
+          f"{len(c_values)} levels)")
     if worst < -tol:
         print(f"invariant violation: entropy residual {worst:.3e} below "
               f"-{tol:g}", file=sys.stderr)

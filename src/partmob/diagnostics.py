@@ -172,13 +172,16 @@ def standard_bump_grid(t_end: float, x_lo: float, x_hi: float,
     return bumps
 
 
-def _panel_nodes(edges, lo, hi, max_len):
+def _panel_nodes(edges, lo, hi, max_len, densities=None):
     """Gauss nodes and weights on [lo, hi] split at the profile edges, long
     segments subdivided so the quadrature resolves the test function.
 
     ``edges`` is one profile's edges or a block of them, one row each; the
     rows' nodes are concatenated, row r's at ``offsets[r]:offsets[r + 1]``.
     Every node and weight gets the bits of the same row built alone.
+
+    Given the profiles' ``densities`` (one row per row of ``edges``), also
+    returns the density at every node, as ``step_values`` selects it.
     """
     edges = np.atleast_2d(edges)
     inside = (edges > lo) & (edges < hi)
@@ -197,12 +200,46 @@ def _panel_nodes(edges, lo, hi, max_len):
     starts = a[seg] + k * width[seg]
     mids = starts + 0.5 * width[seg]
     halves = 0.5 * width[seg]
-    nodes = (mids[:, None] + halves[:, None] * GAUSS_NODES[None, :]).ravel()
+    nodes = mids[:, None] + halves[:, None] * GAUSS_NODES[None, :]
     weights = (halves[:, None] * GAUSS_WEIGHTS[None, :]).ravel()
     # row r's last segment is number cut_ends[r] + r
     row_panels = panel_ends[cut_ends + np.arange(len(n_cuts))]
     offsets = len(GAUSS_NODES) * np.concatenate([[0], row_panels])
-    return nodes, weights, offsets
+    if densities is None:
+        return nodes.ravel(), weights, offsets
+    return nodes.ravel(), weights, offsets, _panel_densities(
+        edges, np.atleast_2d(densities), lo, n_cuts, seg, nodes, offsets)
+
+
+def _panel_densities(edges, densities, lo, n_cuts, seg, nodes, offsets):
+    # The segments of row r lie in its cells first_r - 1, first_r, ... in
+    # turn, first_r being the number of its edges at or left of lo.  In
+    # arrays padded with a cell (-inf, edges[0]) and a cell (edges[-1],
+    # inf) of density 0.0 that is cell first_r + j for segment j.  A node
+    # inside that half-open cell gets step_values' value; one that rounding
+    # put outside it sends its row to step_values.  A panel's nodes ascend
+    # (rounding is monotone), so its first and last node decide.
+    n_rows, n_edges = edges.shape
+    bounds = np.empty((n_rows, n_edges + 2))
+    bounds[:, 0], bounds[:, -1] = -np.inf, np.inf
+    bounds[:, 1:-1] = edges
+    values = np.zeros((n_rows, n_edges + 1))
+    values[:, 1:-1] = densities
+    first = np.count_nonzero(edges <= lo, axis=1)
+    per_row = n_cuts + 1
+    seg_row = np.repeat(np.arange(n_rows), per_row)
+    seg_cell = np.arange(len(seg_row)) + np.repeat(
+        first - (np.cumsum(per_row) - per_row), per_row)
+    row = seg_row[seg]
+    at = row * (n_edges + 2) + seg_cell[seg]
+    left, right = bounds.ravel()[at], bounds.ravel()[at + 1]
+    out = np.repeat(values.ravel()[at - row], nodes.shape[1])
+    strayed = ~((left <= nodes[:, 0]) & (nodes[:, -1] < right))
+    if strayed.any():
+        for r in np.unique(row[strayed]):
+            i, j = offsets[r], offsets[r + 1]
+            out[i:j] = step_values(edges[r], densities[r], nodes.ravel()[i:j])
+    return out
 
 
 def _block_series(fields, problem: Problem, phi: BumpTestFunction, block,
@@ -211,15 +248,13 @@ def _block_series(fields, problem: Problem, phi: BumpTestFunction, block,
     (rows) and every level (columns).  The rows' panel nodes form one flat
     array; each integral is one ``np.sum`` over its row's slice, so a block
     gives the bits of one stored time done alone."""
-    nodes, weights, offsets = _panel_nodes(fields.edges[block], *phi.support,
-                                           max_len)
+    nodes, weights, offsets, rho_n = _panel_nodes(
+        fields.edges[block], *phi.support, max_len, fields.densities[block])
     spans = list(zip(offsets[:-1], offsets[1:]))
     phi_t, phi_x, phi_v = phi.parts(
         np.repeat(fields.times[block], np.diff(offsets)), nodes)
-    rho_n = np.empty(len(nodes))
     for k, (i, j) in zip(block, spans):
         edges, rho = fields.edges[k], fields.densities[k]
-        rho_n[i:j] = step_values(edges, rho, nodes[i:j])
         force, dforce = continuum_force(edges, rho, fields.mass,
                                         problem.potentials, nodes[i:j])
         # in place, left to right: dphi/dx * force * weights and so on
@@ -272,9 +307,8 @@ def _entropy_residuals_for_phi(fields, problem: Problem, c_values,
                                      max_len, c_values, theta_c)
     bulk = simpson(series, fields.times[indices], axis=0)
 
-    edges0, rho0 = fields.edges[0], fields.densities[0]
-    nodes, weights, _ = _panel_nodes(edges0, lo, hi, max_len)
-    rho_n = step_values(edges0, rho0, nodes)
+    nodes, weights, _, rho_n = _panel_nodes(fields.edges[0], lo, hi, max_len,
+                                            fields.densities[0])
     phi0 = phi.parts(float(fields.times[0]), nodes)[2] * weights
     initial = np.array([np.sum(np.abs(rho_n - c) * phi0) for c in c_values])
     return initial + bulk

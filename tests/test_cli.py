@@ -183,7 +183,7 @@ oracle.compare_times = 0.2
     assert float(rows[1][1]) < 0.1
 
 
-def test_entropy_check_reduction(tmp_path):
+def test_entropy_check_reduction(tmp_path, capsys):
     cfg_text = """
 problem.V.kind = linear
 problem.V.coeff = -1.0
@@ -201,6 +201,12 @@ discretization.output_every = 4
         rows = list(csv.reader(fh))
     assert rows[0] == ["c", "phi_id", "residual"]
     assert len(rows) == 1 + 3 * 9
+    assert "over 27 cases (9 test bumps, 3 levels)" in capsys.readouterr().out
+    # phi_grid is rounded to a multiple of three bumps, at least three
+    assert main(["--config", str(path), "--out-dir", str(out),
+                 "--override", "diagnostics.entropy.phi_grid=4",
+                 "entropy-check"]) == EXIT_OK
+    assert "over 9 cases (3 test bumps, 3 levels)" in capsys.readouterr().out
     # an unattainable tolerance turns the same run into a violation report
     assert main(["--config", str(path), "--out-dir", str(out),
                  "--override", "diagnostics.entropy.tol=-1.0",

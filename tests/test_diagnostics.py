@@ -316,6 +316,30 @@ def test_blocked_entropy_report_with_an_edge_at_the_support_end(
     assert_report_matches_reference(fields, reduction_problem, [phi], 1)
 
 
+def test_blocked_entropy_report_with_edges_one_ulp_inside_the_support(
+        reduction_problem):
+    # lo's last mantissa bit is odd, so every node of the one-ulp segment
+    # [lo, lo+] rounds onto the edge lo+ and lies in the cell right of it;
+    # at hi, the one-ulp segment's nodes round onto the edge hi
+    phi = diag.BumpTestFunction(0.1, 0.35, 0.25)
+    lo, hi = phi.support
+    cuts = [np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf), hi]
+    edges = np.sort(np.concatenate([np.linspace(-0.5, 0.7, 13), cuts]))
+    rho = np.random.default_rng(3).uniform(0.2, 1.0, len(edges) - 1)
+    times = np.linspace(0.0, 0.25, 6)
+    fields = pm.ReconstructedFields(
+        times, np.tile(edges, (6, 1)), np.tile(rho, (6, 1)),
+        np.zeros((6, len(edges))), mass=1.0)
+    nodes, _, offsets, rho_n = diag._panel_nodes(fields.edges[:2], lo, hi,
+                                                 0.02, fields.densities[:2])
+    assert np.all(nodes[:4] == cuts[0]) and np.all(nodes[-4:] == hi)
+    for r in range(2):
+        i, j = offsets[r], offsets[r + 1]
+        assert rho_n[i:j].tobytes() == step_values(edges, rho,
+                                                   nodes[i:j]).tobytes()
+    assert_report_matches_reference(fields, reduction_problem, [phi], 1)
+
+
 def test_panel_nodes_of_a_block_are_its_rows_concatenated(
         short_attractive_run):
     fields = short_attractive_run.fields

@@ -1,10 +1,13 @@
 import csv
+import os
+import sys
 
 import numpy as np
 import pytest
 
 import partmob as pm
 from partmob import diagnostics as diag
+from partmob import reconstruct
 from partmob import variational as var
 from partmob.reconstruct import (SNAPSHOT_COLUMNS, continuity_residual,
                                  write_snapshots_csv, write_table)
@@ -171,6 +174,158 @@ def test_fv_snapshot_bytes_match_csv_writer(tmp_path):
     csv_writer_snapshots(ref, [(t, edges, rho, zeros)
                                for t, rho in zip(fields.times, profiles)])
     assert path.read_bytes() == ref.read_bytes()
+
+
+# -- the snapshot writer on two processes ------------------------------------
+# Files of at least FORK_MIN_VALUES values are formatted by this process and
+# a forked worker; both paths must give the csv.writer bytes, and no write
+# may leave a child process or a temporary file behind.
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="the platform does not fork")
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def snapshot_reference(path, fields, indices):
+    csv_writer_snapshots(path, [(fields.times[k], fields.edges[k],
+                                 fields.densities[k], fields.edge_velocities[k])
+                                for k in indices])
+    return path.read_bytes()
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Every snapshot write forks; the list of fork calls."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(reconstruct, "FORK_MIN_VALUES", 0)
+    monkeypatch.setattr(reconstruct, "_can_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+@needs_fork
+@pytest.mark.parametrize("subset", [None, range(100), [0, 1, 7, 3, -1],
+                                    [5]])
+@pytest.mark.parametrize("two_processes", [True, False])
+def test_snapshot_bytes_on_one_and_two_processes(
+        tmp_path, short_attractive_run, monkeypatch, request, subset,
+        two_processes):
+    # 101 stored times, then an even count, a subset and one stored time
+    fields = with_extreme_values(short_attractive_run.fields)
+    assert len(fields.times) == 101
+    calls = []
+    if two_processes:
+        calls = request.getfixturevalue("forked")
+    else:
+        monkeypatch.setattr(reconstruct, "FORK_MIN_VALUES", 10**12)
+    path = tmp_path / "snap.csv"
+    write_snapshots_csv(fields, path, time_indices=subset)
+    indices = range(len(fields.times)) if subset is None else subset
+    expected = snapshot_reference(tmp_path / "ref.csv", fields, indices)
+    assert path.read_bytes() == expected
+    assert len(calls) == two_processes
+    assert_no_child()
+
+
+@needs_fork
+def test_snapshot_worker_failure_is_redone_by_the_caller(
+        tmp_path, short_attractive_run, monkeypatch, forked):
+    fields = short_attractive_run.fields
+    caller = os.getpid()
+    rows = reconstruct._snapshot_rows
+
+    def fails_in_worker(fh, fields, indices):
+        if os.getpid() != caller:
+            raise RuntimeError("worker failure")
+        rows(fh, fields, indices)
+
+    monkeypatch.setattr(reconstruct, "_snapshot_rows", fails_in_worker)
+    path = tmp_path / "snap.csv"
+    write_snapshots_csv(fields, path)
+    expected = snapshot_reference(tmp_path / "ref.csv", fields,
+                                  range(len(fields.times)))
+    assert path.read_bytes() == expected
+    assert forked == [caller]
+    assert_no_child()
+
+
+@needs_fork
+def test_snapshot_fork_failure_writes_in_one_process(
+        tmp_path, short_attractive_run, monkeypatch, forked):
+    def no_process():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    fields = short_attractive_run.fields
+    path = tmp_path / "snap.csv"
+    write_snapshots_csv(fields, path)
+    expected = snapshot_reference(tmp_path / "ref.csv", fields,
+                                  range(len(fields.times)))
+    assert path.read_bytes() == expected
+    assert sorted(os.listdir(tmp_path)) == ["ref.csv", "snap.csv"]
+
+
+@needs_fork
+def test_snapshot_caller_failure_propagates_and_reaps_the_worker(
+        tmp_path, short_attractive_run, monkeypatch, forked):
+    caller = os.getpid()
+    rows = reconstruct._snapshot_rows
+
+    def fails_in_caller(fh, fields, indices):
+        if os.getpid() == caller:
+            raise RuntimeError("caller failure")
+        rows(fh, fields, indices)
+
+    monkeypatch.setattr(reconstruct, "_snapshot_rows", fails_in_caller)
+    with pytest.raises(RuntimeError, match="caller failure"):
+        write_snapshots_csv(short_attractive_run.fields, tmp_path / "s.csv")
+    assert forked == [caller]
+    assert_no_child()
+    assert os.listdir(tmp_path) == ["s.csv"]
+
+
+@needs_fork
+def test_snapshot_worker_prints_nothing_twice_and_leaves_no_file(
+        tmp_path, short_attractive_run, capfd, forked):
+    print("partial line", end="")
+    print("partial error", end="", file=sys.stderr)
+    write_snapshots_csv(short_attractive_run.fields, tmp_path / "snap.csv")
+    out, err = capfd.readouterr()
+    assert (out, err) == ("partial line", "partial error")
+    assert len(forked) == 1
+    assert os.listdir(tmp_path) == ["snap.csv"]
+    assert_no_child()
+
+
+@pytest.mark.parametrize("limit", ["no fork", "one CPU", "two threads"])
+def test_snapshot_writer_stays_inline_when_it_cannot_fork(
+        tmp_path, short_attractive_run, monkeypatch, limit):
+    if limit == "no fork":
+        monkeypatch.delattr(os, "fork", raising=False)
+    else:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    if limit == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+    if limit == "two threads":
+        monkeypatch.setattr(reconstruct.threading, "active_count", lambda: 2)
+    monkeypatch.setattr(reconstruct, "FORK_MIN_VALUES", 0)
+    assert not reconstruct._can_fork()
+    fields = short_attractive_run.fields
+    path = tmp_path / "snap.csv"
+    write_snapshots_csv(fields, path, [0, 1])
+    assert path.read_bytes() == snapshot_reference(tmp_path / "ref.csv",
+                                                   fields, [0, 1])
 
 
 # reference: the csv.writer + explicit repr formulation of the old row
