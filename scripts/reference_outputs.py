@@ -12,11 +12,15 @@ Runs 16 commands of the checkout this script belongs to, each in a fresh
 Compare two such trees with ``scripts/compare_outputs.py``.  The exit
 status is 0 only when every command exits 0, 1 otherwise, and 2 for a
 usage error.
+
+Two commands run at a time when the process may use two CPUs, one at a
+time under ``taskset -c 0``; the lines print in the order above either way.
 """
 
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,16 +41,26 @@ def main(argv: list[str]) -> int:
         return 2
     out = Path(argv[0]).resolve()
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    failed = []
-    for cfg, cmd in COMMANDS:
-        target = out / Path(cfg).stem / cmd
-        code = subprocess.run(
+
+    def exit_code(command):
+        cfg, cmd = command
+        return subprocess.run(
             [sys.executable, "-m", "partmob", "--config", str(ROOT / cfg),
-             "--out-dir", str(target), cmd],
+             "--out-dir", str(out / Path(cfg).stem / cmd), cmd],
             env=env, stdout=subprocess.DEVNULL).returncode
-        print(f"{cfg} {cmd}: exit {code}")
-        if code != 0:
-            failed.append(f"{cfg} {cmd}")
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    failed = []
+    # each command is a child process, so a thread per running command
+    # only waits; map yields the exit codes in COMMANDS order
+    with ThreadPoolExecutor(min(2, cpus)) as pool:
+        for (cfg, cmd), code in zip(COMMANDS, pool.map(exit_code, COMMANDS)):
+            print(f"{cfg} {cmd}: exit {code}", flush=True)
+            if code != 0:
+                failed.append(f"{cfg} {cmd}")
     print(f"{len(COMMANDS) - len(failed)} of {len(COMMANDS)} commands "
           f"exited 0")
     return 1 if failed else 0

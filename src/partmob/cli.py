@@ -212,6 +212,9 @@ def _discretization(cfg):
                           f"not {scheme!r}")
     dt = _positive(cfg, "discretization.dt", None)
     tol = _number(cfg, "discretization.tolerance", 1e-8)
+    if scheme == "rk45" and not 1e-12 < tol < 1e-2:
+        raise ConfigError("discretization.tolerance must lie in "
+                          "(1e-12, 1e-2) under rk45")
     store_every = _number(cfg, "discretization.output_every", 1, kind=int)
     if store_every < 1:
         raise ConfigError("discretization.output_every must be at least 1")

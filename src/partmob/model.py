@@ -432,6 +432,11 @@ class InitialDensity:
     is a uniform positive floor on the support when one exists, else 0.
     ``breakpoints`` are the jumps of a step profile, which the mass check
     integrates piece by piece.
+
+    For a ``float`` ``x``, ``cumulative(x)`` must equal
+    ``cumulative(np.asarray(x))`` bit for bit: the quantile bisection
+    passes plain floats, so a profile may compute on them without numpy,
+    but the particle positions must not depend on the path taken.
     """
 
     density: Callable[[Array], Array]
@@ -447,7 +452,13 @@ class InitialDensity:
 
 def _clamp(x, lo: float, hi: float):
     """``np.clip(x, lo, hi)`` in two ufunc calls, without ``clip``'s
-    dispatch overhead: the same value for every float, NaN propagated."""
+    dispatch overhead: the same value for every float, NaN propagated.
+
+    A float strictly inside ``(lo, hi)`` is returned as it is.  Every other
+    input, the ends, NaN and arrays included, takes the ufuncs, so numpy's
+    own rules decide ties such as ``-0.0`` against ``0.0``."""
+    if isinstance(x, float) and lo < x < hi:
+        return x
     return np.minimum(hi, np.maximum(lo, x))
 
 
@@ -463,7 +474,8 @@ def uniform_density(a: float, b: float, height: float,
         return np.where((x >= a) & (x <= b), height, 0.0)
 
     def cumulative(x):
-        x = np.asarray(x, dtype=float)
+        if not isinstance(x, float):
+            x = np.asarray(x, dtype=float)
         return height * _clamp(x - a, 0.0, b - a)
 
     return InitialDensity(density, cumulative,
@@ -485,7 +497,9 @@ def parabolic_bump(amplitude: float = 0.75, center: float = 0.0,
         return amp * np.maximum(1.0 - u * u, 0.0)
 
     def cumulative(x):
-        u = _clamp((np.asarray(x, dtype=float) - c) / r, -1.0, 1.0)
+        if not isinstance(x, float):
+            x = np.asarray(x, dtype=float)
+        u = _clamp((x - c) / r, -1.0, 1.0)
         return amp * r * (u - u**3 / 3.0 + 2.0 / 3.0)
 
     return InitialDensity(density, cumulative,

@@ -58,7 +58,10 @@ def row_densities(positions: np.ndarray, h: float) -> np.ndarray:
 def _rightmost_quantile(cumulative, target, lo, hi, mass, span):
     # binary search on the monotone predicate cumulative(x) > target; the
     # bracket shrinks onto the rightmost point where the cumulative equals
-    # the target, which fixes the convention on zero-density plateaus
+    # the target, which fixes the convention on zero-density plateaus.
+    # The bracket stays in plain floats, which the cumulatives evaluate
+    # without numpy (see InitialDensity)
+    lo, hi = float(lo), float(hi)
     xtol = 1e-13 * max(1.0, span)
     for _ in range(200):
         if hi - lo <= xtol:

@@ -493,6 +493,36 @@ def test_entropy_keys_are_checked_before_the_run(tmp_path, capsys,
     assert not (tmp_path / "ec" / "entropy.csv").exists()
 
 
+@pytest.mark.parametrize("tolerance, command", [
+    ("1", "run"), ("-1", "run"), ("nan", "run"), ("1e-12", "run"),
+    ("0.01", "edb-check"), ("inf", "entropy-check"),
+    ("1", "oracle-compare"),
+])
+def test_rk45_tolerance_is_checked_before_the_partition(
+        tmp_path, capsys, monkeypatch, tolerance, command):
+    calls = []
+    monkeypatch.setattr(cli, "quantile_partition",
+                        lambda *a, **k: calls.append(1))
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    code, err = run_main(capsys, [
+        "--config", str(path), "--out-dir", str(out),
+        "--override", "discretization.integrator=rk45",
+        "--override", f"discretization.tolerance={tolerance}", command])
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: discretization.tolerance")
+    assert calls == []
+    assert not list(out.glob("*.csv"))
+
+
+def test_rk4_ignores_the_tolerance(tmp_path, capsys):
+    path = write_config(tmp_path)
+    code, _ = run_main(capsys, ["--config", str(path), "--out-dir",
+                                str(tmp_path / "out"), "--override",
+                                "discretization.tolerance=1", "run"])
+    assert code == EXIT_OK
+
+
 ROOT =Path(__file__).resolve().parents[1]
 
 # scipy is a test-only dependency: importing the CLI and running every
