@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import threading
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -30,7 +33,18 @@ def row_blocks(n_rows: int, row_elements: int):
         yield slice(start, min(start + step, n_rows))
 
 
-def particle_forces(state: ParticleState, potentials: Potentials) -> np.ndarray:
+def _fill_pairs(pair: np.ndarray, x: np.ndarray, dw, blocks) -> None:
+    # rows r0:r1 of a block get dw on the columns j >= r0, and the negated
+    # transpose of their columns j >= r1 goes into the rows below: the
+    # entries with min(i, j) in the block, so blocks write disjoint parts
+    for rows in blocks:
+        r0, r1 = rows.start, rows.stop
+        pair[rows, r0:] = dw(x[rows, None] - x[None, r0:])
+        np.negative(pair[rows, r1:].T, out=pair[r1:, rows])
+
+
+def particle_forces(state: ParticleState, potentials: Potentials,
+                    pairs: PairWorker | None = None) -> np.ndarray:
     """Exact pairwise forces ``V'(x_i) + h * sum_{j != i} W'(x_i - x_j)``.
 
     ``W'`` is evaluated once per unordered pair: a block of rows
@@ -40,39 +54,43 @@ def particle_forces(state: ParticleState, potentials: Potentials) -> np.ndarray:
     entry equals the dense pair matrix's.  Each row is then reduced whole,
     so the result does not depend on the block size and repeated runs are
     bit-identical.  The pair matrix is a transient of ``8 (N + 1)^2``
-    bytes (1.3 MB at N = 400).
+    bytes (1.3 MB at N = 400).  With a :class:`PairWorker` of this kernel
+    and particle count, the blocks are filled on two CPUs, with the same
+    bits.
     """
     x = state.positions
     f = np.array(potentials.external.dv(x), dtype=float, copy=True)
     w = potentials.interaction
     if not w.is_zero:
-        n = len(x)
-        pair = np.empty((n, n))
-        for rows in row_blocks(n, n):
-            r0, r1 = rows.start, rows.stop
-            pair[rows, r0:] = w.dw(x[rows, None] - x[None, r0:])
-            np.negative(pair[rows, r1:].T, out=pair[r1:, rows])
+        if pairs is None:
+            n = len(x)
+            pair = np.empty((n, n))
+            _fill_pairs(pair, x, w.dw, row_blocks(n, n))
+        else:
+            pair = pairs.fill(x)
         np.fill_diagonal(pair, 0.0)
         f += state.h * pair.sum(axis=1)
     return f
 
 
-def force_rows(positions: np.ndarray, h: float,
-               potentials: Potentials) -> np.ndarray:
+def force_rows(positions: np.ndarray, h: float, potentials: Potentials,
+               pairs: PairWorker | None = None) -> np.ndarray:
     """Forces of one state or of every row of a ``(n_times, n_particles)``
     block of ordered distinct positions.
 
     This is the one place that chooses how ``W`` is evaluated: for
     ``W(x) = s |x|`` the pair sum collapses to the rank formula
     ``s * h * (2 i - N)``, for ``W = 0`` only ``V'`` is left, and any other
-    kernel takes one :func:`particle_forces` call per row.  A row gets the
-    same bits as the same state alone.
+    kernel takes one :func:`particle_forces` call per row, on ``pairs``
+    when given.  A row gets the same bits as the same state alone.
     """
     w = potentials.interaction
     if not (w.is_zero or w.is_newtonian):
         if positions.ndim == 1:
-            return particle_forces(ParticleState(positions, h=h), potentials)
-        return np.array([force_rows(row, h, potentials) for row in positions])
+            return particle_forces(ParticleState(positions, h=h), potentials,
+                                   pairs)
+        return np.array([force_rows(row, h, potentials, pairs)
+                         for row in positions])
     if w.is_newtonian:
         return np.add(potentials.external.dv(positions),
                       rank_term(w.newtonian_sign, h, positions.shape[-1]))
@@ -88,6 +106,160 @@ def rank_term(sign: int, h: float, n_particles: int) -> np.ndarray:
     term = sign * h * (2.0 * ranks - (n_particles - 1))
     term.flags.writeable = False
     return term
+
+
+# -- dense pair fills on two CPUs ----------------------------------------
+
+# From this many particles on, solver.integrate fills the dense pair
+# matrices of its force evaluations on two CPUs (see PairWorker).
+FORK_MIN_PARTICLES = 200
+
+
+def _can_fork() -> bool:
+    """A forked worker can run beside this process: the platform forks,
+    this process may use two CPUs and it runs no other thread (a fork
+    copies only the calling thread, and any lock another one holds)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) > 1
+    except AttributeError:      # a platform without CPU affinity
+        return (os.cpu_count() or 1) > 1
+
+
+def _cpu_apart() -> set[int] | None:
+    """The affinity for a worker: one allowed CPU other than the one this
+    process runs on now (field 39 of Linux's ``/proc/self/stat``), or None
+    where either cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            # the fields from the third on follow the parenthesised name
+            running = int(fh.read().rsplit(b")", 1)[1].split()[36])
+        others = sorted(os.sched_getaffinity(0) - {running})
+    except (OSError, AttributeError, ValueError, IndexError):
+        return None
+    return set(others[:1]) or None
+
+
+class PairWorker:
+    """A forked process that fills the odd blocks of ``row_blocks(n, n)``
+    of :func:`particle_forces`' pair matrix for the kernel derivative
+    ``dw`` and ``n`` particles, while the caller fills the even blocks
+    with the same code.  Blocks write disjoint entries, so every entry,
+    and every row sum, keeps its one-process bits.
+
+    The two processes share an anonymous mapping that holds the positions
+    and the ``n x n`` matrix, and talk over two pipes, one byte each way
+    per call.  The worker runs on an allowed CPU other than the caller's
+    at the fork; the caller is never pinned.  After any failure, of the
+    worker or of the caller's blocks, the worker is reaped and the caller
+    fills the whole matrix in the one-process order, so the same exception
+    is raised as without the worker.  The worker calls no traced function:
+    its time falls inside the span of the call that waits for it.  It
+    exits at the end of file of its command pipe, on :meth:`close` or when
+    the caller dies.  The constructor raises ``OSError`` when no process
+    can be forked.
+    """
+
+    def __init__(self, dw, n: int):
+        # imported on this path only, like the snapshot writer's signal
+        import mmap
+
+        self.dw = dw
+        self.blocks = list(row_blocks(n, n))
+        shared = mmap.mmap(-1, 8 * n * (n + 1))
+        self.x = np.frombuffer(shared, count=n)
+        self.pair = np.frombuffer(shared, offset=8 * n,
+                                  count=n * n).reshape(n, n)
+        cpus = _cpu_apart()
+        commands, self._commands = os.pipe()
+        self._replies, replies = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (commands, self._commands, self._replies, replies):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            self._serve(commands, replies, cpus)
+        os.close(commands)
+        os.close(replies)
+
+    def _serve(self, commands: int, replies: int, cpus) -> None:
+        # the worker: one fill per command byte, until end of file
+        try:
+            os.close(self._commands)
+            os.close(self._replies)
+            if cpus:
+                # unpinned, the kernel kept the worker on the caller's CPU
+                # and the two took turns
+                try:
+                    os.sched_setaffinity(0, cpus)
+                except OSError:
+                    pass
+            mine = self.blocks[1::2]
+            while os.read(commands, 1):
+                try:
+                    _fill_pairs(self.pair, self.x, self.dw, mine)
+                    done = b"\0"
+                except Exception:
+                    done = b"\1"
+                os.write(replies, done)
+        finally:
+            os._exit(0)
+
+    def fill(self, x: np.ndarray) -> np.ndarray:
+        """The pair matrix of the positions ``x``, its diagonal unset; the
+        matrix is overwritten by the next call."""
+        if self.pid is not None:
+            self.x[:] = x
+            sent = done = False
+            try:
+                os.write(self._commands, b"\0")
+                sent = True
+                _fill_pairs(self.pair, x, self.dw, self.blocks[::2])
+                done = True
+            except Exception:   # filled again below, in one process
+                pass
+            finally:
+                if sent:
+                    done = os.read(self._replies, 1) == b"\0" and done
+            if done:
+                return self.pair
+            self.close()
+        _fill_pairs(self.pair, x, self.dw, self.blocks)
+        return self.pair
+
+    def close(self) -> None:
+        """Reap the worker; later fills run in this process alone."""
+        if self.pid is not None:
+            os.close(self._commands)
+            os.close(self._replies)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+@contextmanager
+def pair_worker(potentials: Potentials, n: int):
+    """A :class:`PairWorker` for ``n`` particles of a dense kernel, reaped
+    on leaving the block, or None where the pair fill stays in this
+    process: for ``|x|`` and ``W = 0``, below ``FORK_MIN_PARTICLES``
+    particles, where :func:`_can_fork` does not hold or no process can be
+    forked."""
+    w = potentials.interaction
+    if (w.is_zero or w.is_newtonian or n < FORK_MIN_PARTICLES
+            or not _can_fork()):
+        yield None
+        return
+    try:
+        pairs = PairWorker(w.dw, n)
+    except OSError:
+        yield None
+        return
+    try:
+        yield pairs
+    finally:
+        pairs.close()
 
 
 def pair_sum(points: np.ndarray, kernel) -> float:

@@ -8,6 +8,7 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -392,10 +393,23 @@ def morse(c_attract: float, ell_attract: float,
                            cr / lr**2)
         return np.add(ea, er, out=ea)[()]
 
-    sup_dw = ca / la + cr / lr
-    sup_d2w = ca / la**2 + cr / lr**2
-    lip_d2w = ca / la**3 + cr / lr**3
-    return InteractionPotential(w, dw, d2w, sup_dw, sup_d2w, lip_d2w)
+    def bound(power):
+        # ca / la**power + cr / lr**power, inf where a power leaves the
+        # float range (la**2 overflows at 1e200, lr**3 is 0.0 at 1e-120)
+        try:
+            return ca / la**power + cr / lr**power
+        except (OverflowError, ZeroDivisionError):
+            return math.inf
+
+    bounds = {"sup_dw": ca / la + cr / lr, "sup_d2w": bound(2),
+              "lip_d2w": bound(3)}
+    infinite = [name for name, b in bounds.items() if not math.isfinite(b)]
+    if infinite:
+        raise ValueError(
+            f"Morse parameters c_attract={ca!r}, ell_attract={la!r}, "
+            f"c_repulse={cr!r}, ell_repulse={lr!r} give non-finite kernel "
+            f"bounds: {', '.join(infinite)}")
+    return InteractionPotential(w, dw, d2w, **bounds)
 
 
 def regular_interaction(w, dw, d2w, sup_dw, sup_d2w,

@@ -9,12 +9,11 @@ import os
 import shutil
 import sys
 import tempfile
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .forces import row_blocks, step_values
+from .forces import _can_fork, row_blocks, step_values
 from .model import cell_gauss, simpson
 
 __all__ = ["ReconstructedFields", "continuity_residual", "write_snapshots_csv"]
@@ -168,18 +167,6 @@ def _snapshot_rows(fh, fields: ReconstructedFields, time_indices) -> None:
                                  map(repr, fields.densities[k].tolist()),
                                  u, u[1:]))
         fh.write(stamp + ("\r\n" + stamp).join(rows) + "\r\n")
-
-
-def _can_fork() -> bool:
-    """A forked worker can run beside this process: the platform forks,
-    this process may use two CPUs and it runs no other thread (a fork
-    copies only the calling thread, and any lock another one holds)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return False
-    try:
-        return len(os.sched_getaffinity(0)) > 1
-    except AttributeError:      # a platform without CPU affinity
-        return (os.cpu_count() or 1) > 1
 
 
 def _rows_on_two_cpus(fh, fields: ReconstructedFields, indices) -> None:

@@ -9,12 +9,12 @@ what keeps particles from crossing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .forces import force_rows, row_blocks
+from .forces import PairWorker, force_rows, pair_worker, row_blocks
 from .model import Mobility, Problem
 from .quantile import ParticleState
 from .reconstruct import ReconstructedFields, StoredTimes
@@ -44,9 +44,11 @@ class UnorderedState(ValueError):
     """Particle positions are not strictly increasing."""
 
 
-def forces_for(state: ParticleState, problem: Problem) -> np.ndarray:
-    """Per-particle forces of one state, by :func:`~partmob.forces.force_rows`."""
-    return force_rows(state.positions, state.h, problem.potentials)
+def forces_for(state: ParticleState, problem: Problem,
+               pairs: PairWorker | None = None) -> np.ndarray:
+    """Per-particle forces of one state, by :func:`~partmob.forces.force_rows`
+    (dense pair fills on ``pairs`` when given)."""
+    return force_rows(state.positions, state.h, problem.potentials, pairs)
 
 
 def upwind_betas(densities: np.ndarray,
@@ -60,12 +62,13 @@ def upwind_betas(densities: np.ndarray,
     return beta[..., :-1], beta[..., 1:]
 
 
-def velocity_field(problem: Problem, h: float):
+def velocity_field(problem: Problem, h: float,
+                   pairs: PairWorker | None = None):
     """Particle velocities as a function of the positions, built once per
-    run; one :func:`forces_for` call per evaluation.  The function raises
-    ``UnorderedState`` unless the positions strictly increase.  It keeps
-    one density buffer between calls, so one thread at a time may use it;
-    every call returns a fresh array."""
+    run; one :func:`forces_for` call per evaluation, on ``pairs`` when
+    given.  The function raises ``UnorderedState`` unless the positions
+    strictly increase.  It keeps one density buffer between calls, so one
+    thread at a time may use it; every call returns a fresh array."""
     beta = problem.mobility.beta
     padded = np.zeros(0)  # densities with vacuum ghost cells
 
@@ -78,7 +81,7 @@ def velocity_field(problem: Problem, h: float):
             padded = np.zeros(len(x) + 1)
         np.divide(h, widths, out=padded[1:-1])
         betas = beta(padded)
-        f = forces_for(ParticleState(x, h=h), problem)
+        f = forces_for(ParticleState(x, h=h), problem, pairs)
         # (-beta_right) * f^- - beta_left * f^+, the upwind_betas split;
         # -(beta_right * f^- + ...) would flip the sign of some zeros
         v = np.minimum(f, 0.0)
@@ -103,6 +106,9 @@ class Trajectory(StoredTimes):
     velocities: np.ndarray    # (n_times, n_particles)
     h: float
     problem: Problem
+    # what integrate did: "velocity_evals", "halvings" (intervals halved in
+    # the fixed-step scheme) and "pair_worker" (dense pair fills on two CPUs)
+    stats: dict = field(default_factory=dict)
 
     @property
     def n_cells(self) -> int:
@@ -140,8 +146,9 @@ def _rk4_step(x, dt, velocity):
     return np.add(x, acc, out=acc)
 
 
-def _advance(x, dt, velocity, min_dt, t_now):
-    """One interval of size dt, recursively halved on ordering violations."""
+def _advance(x, dt, velocity, min_dt, t_now, stats):
+    """One interval of size dt, recursively halved on ordering violations;
+    each halving is counted in ``stats["halvings"]``."""
     try:
         y = _rk4_step(x, dt, velocity)
         if not np.isfinite(y).all():
@@ -157,8 +164,9 @@ def _advance(x, dt, velocity, min_dt, t_now):
         raise StepUnderflow(
             f"step underflow at t={t_now:.6g}: cell {cell} (width "
             f"{widths[cell]:.3e}) keeps violating ordering")
-    mid = _advance(x, 0.5 * dt, velocity, min_dt, t_now)
-    return _advance(mid, 0.5 * dt, velocity, min_dt, t_now + 0.5 * dt)
+    stats["halvings"] += 1
+    mid = _advance(x, 0.5 * dt, velocity, min_dt, t_now, stats)
+    return _advance(mid, 0.5 * dt, velocity, min_dt, t_now + 0.5 * dt, stats)
 
 
 def default_dt(state: ParticleState, problem: Problem) -> float:
@@ -229,6 +237,24 @@ def _integrate_rk45(x, t_end, velocity, tol, min_dt, store_every):
     return np.array(times), np.array(states), np.array(vels)
 
 
+def _integrate_rk4(x, t_end, dt, velocity, min_dt, store_every, stats):
+    n_steps = max(1, int(round(t_end / dt)))
+    dt = t_end / n_steps
+    # step 0, every store_every-th step, and the last step
+    n_store = 1 + -(-n_steps // store_every)
+    times = np.empty(n_store)
+    states = np.empty((n_store, x.size))
+    vels = np.empty((n_store, x.size))
+    times[0], states[0], vels[0] = 0.0, x, velocity(x)
+    k = 1
+    for step in range(n_steps):
+        x = _advance(x, dt, velocity, min_dt, step * dt, stats)
+        if (step + 1) % store_every == 0 or step + 1 == n_steps:
+            times[k], states[k], vels[k] = (step + 1) * dt, x, velocity(x)
+            k += 1
+    return times, states, vels
+
+
 def integrate(initial: ParticleState, problem: Problem, t_end: float,
               scheme: str = "rk4", dt: float | None = None,
               tol: float = 1e-8, store_every: int = 1) -> Trajectory:
@@ -237,7 +263,10 @@ def integrate(initial: ParticleState, problem: Problem, t_end: float,
     ``rk4`` takes fixed steps (default chosen by the CFL guard), storing
     every ``store_every``-th step; a step that would disorder the particles
     is halved down to ``1e-12 * t_end`` before giving up.  ``rk45`` is the
-    adaptive alternative with local error control.
+    adaptive alternative with local error control.  For a dense kernel
+    with at least ``forces.FORK_MIN_PARTICLES`` particles, the run's pair
+    fills go to one forked :class:`~partmob.forces.PairWorker`, reaped
+    however the run ends.  The trajectory's ``stats`` count what was done.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -246,37 +275,34 @@ def integrate(initial: ParticleState, problem: Problem, t_end: float,
     x0 = np.asarray(initial.positions, dtype=float)
     if np.any(np.diff(x0) <= 0):
         raise ValueError("initial particles must be strictly increasing")
-    h = initial.h
-    min_dt = 1e-12 * t_end
-
-    velocity = velocity_field(problem, h)
-
     if scheme == "rk4":
         if dt is None:
             dt = default_dt(initial, problem)
-        n_steps = max(1, int(round(t_end / dt)))
-        dt = t_end / n_steps
-        # step 0, every store_every-th step, and the last step
-        n_store = 1 + -(-n_steps // store_every)
-        times = np.empty(n_store)
-        states = np.empty((n_store, x0.size))
-        vels = np.empty((n_store, x0.size))
-        times[0], states[0], vels[0] = 0.0, x0, velocity(x0)
-        x, k = x0, 1
-        for step in range(n_steps):
-            x = _advance(x, dt, velocity, min_dt, step * dt)
-            if (step + 1) % store_every == 0 or step + 1 == n_steps:
-                times[k], states[k], vels[k] = (step + 1) * dt, x, velocity(x)
-                k += 1
     elif scheme == "rk45":
         if not (1e-12 < tol < 1e-2):
             raise ValueError("tolerance must lie in (1e-12, 1e-2)")
-        times, states, vels = _integrate_rk45(
-            x0, t_end, velocity, tol, min_dt, store_every)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+    h = initial.h
+    min_dt = 1e-12 * t_end
+    stats = {"velocity_evals": 0, "halvings": 0}
 
-    return Trajectory(times, states, vels, h=h, problem=problem)
+    with pair_worker(problem.potentials, x0.size) as pairs:
+        stats["pair_worker"] = pairs is not None
+        bare = velocity_field(problem, h, pairs)
+
+        def velocity(x):
+            stats["velocity_evals"] += 1
+            return bare(x)
+
+        if scheme == "rk4":
+            times, states, vels = _integrate_rk4(
+                x0, t_end, dt, velocity, min_dt, store_every, stats)
+        else:
+            times, states, vels = _integrate_rk45(
+                x0, t_end, velocity, tol, min_dt, store_every)
+
+    return Trajectory(times, states, vels, h=h, problem=problem, stats=stats)
 
 
 @dataclass(frozen=True)

@@ -493,6 +493,25 @@ def test_entropy_keys_are_checked_before_the_run(tmp_path, capsys,
     assert not (tmp_path / "ec" / "entropy.csv").exists()
 
 
+@pytest.mark.parametrize("override, bounds", [
+    ("problem.W.ell_A=1e200", "sup_d2w, lip_d2w"),    # ell_A**2 overflows
+    ("problem.W.ell_R=1e-120", "lip_d2w"),            # ell_R**3 is 0.0
+])
+def test_morse_parameters_with_infinite_bounds_are_config_errors(
+        tmp_path, capsys, override, bounds):
+    path = write_config(tmp_path, BASE_CONFIG.replace(
+        "problem.W.kind = newtonian_attractive\n",
+        "problem.W.kind = morse\nproblem.W.c_A = 1.0\nproblem.W.ell_A = 1.0\n"
+        "problem.W.c_R = 0.5\nproblem.W.ell_R = 0.3\n"))
+    out = tmp_path / "out"
+    code, err = run_main(capsys, ["--config", str(path), "--out-dir",
+                                  str(out), "--override", override, "run"])
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: Morse parameters c_attract=")
+    assert err.rstrip().endswith(f"non-finite kernel bounds: {bounds}")
+    assert not list(out.glob("*.csv"))
+
+
 @pytest.mark.parametrize("tolerance, command", [
     ("1", "run"), ("-1", "run"), ("nan", "run"), ("1e-12", "run"),
     ("0.01", "edb-check"), ("inf", "entropy-check"),

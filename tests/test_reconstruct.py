@@ -1,6 +1,7 @@
 import csv
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -318,7 +319,7 @@ def test_snapshot_writer_stays_inline_when_it_cannot_fork(
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
     if limit == "two threads":
-        monkeypatch.setattr(reconstruct.threading, "active_count", lambda: 2)
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
     monkeypatch.setattr(reconstruct, "FORK_MIN_VALUES", 0)
     assert not reconstruct._can_fork()
     fields = short_attractive_run.fields

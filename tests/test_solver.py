@@ -219,9 +219,12 @@ def test_step_underflow_reports_cell():
     def colliding(x):
         return np.array([1.0, -1.0])
 
+    stats = {"halvings": 0}
     with pytest.raises(StepUnderflow, match="cell 0"):
         _advance(np.array([0.0, 1e-6]), 1.0, colliding, min_dt=1e-3,
-                 t_now=0.0)
+                 t_now=0.0, stats=stats)
+    # dt = 1, 1/2, ..., 2^-8 were halved; 2^-9 / 2 is below min_dt
+    assert stats["halvings"] == 9
 
 
 def test_disordered_initial_state_rejected(attractive_problem):
@@ -337,9 +340,9 @@ def test_rk45_reuses_the_first_stage(attractive_problem, monkeypatch):
     calls = []
     real = solver.forces_for
 
-    def counting(state, problem):
+    def counting(state, problem, pairs=None):
         calls.append(len(state.positions))
-        return real(state, problem)
+        return real(state, problem, pairs)
 
     monkeypatch.setattr(solver, "forces_for", counting)
     state = pm.quantile_partition(attractive_problem.initial, 50)
