@@ -270,7 +270,8 @@ def _aligned_run(problem, n_cells, t_end, n_out=100,
 def space_time_l1(fields_a, fields_b) -> float:
     """``int_0^T ||rho_a(t) - rho_b(t)||_L1 dt`` on the shared stored grid."""
     if len(fields_a.times) != len(fields_b.times) or \
-            np.max(np.abs(fields_a.times - fields_b.times)) > 1e-9:
+            np.max(np.abs(fields_a.times - fields_b.times)) \
+            > fields_a._time_slack():
         raise TimeGridMismatch("refinement runs must share their output "
                                "times")
     dists = np.array([
@@ -484,6 +485,12 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (ConfigError, InvalidProblem, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        detail = str(exc) or "no detail"    # numpy names the allocation
+        print(f"config error: the run does not fit in memory ({detail}): "
+              "lower discretization.N, or raise discretization.dt or "
+              "discretization.output_every", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forces import continuum_force, row_blocks, step_values
-from .model import GAUSS_NODES, GAUSS_WEIGHTS, Problem, simpson
+from .model import GAUSS_NODES, GAUSS_WEIGHTS, Problem, edge_masses, simpson
 from .reconstruct import ReconstructedFields, TimeGridMismatch, write_table
 
 __all__ = [
@@ -71,17 +71,9 @@ def _segment_abs_integral(lengths, da, db):
     return np.sum(lengths * tri)
 
 
-def _cumulative(edges, rho):
-    # (edges, cumulative mass at each edge) of one profile or of every row
-    # of a block of profiles
-    at = np.zeros(edges.shape)
-    np.cumsum(rho * np.diff(edges, axis=-1), axis=-1, out=at[..., 1:])
-    return edges, at
-
-
-def _w1_between(cum_s, cum_t, m):
-    # W1 distance of two _cumulative profiles of mass m
-    (edges_s, at_s), (edges_t, at_t) = cum_s, cum_t
+def _w1_between(edges_s, at_s, edges_t, at_t, m):
+    # W1 distance of two profiles of mass m, given their edges and
+    # edge_masses
     grid = np.union1d(edges_s, edges_t)
     d = (np.interp(grid, edges_s, at_s) - np.interp(grid, edges_t, at_t)) / m
     return float(_segment_abs_integral(np.diff(grid), d[:-1], d[1:]))
@@ -90,8 +82,9 @@ def _w1_between(cum_s, cum_t, m):
 def w1_distance(fields: ReconstructedFields, s: float, t: float) -> float:
     """1-Wasserstein distance between the mass-normalised profiles at two
     stored times (exact: L1 distance of the cumulative functions)."""
-    return _w1_between(_cumulative(*fields.profile(s)),
-                       _cumulative(*fields.profile(t)), fields.mass)
+    (edges_s, rho_s), (edges_t, rho_t) = fields.profile(s), fields.profile(t)
+    return _w1_between(edges_s, edge_masses(edges_s, rho_s),
+                       edges_t, edge_masses(edges_t, rho_t), fields.mass)
 
 
 def diagnostics_records(fields: ReconstructedFields,
@@ -103,14 +96,15 @@ def diagnostics_records(fields: ReconstructedFields,
     n = len(fields.times)
     mass = fields.masses()
     tv, h1, w1, support, max_rho, min_width = (np.empty(n) for _ in range(6))
-    initial = _cumulative(fields.edges[0], fields.densities[0])
+    initial = (fields.edges[0],
+               edge_masses(fields.edges[0], fields.densities[0]))
     # the widest temporaries are the n_cells + 2 interpolant nodes per row
     for rows in row_blocks(n, fields.n_cells + 2):
         edges, rho = fields.edges[rows], fields.densities[rows]
         tv[rows] = total_variation(rho)
         h1[rows] = h1_proxy(edges, rho)
-        w1[rows] = [_w1_between(initial, cum, fields.mass)
-                    for cum in zip(*_cumulative(edges, rho))]
+        w1[rows] = [_w1_between(*initial, *cum, fields.mass)
+                    for cum in zip(edges, edge_masses(edges, rho))]
         support[rows] = edges[:, -1] - edges[:, 0]
         max_rho[rows] = np.max(rho, axis=1)
         min_width[rows] = np.min(np.diff(edges, axis=1), axis=1)
@@ -292,7 +286,7 @@ def _entropy_residuals_for_phi(fields, problem: Problem, c_values,
     # the bump family vanishes exactly at its horizon and is negative
     # beyond it, so the stored window must end there
     horizon = float(fields.times[indices[-1]])
-    if abs(phi.t_end - horizon) > 1e-9 * max(1.0, phi.t_end):
+    if abs(phi.t_end - horizon) > fields._time_slack():
         raise TimeGridMismatch("test function horizon must match the stored "
                                "window")
 

@@ -9,7 +9,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import GAUSS_NODES, GAUSS_WEIGHTS, Potentials, cell_gauss
+from .model import (GAUSS_NODES, GAUSS_WEIGHTS, Potentials, cell_gauss,
+                    edge_masses)
 from .quantile import ParticleState
 
 __all__ = [
@@ -60,17 +61,20 @@ def particle_forces(state: ParticleState, potentials: Potentials,
     """
     x = state.positions
     f = np.array(potentials.external.dv(x), dtype=float, copy=True)
-    w = potentials.interaction
-    if not w.is_zero:
-        if pairs is None:
-            n = len(x)
-            pair = np.empty((n, n))
-            _fill_pairs(pair, x, w.dw, row_blocks(n, n))
-        else:
-            pair = pairs.fill(x)
-        np.fill_diagonal(pair, 0.0)
-        f += state.h * pair.sum(axis=1)
+    if pairs is None:
+        n = len(x)
+        pair = np.empty((n, n))
+        _fill_pairs(pair, x, potentials.interaction.dw, row_blocks(n, n))
+    else:
+        pair = pairs.fill(x)
+    np.fill_diagonal(pair, 0.0)
+    f += state.h * pair.sum(axis=1)
     return f
+
+
+def _is_dense(w) -> bool:
+    """Whether pair sums of ``w`` need the pair matrix (not |x|, not 0)."""
+    return not (w.is_zero or w.is_newtonian)
 
 
 def force_rows(positions: np.ndarray, h: float, potentials: Potentials,
@@ -85,7 +89,7 @@ def force_rows(positions: np.ndarray, h: float, potentials: Potentials,
     when given.  A row gets the same bits as the same state alone.
     """
     w = potentials.interaction
-    if not (w.is_zero or w.is_newtonian):
+    if _is_dense(w):
         if positions.ndim == 1:
             return particle_forces(ParticleState(positions, h=h), potentials,
                                    pairs)
@@ -247,8 +251,7 @@ def pair_worker(potentials: Potentials, n: int):
     particles, where :func:`_can_fork` does not hold or no process can be
     forked."""
     w = potentials.interaction
-    if (w.is_zero or w.is_newtonian or n < FORK_MIN_PARTICLES
-            or not _can_fork()):
+    if not _is_dense(w) or n < FORK_MIN_PARTICLES or not _can_fork():
         yield None
         return
     try:
@@ -266,9 +269,13 @@ def pair_sum(points: np.ndarray, kernel) -> float:
     """``sum_{i != j} W(a_i - a_j)`` over the points ``a``, with the bits of
     ``np.sum`` over the full pair matrix with a zeroed diagonal.
 
-    For ``W(x) = s |x|`` the matrix is ``|a_i - a_j|`` built in place, its
-    diagonal already +0.0, and the sign is applied to the sum: negating a
-    pairwise sum is exact.  Other kernels evaluate the dense matrix."""
+    For ``W = 0`` it is -0.0, which leaves any sum it is added to bit for
+    bit unchanged.  For ``W(x) = s |x|`` the matrix is ``|a_i - a_j|``
+    built in place, its diagonal already +0.0, and the sign is applied to
+    the sum: negating a pairwise sum is exact.  Other kernels evaluate the
+    dense matrix."""
+    if kernel.is_zero:
+        return -0.0
     diff = np.subtract.outer(points, points)
     if kernel.is_newtonian:
         np.abs(diff, out=diff)
@@ -278,11 +285,14 @@ def pair_sum(points: np.ndarray, kernel) -> float:
     return float(np.sum(pair))
 
 
-def cell_pair_means(edges: np.ndarray, kernel) -> np.ndarray:
-    """Matrix of the means of ``W(x - y)`` over ``x`` in cell ``i`` and
-    ``y`` in cell ``j``, by a 4x4 Gauss rule per pair, built over blocks of
-    rows ``i``.  The |x| kernel needs no rule: cells are disjoint, so off
-    the diagonal the mean is ``s |mid_i - mid_j|`` (see :func:`pair_sum`)."""
+def cell_pair_sum(edges: np.ndarray, kernel) -> float:
+    """``sum_{i != j}`` of the mean of ``W(x - y)`` over ``x`` in cell ``i``
+    and ``y`` in cell ``j``.  For ``W = 0`` and ``s |x|`` it is
+    :func:`pair_sum` over the cell midpoints (cells are disjoint); other
+    kernels take a 4x4 Gauss rule per pair, the matrix of means built over
+    blocks of rows ``i`` and summed whole with a zeroed diagonal."""
+    if not _is_dense(kernel):
+        return pair_sum(0.5 * (edges[:-1] + edges[1:]), kernel)
     nodes, _ = cell_gauss(edges)
     wts = GAUSS_WEIGHTS * 0.5  # reference-interval averages
     n = len(nodes)
@@ -291,7 +301,8 @@ def cell_pair_means(edges: np.ndarray, kernel) -> np.ndarray:
         # differences between the Gauss nodes of cells i and j: (i, a, j, b)
         vals = kernel.w(nodes[rows, :, None, None] - nodes[None, None, :, :])
         means[rows] = np.einsum("a,b,iajb->ij", wts, wts, vals)
-    return means
+    np.fill_diagonal(means, 0.0)
+    return float(np.sum(means))
 
 
 def _cell_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -369,26 +380,22 @@ def continuum_force(edges: np.ndarray, densities: np.ndarray, mass: float,
     if w.is_zero:
         return force, dforce
 
-    own = _cell_index(edges, x) if exclude_own_cell else None
-
+    cell = _cell_index(edges, x)
     if w.is_newtonian:
         s = float(w.newtonian_sign)
         # the step_values selection, from the one cell lookup
-        cell = _cell_index(edges, x) if own is None else own
         rho_at = np.where(cell >= 0, densities[cell], 0.0)
-        cum_edges = np.concatenate([[0.0], np.cumsum(densities * np.diff(edges))])
-        cum = np.interp(x, edges, cum_edges)
+        cum = np.interp(x, edges, edge_masses(edges, densities))
         force += s * (2.0 * cum - mass)
         dforce += s * 2.0 * rho_at
         if exclude_own_cell:
-            inside = own >= 0
-            correction = rho_at * (2.0 * x - edges[own] - edges[own + 1])
-            force -= np.where(inside, s * correction, 0.0)
-            dforce -= np.where(inside, s * 2.0 * rho_at, 0.0)
+            correction = rho_at * (2.0 * x - edges[cell] - edges[cell + 1])
+            force -= np.where(cell >= 0, s * correction, 0.0)
+            dforce -= np.where(cell >= 0, s * 2.0 * rho_at, 0.0)
         return force, dforce
 
     conv, dconv = _kernel_convolutions((w.dw, w.d2w), edges, densities, x,
-                                       own)
+                                       cell if exclude_own_cell else None)
     force += conv
     dforce += dconv
     return force, dforce

@@ -58,6 +58,14 @@ def cell_gauss(edges: Array) -> tuple[Array, Array]:
             halves[:, None] * GAUSS_WEIGHTS[None, :])
 
 
+def edge_masses(edges: Array, densities: Array) -> Array:
+    """Mass of a piecewise-constant profile left of each of its edges, 0.0
+    at the first; of one profile or of every row of a block of them."""
+    at = np.zeros(np.shape(edges))
+    np.cumsum(densities * np.diff(edges, axis=-1), axis=-1, out=at[..., 1:])
+    return at
+
+
 # Composite Simpson rules on a strictly increasing 1-D grid ``x``, with the
 # irregular-spacing formulas of Cartwright (J. Math. Sci. & Math. Educ.
 # 12(2), 2017).  They repeat scipy.integrate's operations one for one, so
@@ -529,9 +537,8 @@ def piecewise_constant_density(breakpoints, values,
         raise ValueError("need len(breakpoints) == len(values) + 1")
     if np.any(np.diff(bp) <= 0):
         raise ValueError("breakpoints must be strictly increasing")
-    widths = np.diff(bp)
-    true_mass = float(np.sum(vals * widths))
-    cum = np.concatenate([[0.0], np.cumsum(vals * widths)])
+    true_mass = float(np.sum(vals * np.diff(bp)))
+    cum = edge_masses(bp, vals)
     positive = vals > 0
     interior_vacuum = bool(np.any(~positive[np.nonzero(positive)[0][0]:
                                             np.nonzero(positive)[0][-1] + 1])) \

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forces import _can_fork, row_blocks, step_values
+from .forces import _can_fork, _cell_index, row_blocks, step_values
 from .model import cell_gauss, simpson
 
 __all__ = ["ReconstructedFields", "continuity_residual", "write_snapshots_csv"]
@@ -34,13 +34,18 @@ class TimeGridMismatch(ValueError):
 
 
 class StoredTimes:
-    """Lookup of a stored output time in ``self.times``."""
+    """Lookup of a stored output time in ``self.times``, up to
+    ``1e-9 * max(1, |T|)`` for the last stored time ``T``."""
 
     times: np.ndarray
 
+    def _time_slack(self) -> float:
+        """The one rounding allowance of every stored-time comparison."""
+        return 1e-9 * max(1.0, abs(self.times[-1]))
+
     def index_of(self, t: float) -> int:
         k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(self.times[-1])):
+        if not abs(self.times[k] - t) <= self._time_slack():   # NaN too
             raise KeyError(f"time {t!r} is not a stored output time")
         return k
 
@@ -82,8 +87,7 @@ class ReconstructedFields(StoredTimes):
         edges = self.edges[k]
         x = np.atleast_1d(np.asarray(x, dtype=float))
         u = np.interp(x, edges, self.edge_velocities[k])
-        inside = (x >= edges[0]) & (x < edges[-1])
-        return np.where(inside, u, 0.0)
+        return np.where(_cell_index(edges, x) >= 0, u, 0.0)
 
     def flux_at(self, t: float, x) -> np.ndarray:
         return self.density_at(t, x) * self.velocity_at(t, x)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forces import (cell_pair_means, continuum_force, force_rows, pair_sum,
+from .forces import (cell_pair_sum, continuum_force, force_rows, pair_sum,
                      row_blocks)
 from .model import (Mobility, Potentials, Problem, cell_gauss,
                     cumulative_simpson, simpson)
@@ -45,23 +45,18 @@ def free_energy(state: ParticleState, potentials: Potentials) -> float:
     """Discrete free energy ``sum_i V(x_i) + (h/2) sum_{i != j} W(x_i - x_j)``."""
     x = state.positions
     total = float(np.sum(potentials.external.v(x)))
-    w = potentials.interaction
-    if not w.is_zero:
-        total += 0.5 * state.h * pair_sum(x, w)
-    return total
+    return total + 0.5 * state.h * pair_sum(x, potentials.interaction)
 
 
-def _dual_dissipations(densities, mobility: Mobility, zeta) -> np.ndarray:
-    # one dual dissipation per row of (densities, zeta)
-    beta_left, beta_right = upwind_betas(densities, mobility)
+def _dual_dissipations(beta_left, beta_right, zeta) -> np.ndarray:
+    # one dual dissipation per row of (upwind_betas, zeta)
     zp = np.maximum(zeta, 0.0)
     zm = np.minimum(zeta, 0.0)
     return 0.5 * np.sum(beta_left * zm**2 + beta_right * zp**2, axis=-1)
 
 
-def _dissipations(densities, mobility: Mobility, flux) -> np.ndarray:
-    # one dissipation per row of (densities, flux); +inf where infeasible
-    beta_left, beta_right = upwind_betas(densities, mobility)
+def _dissipations(beta_left, beta_right, flux) -> np.ndarray:
+    # one dissipation per row of (upwind_betas, flux); +inf where infeasible
     jp = np.maximum(flux, 0.0)
     jm = np.minimum(flux, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -85,7 +80,8 @@ def dual_dissipation(state: ParticleState, mobility: Mobility,
     """Quadratic form ``(1/2) sum_i [beta(left_i) (z_i^-)^2
     + beta(right_i) (z_i^+)^2]`` with vacuum ghost cells."""
     zeta = _per_particle(state, zeta, "zeta")
-    return float(_dual_dissipations(state.densities(), mobility, zeta))
+    return float(_dual_dissipations(
+        *upwind_betas(state.densities(), mobility), zeta))
 
 
 def dissipation(state: ParticleState, mobility: Mobility,
@@ -97,7 +93,8 @@ def dissipation(state: ParticleState, mobility: Mobility,
     infeasible and returns ``+inf``.
     """
     flux = _per_particle(state, flux, "flux")
-    return float(_dissipations(state.densities(), mobility, flux))
+    return float(_dissipations(*upwind_betas(state.densities(), mobility),
+                               flux))
 
 
 def dissipation_rate(state: ParticleState, problem: Problem) -> float:
@@ -113,8 +110,9 @@ def _rate_series(traj: Trajectory, stored=slice(None)):
     slice ``stored``.
 
     Works on blocks of stored times, with the forces of a block from one
-    :func:`~partmob.forces.force_rows` call; each row is computed as the
-    one-state functions compute it.
+    :func:`~partmob.forces.force_rows` call and its upwind mobilities from
+    one :func:`~partmob.solver.upwind_betas` call; each row is computed as
+    the one-state functions compute it.
     """
     positions = traj.positions[stored]
     velocities = traj.velocities[stored]
@@ -124,10 +122,10 @@ def _rate_series(traj: Trajectory, stored=slice(None)):
     # the widest temporary is the padded row of n_particles + 1 betas
     for rows in row_blocks(n, n_particles + 1):
         x = positions[rows]
-        rho = row_densities(x, traj.h)
+        betas = upwind_betas(row_densities(x, traj.h), mob)
         f = force_rows(x, traj.h, traj.problem.potentials)
-        r[rows] = _dissipations(rho, mob, velocities[rows])
-        r_star[rows] = _dual_dissipations(rho, mob, -f)
+        r[rows] = _dissipations(*betas, velocities[rows])
+        r_star[rows] = _dual_dissipations(*betas, -f)
     return r, r_star
 
 
@@ -190,17 +188,7 @@ def reconstructed_energy(edges: np.ndarray, densities: np.ndarray,
     nodes, weights = cell_gauss(edges)
     total = float(np.sum(densities[:, None] * weights
                          * potentials.external.v(nodes)))
-    w = potentials.interaction
-    if w.is_zero:
-        return total
-    if w.is_newtonian:
-        pairs = pair_sum(0.5 * (edges[:-1] + edges[1:]), w)
-    else:
-        means = cell_pair_means(edges, w)
-        np.fill_diagonal(means, 0.0)
-        pairs = float(np.sum(means))
-    total += 0.5 * h * h * pairs
-    return total
+    return total + 0.5 * h * h * cell_pair_sum(edges, potentials.interaction)
 
 
 def continuous_dual_dissipation(edges: np.ndarray, densities: np.ndarray,

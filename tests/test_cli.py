@@ -269,6 +269,7 @@ diagnostics.edb = false
     ("discretization.N=inf", "run"),
     ("discretization.N_list=10,abc", "converge"),
     ("oracle.compare_times=0.05,abc", "oracle-compare"),
+    ("oracle.compare_times=nan", "oracle-compare"),
 ])
 def test_non_positive_steps_are_config_errors(tmp_path, capsys, override,
                                                command):
@@ -540,6 +541,32 @@ def test_rk4_ignores_the_tolerance(tmp_path, capsys):
                                 str(tmp_path / "out"), "--override",
                                 "discretization.tolerance=1", "run"])
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("error", [
+    MemoryError("Unable to allocate 15.0 GiB for an array with shape "
+                "(10000001, 201) and data type float64"),
+    MemoryError(),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("command", ["run", "edb-check", "entropy-check"])
+def test_a_run_that_cannot_be_allocated_is_a_config_error(
+        tmp_path, capsys, monkeypatch, error, command):
+    # integrate raises instead of allocating: no large array is ever made
+    def out_of_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "integrate", out_of_memory)
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    code, err = run_main(capsys, ["--config", str(path), "--out-dir",
+                                  str(out), command])
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: the run does not fit in memory (")
+    assert f"({str(error) or 'no detail'}): " in err
+    for key in ("discretization.N", "discretization.dt",
+                "discretization.output_every"):
+        assert key in err
+    assert not list(out.glob("*.csv"))
 
 
 ROOT =Path(__file__).resolve().parents[1]

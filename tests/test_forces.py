@@ -229,6 +229,41 @@ def test_continuum_force_matches_cell_loop(kernel, n_cells, exclude_own_cell):
     assert np.array_equal(got[1], want[1])
 
 
+# -- (force, dforce) against central differences, per kernel kind -----------
+
+MORSE_JUMP = pytest.param(
+    pm.morse(1.0, 1.0, 0.5, 0.3), id="morse",
+    marks=pytest.mark.xfail(strict=True, reason=(
+        "jump-term bug: dforce lacks 2 W'(0+) rho(x) for a kernel whose W' "
+        "jumps at 0; for Morse W'(0+) = c_A/l_A - c_R/l_R = -2/3, so the "
+        "gap is 2 (2/3) 0.75 = 1.0 at the bump's top")))
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(pm.no_interaction(), id="zero"),
+    pytest.param(pm.newtonian(True), id="attractive"),
+    pytest.param(pm.newtonian(False), id="repulsive"),
+    pytest.param(smooth_kernel(), id="smooth"),
+    MORSE_JUMP,
+])
+@pytest.mark.parametrize("external", [pm.zero_potential(),
+                                      pm.quadratic_potential(0.5)],
+                         ids=["V=0", "quadratic"])
+def test_continuum_dforce_is_the_derivative_of_force(kernel, external):
+    state = pm.quantile_partition(pm.parabolic_bump(), 200)
+    edges, rho = state.positions, state.densities()
+    pots = pm.Potentials(external, kernel)
+    # one point per cell, at least 1 % of its width from both edges, so
+    # that x -+ eps stays in the cell
+    frac = np.random.default_rng(7).uniform(0.01, 0.99, len(rho))
+    x = edges[:-1] + frac * np.diff(edges)
+    eps = 1e-6
+    _, dforce = continuum_force(edges, rho, 1.0, pots, x)
+    up, _ = continuum_force(edges, rho, 1.0, pots, x + eps)
+    down, _ = continuum_force(edges, rho, 1.0, pots, x - eps)
+    assert np.max(np.abs((up - down) / (2.0 * eps) - dforce)) <= 1e-9
+
+
 def dense_particle_forces(state, potentials):
     # the whole pair matrix at once, diagonal zeroed, rows summed
     x = state.positions
@@ -302,3 +337,14 @@ def test_abs_pair_sum_on_the_bump_partition(attractive, n_cells):
 def test_other_kernels_keep_the_dense_pair_sum(points):
     kernel = pm.morse(1.0, 1.0, 0.5, 0.3)
     assert forces.pair_sum(points, kernel) == dense_pair_sum(points, kernel)
+
+
+@given(sorted_points(n_max=20), st.floats(allow_nan=False))
+@settings(max_examples=50, deadline=None)
+def test_zero_kernel_pair_sum_leaves_every_sum_unchanged(points, total):
+    # -0.0 is the additive identity, signed zeros included, so an energy
+    # with W = 0 keeps the bits it had without the pair term
+    pair = forces.pair_sum(points, pm.no_interaction())
+    assert pair == 0.0 and np.signbit(pair)
+    assert np.float64(total + 0.5 * 0.1 * pair).tobytes() == \
+        np.float64(total).tobytes()

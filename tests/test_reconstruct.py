@@ -10,6 +10,7 @@ import partmob as pm
 from partmob import diagnostics as diag
 from partmob import reconstruct
 from partmob import variational as var
+from partmob.cli import space_time_l1
 from partmob.reconstruct import (SNAPSHOT_COLUMNS, continuity_residual,
                                  write_snapshots_csv, write_table)
 
@@ -42,6 +43,36 @@ def test_unknown_time_rejected():
     f = static_fields([0.0, 1.0])
     with pytest.raises(KeyError):
         f.density_at(0.123, 0.5)
+    with pytest.raises(KeyError):
+        f.index_of(float("nan"))
+
+
+@pytest.mark.parametrize("t_end", [0.5, 4.0])
+@pytest.mark.parametrize("share, same", [(0.9, True), (1.1, False)])
+def test_one_stored_time_tolerance(t_end, share, same):
+    # index_of, converge's shared grid and the entropy check's horizon all
+    # match times to within 1e-9 * max(1, |T|), T the last stored time
+    off = share * 1e-9 * max(1.0, t_end)
+    times = np.linspace(0.0, t_end, 5)
+    edges = [0.0, 0.5, 1.0]
+    fields = static_fields(edges, times=times)
+    problem = pm.Problem(pm.power_cap_mobility(1.0),
+                         pm.Potentials(pm.zero_potential(),
+                                       pm.no_interaction()),
+                         pm.parabolic_bump())
+    checks = [
+        lambda: fields.index_of(t_end + off),
+        lambda: space_time_l1(fields, static_fields(edges, times=times + off)),
+        lambda: diag.entropy_residual(fields, problem, 0.5,
+                                      diag.BumpTestFunction(0.5, 0.3,
+                                                            t_end + off)),
+    ]
+    for check in checks:
+        if same:
+            check()
+        else:
+            with pytest.raises((KeyError, reconstruct.TimeGridMismatch)):
+                check()
 
 
 def test_flux_interpolates_edge_velocities():
