@@ -5,8 +5,8 @@ entropy residuals, BV/Wasserstein bounds and cross-validation against an
 independent reference scheme."""
 
 from .diagnostics import (BumpTestFunction, diagnostics_records,
-                          entropy_report, entropy_residual, h1_proxy,
-                          standard_bump_grid, total_variation, w1_distance)
+                          entropy_report, h1_proxy, standard_bump_grid,
+                          total_variation)
 from .forces import continuum_force, particle_forces
 from .fv import (FvGrid, fv_solve, fv_step, l1_compare, l1_distance, make_grid,
                  riemann_exact)
@@ -19,13 +19,11 @@ from .model import (InitialDensity, InteractionPotential, InvalidProblem,
                     tabulated_mobility, uniform_density, validate,
                     zero_potential)
 from .quantile import ParticleState, quantile_partition
-from .reconstruct import (ReconstructedFields, continuity_residual,
-                          write_snapshots_csv)
+from .reconstruct import ReconstructedFields, write_snapshots_csv
 from .solver import (CellBoundReport, NonFiniteState, StepUnderflow,
                      Trajectory, UnorderedState, check_cell_bounds,
-                     default_dt, forces_for, integrate, rhs)
-from .variational import (continuous_dual_dissipation, dissipation,
-                          dissipation_rate, dual_dissipation, edb_residual,
+                     default_dt, forces_for, integrate)
+from .variational import (continuous_dual_dissipation, edb_residual,
                           edb_series, free_energy, gradient_records,
                           reconstructed_energy)
 

@@ -115,6 +115,8 @@ def _to_number(key, value, kind):
             (kind is int and number != value):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {what}, not {value!r}")
+    if kind is float and not np.isfinite(number):
+        raise ConfigError(f"{key} must be finite, not {value!r}")
     return number
 
 
@@ -194,10 +196,10 @@ def build_problem(cfg: dict) -> Problem:
 
 
 def _positive(cfg, key, default):
-    """A config entry that must be finite and positive when given."""
+    """A config entry that must be positive when given."""
     value = _number(cfg, key, default)
-    if value is not None and not 0.0 < value < np.inf:
-        raise ConfigError(f"{key} must be finite and positive")
+    if value is not None and not value > 0.0:
+        raise ConfigError(f"{key} must be positive")
     return value
 
 
@@ -342,10 +344,9 @@ def cmd_oracle_compare(cfg, args) -> int:
     dx = _positive(cfg, "oracle.fv_dx", 1e-3)
     lo = _number(cfg, "oracle.window_lo")
     hi = _number(cfg, "oracle.window_hi")
-    if (lo is None) != (hi is None) or \
-            (lo is not None and not -np.inf < lo < hi < np.inf):
+    if (lo is None) != (hi is None) or (lo is not None and not lo < hi):
         raise ConfigError("oracle.window_lo and oracle.window_hi must be "
-                          "given together, finite, with lo < hi")
+                          "given together, with lo < hi")
     traj = run_trajectory(cfg)
     problem, fields = traj.problem, traj.fields
     _, t_end, *_ = _discretization(cfg)
@@ -374,9 +375,8 @@ def cmd_oracle_compare(cfg, args) -> int:
 def cmd_entropy_check(cfg, args) -> int:
     # the entropy keys are checked before the run they are applied to
     c_values = _numbers(cfg, "diagnostics.entropy.c")
-    if not all(0.0 < c < np.inf for c in c_values):
-        raise ConfigError("diagnostics.entropy.c entries must be finite and "
-                          "positive")
+    if not all(c > 0.0 for c in c_values):
+        raise ConfigError("diagnostics.entropy.c entries must be positive")
     n_phi = _number(cfg, "diagnostics.entropy.phi_grid", 9, kind=int)
     if n_phi < 1:
         raise ConfigError("diagnostics.entropy.phi_grid must be at least 1")

@@ -13,12 +13,10 @@ from .reconstruct import ReconstructedFields, TimeGridMismatch, write_table
 __all__ = [
     "total_variation",
     "h1_proxy",
-    "w1_distance",
     "diagnostics_records",
     "write_diagnostics_csv",
     "BumpTestFunction",
     "standard_bump_grid",
-    "entropy_residual",
     "entropy_report",
     "write_entropy_csv",
 ]
@@ -72,19 +70,12 @@ def _segment_abs_integral(lengths, da, db):
 
 
 def _w1_between(edges_s, at_s, edges_t, at_t, m):
-    # W1 distance of two profiles of mass m, given their edges and
-    # edge_masses
+    # 1-Wasserstein distance of two profiles of mass m, given their edges
+    # and edge_masses: exactly the L1 distance of the normalised cumulative
+    # functions
     grid = np.union1d(edges_s, edges_t)
     d = (np.interp(grid, edges_s, at_s) - np.interp(grid, edges_t, at_t)) / m
     return float(_segment_abs_integral(np.diff(grid), d[:-1], d[1:]))
-
-
-def w1_distance(fields: ReconstructedFields, s: float, t: float) -> float:
-    """1-Wasserstein distance between the mass-normalised profiles at two
-    stored times (exact: L1 distance of the cumulative functions)."""
-    (edges_s, rho_s), (edges_t, rho_t) = fields.profile(s), fields.profile(t)
-    return _w1_between(edges_s, edge_masses(edges_s, rho_s),
-                       edges_t, edge_masses(edges_t, rho_t), fields.mass)
 
 
 def diagnostics_records(fields: ReconstructedFields,
@@ -308,23 +299,16 @@ def _entropy_residuals_for_phi(fields, problem: Problem, c_values,
     return initial + bulk
 
 
-def entropy_residual(fields, problem: Problem, c: float,
-                     phi: BumpTestFunction, time_stride: int = 1) -> float:
-    """Value of the entropy functional for level ``c`` and test bump ``phi``.
-
-    Non-negative in the vanishing-mesh limit for entropy solutions; a
-    markedly negative value flags an entropy violation.  Space integrals
-    run over the bump support (Gauss order 4 on profile-aligned panels),
-    time by composite Simpson on the stored grid.
-    """
-    return float(_entropy_residuals_for_phi(fields, problem, [c], phi,
-                                            time_stride)[0])
-
-
 def entropy_report(fields, problem: Problem, c_values, phis,
                    time_stride: int = 1) -> dict:
     """The ``entropy.csv`` table: one residual per (level, test function)
-    of the grid, the levels varying fastest."""
+    of the grid, the levels varying fastest.
+
+    A residual is non-negative in the vanishing-mesh limit for entropy
+    solutions; a markedly negative one flags an entropy violation.  Space
+    integrals run over the bump support (Gauss order 4 on profile-aligned
+    panels), time by composite Simpson on the stored grid.
+    """
     table = {"c": [], "phi_id": [], "residual": []}
     for i, phi in enumerate(phis):
         vals = _entropy_residuals_for_phi(fields, problem, c_values, phi,

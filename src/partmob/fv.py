@@ -64,11 +64,6 @@ class FvGrid:
     def edges(self) -> np.ndarray:
         return np.linspace(self.a, self.b, self.n + 1)
 
-    @property
-    def centers(self) -> np.ndarray:
-        e = self.edges
-        return 0.5 * (e[:-1] + e[1:])
-
     def mass(self) -> float:
         return float(np.sum(self.rho) * self.dx)
 

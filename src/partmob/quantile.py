@@ -37,12 +37,6 @@ class ParticleState:
     def n_cells(self) -> int:
         return len(self.positions) - 1
 
-    def widths(self) -> np.ndarray:
-        return np.diff(self.positions)
-
-    def densities(self) -> np.ndarray:
-        return row_densities(self.positions, self.h)
-
 
 def row_densities(positions: np.ndarray, h: float) -> np.ndarray:
     """Per-cell densities ``h / (x[i+1] - x[i])`` of one state or of every

@@ -1,5 +1,5 @@
 """Piecewise-constant density / piecewise-linear-velocity flux
-reconstruction on the moving cells, with a weak continuity-equation check.
+reconstruction on the moving cells.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forces import _can_fork, _cell_index, row_blocks, step_values
-from .model import cell_gauss, simpson
+from .forces import _can_fork, row_blocks, step_values
 
-__all__ = ["ReconstructedFields", "continuity_residual", "write_snapshots_csv"]
+__all__ = ["ReconstructedFields", "write_snapshots_csv"]
 
 SNAPSHOT_COLUMNS = ("t", "x_left", "x_right", "rho", "u_left", "u_right")
 
@@ -33,34 +32,15 @@ class TimeGridMismatch(ValueError):
     function, drifted apart."""
 
 
-class StoredTimes:
-    """Lookup of a stored output time in ``self.times``, up to
-    ``1e-9 * max(1, |T|)`` for the last stored time ``T``."""
-
-    times: np.ndarray
-
-    def _time_slack(self) -> float:
-        """The one rounding allowance of every stored-time comparison."""
-        return 1e-9 * max(1.0, abs(self.times[-1]))
-
-    def index_of(self, t: float) -> int:
-        k = int(np.argmin(np.abs(self.times - t)))
-        if not abs(self.times[k] - t) <= self._time_slack():   # NaN too
-            raise KeyError(f"time {t!r} is not a stored output time")
-        return k
-
-
 @dataclass(eq=False)
-class ReconstructedFields(StoredTimes):
+class ReconstructedFields:
     """Density/flux pair of a stored trajectory (its ``fields``).
 
     At each stored time the density is ``h / width`` on every moving cell
     (half-open cells, zero outside) and the flux is that density times the
     velocity field interpolated linearly between the endpoint particle
-    velocities.
-
-    Fields from :func:`~partmob.fv.fv_solve` have the grid's fixed edges and
-    zero edge velocities, so their ``flux_at`` is not the finite-volume flux.
+    velocities.  ``index_of`` matches a stored time to within
+    ``1e-9 * max(1, |T|)``, ``T`` the last stored time.
     """
 
     times: np.ndarray
@@ -73,6 +53,16 @@ class ReconstructedFields(StoredTimes):
     def n_cells(self) -> int:
         return self.densities.shape[1]
 
+    def _time_slack(self) -> float:
+        """The one rounding allowance of every stored-time comparison."""
+        return 1e-9 * max(1.0, abs(self.times[-1]))
+
+    def index_of(self, t: float) -> int:
+        k = int(np.argmin(np.abs(self.times - t)))
+        if not abs(self.times[k] - t) <= self._time_slack():   # NaN too
+            raise KeyError(f"time {t!r} is not a stored output time")
+        return k
+
     def profile(self, t: float):
         """(edges, densities) arrays at a stored time."""
         k = self.index_of(t)
@@ -82,16 +72,6 @@ class ReconstructedFields(StoredTimes):
         edges, rho = self.profile(t)
         return step_values(edges, rho, np.atleast_1d(np.asarray(x, dtype=float)))
 
-    def velocity_at(self, t: float, x) -> np.ndarray:
-        k = self.index_of(t)
-        edges = self.edges[k]
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        u = np.interp(x, edges, self.edge_velocities[k])
-        return np.where(_cell_index(edges, x) >= 0, u, 0.0)
-
-    def flux_at(self, t: float, x) -> np.ndarray:
-        return self.density_at(t, x) * self.velocity_at(t, x)
-
     def masses(self) -> np.ndarray:
         """Mass of the profile at every stored time, over blocks of stored
         times."""
@@ -99,46 +79,6 @@ class ReconstructedFields(StoredTimes):
         for rows in row_blocks(len(self.times), self.n_cells + 1):
             out[rows] = profile_masses(self.edges[rows], self.densities[rows])
         return out
-
-    # -- per-cell quadratures -------------------------------------------
-
-    def integrate_density(self, t: float, fn) -> float:
-        """Exact-per-cell integral of ``fn`` against the density at ``t``
-        (Gauss order 4, exact for polynomial ``fn`` up to degree 7)."""
-        k = self.index_of(t)
-        nodes, weights = cell_gauss(self.edges[k])
-        vals = fn(nodes)
-        return float(np.sum(self.densities[k][:, None] * weights * vals))
-
-    def integrate_flux(self, t: float, fn) -> float:
-        """Integral of ``fn`` against the flux at ``t``."""
-        k = self.index_of(t)
-        edges = self.edges[k]
-        nodes, weights = cell_gauss(edges)
-        u = np.interp(nodes, edges, self.edge_velocities[k])
-        vals = fn(nodes)
-        return float(np.sum(self.densities[k][:, None] * weights * u * vals))
-
-
-def continuity_residual(fields: ReconstructedFields, phi, dphi,
-                        s: float, t: float) -> float:
-    """Weak-form defect ``|<phi, rho_t> - <phi, rho_s> - int <phi', j>|``.
-
-    ``phi`` must come with its spatial derivative ``dphi``; the time
-    integral uses composite Simpson on the stored grid between ``s`` and
-    ``t``.
-    """
-    if dphi is None:
-        raise ValueError("the test function's derivative is required")
-    ks, kt = fields.index_of(s), fields.index_of(t)
-    if ks >= kt:
-        raise ValueError("need s < t")
-    lhs = fields.integrate_density(t, phi) - fields.integrate_density(s, phi)
-    sub = np.arange(ks, kt + 1)
-    series = np.array([fields.integrate_flux(float(fields.times[k]), dphi)
-                       for k in sub])
-    rhs = float(simpson(series, fields.times[sub]))
-    return abs(lhs - rhs)
 
 
 def write_table(path, table: dict) -> None:

@@ -17,14 +17,13 @@ import numpy as np
 from .forces import PairWorker, force_rows, pair_worker, row_blocks
 from .model import Mobility, Problem
 from .quantile import ParticleState
-from .reconstruct import ReconstructedFields, StoredTimes
+from .reconstruct import ReconstructedFields
 
 __all__ = [
     "StepUnderflow",
     "UnorderedState",
     "NonFiniteState",
     "Trajectory",
-    "rhs",
     "forces_for",
     "integrate",
     "check_cell_bounds",
@@ -93,14 +92,8 @@ def velocity_field(problem: Problem, h: float,
     return velocity
 
 
-def rhs(state: ParticleState, problem: Problem) -> np.ndarray:
-    """Particle velocities for the current configuration; raises
-    ``UnorderedState`` unless the positions strictly increase."""
-    return velocity_field(problem, state.h)(state.positions)
-
-
 @dataclass(eq=False)
-class Trajectory(StoredTimes):
+class Trajectory:
     times: np.ndarray
     positions: np.ndarray     # (n_times, n_particles)
     velocities: np.ndarray    # (n_times, n_particles)
@@ -170,12 +163,17 @@ def _advance(x, dt, velocity, min_dt, t_now, stats):
 
 
 def default_dt(state: ParticleState, problem: Problem) -> float:
-    """CFL-style guard: a tenth of the minimum cell-crossing time."""
+    """CFL-style guard: a tenth of the minimum cell-crossing time; raises
+    ``NonFiniteState`` when the force bound leaves no positive step."""
     fmax = float(np.max(np.abs(forces_for(state, problem))))
     speed = problem.mobility.beta_max * fmax
     if speed <= 0:
         return 1e-3
-    return min(1e-3, 0.1 * (state.h / problem.M) / speed)
+    dt = min(1e-3, 0.1 * (state.h / problem.M) / speed)
+    if not (dt > 0.0 and speed < np.inf):   # NaN too
+        raise NonFiniteState(f"force bound beta_max * max|f| = {speed:.6g} "
+                             "leaves no positive default step")
+    return dt
 
 
 # Dormand-Prince 5(4) coefficients
@@ -268,8 +266,8 @@ def integrate(initial: ParticleState, problem: Problem, t_end: float,
     fills go to one forked :class:`~partmob.forces.PairWorker`, reaped
     however the run ends.  The trajectory's ``stats`` count what was done.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < np.inf:
+        raise ValueError("t_end must be finite and positive")
     if store_every < 1:
         raise ValueError("store_every must be at least 1")
     x0 = np.asarray(initial.positions, dtype=float)
@@ -278,6 +276,9 @@ def integrate(initial: ParticleState, problem: Problem, t_end: float,
     if scheme == "rk4":
         if dt is None:
             dt = default_dt(initial, problem)
+        elif not (0.0 < dt < np.inf and t_end / dt < np.inf):
+            raise ValueError("dt must be finite and positive, and t_end / dt "
+                             "finite")
     elif scheme == "rk45":
         if not (1e-12 < tol < 1e-2):
             raise ValueError("tolerance must lie in (1e-12, 1e-2)")

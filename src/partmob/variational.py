@@ -20,18 +20,14 @@ import numpy as np
 
 from .forces import (cell_pair_sum, continuum_force, force_rows, pair_sum,
                      row_blocks)
-from .model import (Mobility, Potentials, Problem, cell_gauss,
-                    cumulative_simpson, simpson)
+from .model import Potentials, Problem, cell_gauss, cumulative_simpson, simpson
 from .quantile import ParticleState, row_densities
 from .reconstruct import write_table
-from .solver import Trajectory, forces_for, upwind_betas
+from .solver import Trajectory, upwind_betas
 
 __all__ = [
     "free_energy",
     "reconstructed_energy",
-    "dual_dissipation",
-    "dissipation",
-    "dissipation_rate",
     "edb_residual",
     "edb_series",
     "records_residual",
@@ -68,63 +64,22 @@ def _dissipations(beta_left, beta_right, flux) -> np.ndarray:
     return np.where(infeasible, np.inf, out)
 
 
-def _per_particle(state: ParticleState, values, name: str) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if len(values) != len(state.positions):
-        raise ValueError(f"{name} must have one entry per particle")
-    return values
-
-
-def dual_dissipation(state: ParticleState, mobility: Mobility,
-                     zeta: np.ndarray) -> float:
-    """Quadratic form ``(1/2) sum_i [beta(left_i) (z_i^-)^2
-    + beta(right_i) (z_i^+)^2]`` with vacuum ghost cells."""
-    zeta = _per_particle(state, zeta, "zeta")
-    return float(_dual_dissipations(
-        *upwind_betas(state.densities(), mobility), zeta))
-
-
-def dissipation(state: ParticleState, mobility: Mobility,
-                flux: np.ndarray) -> float:
-    """Legendre dual of the dual dissipation: ``(1/2) sum_i
-    [(j_i^-)^2 / beta(left_i) + (j_i^+)^2 / beta(right_i)]``.
-
-    Convention ``0^2 / 0 = 0``; a nonzero flux against a vanished beta is
-    infeasible and returns ``+inf``.
-    """
-    flux = _per_particle(state, flux, "flux")
-    return float(_dissipations(*upwind_betas(state.densities(), mobility),
-                               flux))
-
-
-def dissipation_rate(state: ParticleState, problem: Problem) -> float:
-    """Instantaneous energy decay ``sum_i [beta(right_i)(f_i^-)^2
-    + beta(left_i)(f_i^+)^2]``, computed as twice the dual dissipation at
-    the negated force."""
-    return 2.0 * dual_dissipation(state, problem.mobility,
-                                  -forces_for(state, problem))
-
-
-def _rate_series(traj: Trajectory, stored=slice(None)):
-    """R_h(x, xdot) and R*(x, -f) at the stored times selected by the
-    slice ``stored``.
+def _rate_series(traj: Trajectory):
+    """R_h(x, xdot) and R*(x, -f) at every stored time.
 
     Works on blocks of stored times, with the forces of a block from one
     :func:`~partmob.forces.force_rows` call and its upwind mobilities from
-    one :func:`~partmob.solver.upwind_betas` call; each row is computed as
-    the one-state functions compute it.
+    one :func:`~partmob.solver.upwind_betas` call.
     """
-    positions = traj.positions[stored]
-    velocities = traj.velocities[stored]
     mob = traj.problem.mobility
-    n, n_particles = positions.shape
+    n, n_particles = traj.positions.shape
     r, r_star = np.empty(n), np.empty(n)
     # the widest temporary is the padded row of n_particles + 1 betas
     for rows in row_blocks(n, n_particles + 1):
-        x = positions[rows]
+        x = traj.positions[rows]
         betas = upwind_betas(row_densities(x, traj.h), mob)
         f = force_rows(x, traj.h, traj.problem.potentials)
-        r[rows] = _dissipations(*betas, velocities[rows])
+        r[rows] = _dissipations(*betas, traj.velocities[rows])
         r_star[rows] = _dual_dissipations(*betas, -f)
     return r, r_star
 
@@ -134,29 +89,23 @@ def _balance_defect(times, r, r_star, f_start, f_end) -> float:
     return abs(float(simpson(r + r_star, times)) + f_end - f_start)
 
 
-def edb_residual(traj: Trajectory, s: float | None = None,
-                 t: float | None = None) -> float:
-    """``|int_s^t (R + R*) dr + F(t) - F(s)|`` on the stored grid
-    (composite Simpson in time)."""
-    times = traj.times
-    ks = 0 if s is None else traj.index_of(s)
-    kt = len(times) - 1 if t is None else traj.index_of(t)
-    if kt - ks < 2:
-        raise ValueError("need at least three stored times between s and t")
-    sl = slice(ks, kt + 1)
-    r, r_star = _rate_series(traj, stored=sl)
+def edb_residual(traj: Trajectory) -> float:
+    """``|int_0^T (R + R*) dr + F(T) - F(0)|`` over the whole run, on the
+    stored grid (composite Simpson in time)."""
+    if len(traj.times) < 3:
+        raise ValueError("need at least three stored times")
+    r, r_star = _rate_series(traj)
     pots = traj.problem.potentials
-    f_end = free_energy(traj.state_at(kt), pots)
-    f_start = free_energy(traj.state_at(ks), pots)
-    return _balance_defect(times[sl], r, r_star, f_start, f_end)
+    f_end = free_energy(traj.state_at(-1), pots)
+    f_start = free_energy(traj.state_at(0), pots)
+    return _balance_defect(traj.times, r, r_star, f_start, f_end)
 
 
 def records_residual(table: dict) -> float:
-    """:func:`edb_residual` over the whole run, from the
-    :func:`gradient_records` table of its trajectory (same arrays, same
-    quadrature, nothing recomputed)."""
+    """:func:`edb_residual` from the :func:`gradient_records` table of its
+    trajectory (same arrays, same quadrature, nothing recomputed)."""
     if len(table["t"]) < 3:
-        raise ValueError("need at least three stored times between s and t")
+        raise ValueError("need at least three stored times")
     energies = table["F_h"]
     return _balance_defect(table["t"], table["R_h"], table["R_h_star"],
                            float(energies[0]), float(energies[-1]))

@@ -17,7 +17,9 @@ from partmob import forces
 from partmob import variational as var
 from partmob.cli import build_problem, parse_config
 from partmob.forces import force_rows
-from partmob.solver import Trajectory, velocity_field
+from partmob.model import edge_masses
+from partmob.quantile import row_densities
+from partmob.solver import Trajectory, upwind_betas, velocity_field
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.cfg")) \
@@ -104,6 +106,13 @@ def ref_mass(edges, rho):
     return float(np.sum(rho * np.diff(edges)))
 
 
+def ref_w1(fields, k):
+    # W1 from the initial profile, both cumulative-mass rows built alone
+    at = [(fields.edges[i], edge_masses(fields.edges[i], fields.densities[i]))
+          for i in (0, k)]
+    return diag._w1_between(*at[0], *at[1], fields.mass)
+
+
 def ref_rk4(x, h, problem, t_end, n_steps):
     dt = t_end / n_steps
     states, vels = [x], [ref_velocity(x, h, problem)]
@@ -132,16 +141,15 @@ def assert_series_match_loops(traj):
     assert bit_equal(r, ref[0])
     assert bit_equal(r_star, ref[1])
     assert bit_equal(2.0 * r_star, ref[2])
-    # the one-state functions are the one-row case of the same code
+    # one stored time alone is the one-row case of the same code
     mob = traj.problem.mobility
     for k in (0, len(traj.times) // 2, len(traj.times) - 1):
         state = traj.state_at(k)
         f = pm.forces_for(state, traj.problem)
         assert bit_equal(f, ref_forces(state.positions, traj.h, traj.problem))
-        assert var.dissipation(state, mob, traj.velocities[k]) == ref[0][k]
-        assert var.dual_dissipation(state, mob, -f) == ref[1][k]
-        assert var.dissipation_rate(state, traj.problem) == ref_decay(
-            state.densities(), mob, f)
+        betas = upwind_betas(row_densities(state.positions, traj.h), mob)
+        assert var._dissipations(*betas, traj.velocities[k]) == ref[0][k]
+        assert var._dual_dissipations(*betas, -f) == ref[1][k]
 
 
 def assert_norms_match_loops(traj):
@@ -155,7 +163,7 @@ def assert_norms_match_loops(traj):
         mass, tv = ref_mass(edges, rho), ref_tv(rho)
         expected.append((
             float(t), mass, mass + tv, tv, ref_h1(edges, rho),
-            diag.w1_distance(fields, float(fields.times[0]), float(t)),
+            ref_w1(fields, k),
             float(edges[-1] - edges[0]), float(np.max(rho)),
             float(np.min(np.diff(edges)) * problem.M / h)))
         assert diag.total_variation(rho) == tv
@@ -182,15 +190,12 @@ def test_blocks_match_per_state_loops(config, budget, monkeypatch):
     assert bit_equal(traj.velocities, vels)
     assert_series_match_loops(traj)
     assert_norms_match_loops(traj)
-    # edb_residual reads only the rows between s and t
-    s, t = float(traj.times[10]), float(traj.times[60])
     r, r_star, _ = ref_rates(traj)
     pots = problem.potentials
     expected = var._balance_defect(
-        traj.times[10:61], r[10:61], r_star[10:61],
-        var.free_energy(traj.state_at(10), pots),
-        var.free_energy(traj.state_at(60), pots))
-    assert var.edb_residual(traj, s, t) == expected
+        traj.times, r, r_star, var.free_energy(traj.state_at(0), pots),
+        var.free_energy(traj.state_at(len(traj.times) - 1), pots))
+    assert var.edb_residual(traj) == expected
 
 
 def test_rk45_series_match_per_state_loops(attractive_problem):
@@ -256,7 +261,7 @@ def test_velocity_closure_matches_formula(case):
         # a closure is reused across calls: evaluate twice
         assert bit_equal(velocity(x), expected)
         assert bit_equal(velocity(x), expected)
-        assert bit_equal(pm.rhs(pm.ParticleState(x, h=h), problem), expected)
+        assert bit_equal(velocity_field(problem, h)(x), expected)
         assert bit_equal(pm.forces_for(pm.ParticleState(x, h=h),
                                        problem),
                          ref_forces(x, h, problem))

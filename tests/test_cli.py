@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import partmob as pm
 from partmob import cli
@@ -511,6 +513,76 @@ def test_morse_parameters_with_infinite_bounds_are_config_errors(
     assert err.startswith("config error: Morse parameters c_attract=")
     assert err.rstrip().endswith(f"non-finite kernel bounds: {bounds}")
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("overrides, command, code, named", [
+    ("problem.mobility.M_beta=inf", "run", EXIT_CONFIG,
+     "problem.mobility.M_beta"),
+    ("problem.V.coeff=inf", "run", EXIT_CONFIG, "problem.V.coeff"),
+    ("problem.mobility.gamma=nan", "run", EXIT_CONFIG,
+     "problem.mobility.gamma"),
+    ("problem.initial.amplitude=nan", "run", EXIT_CONFIG,
+     "problem.initial.amplitude"),
+    ("problem.m=nan", "run", EXIT_CONFIG, "problem.m"),
+    # finite parameters whose force bound overflows: no positive step
+    ("problem.mobility.M_beta=1e200 problem.V.coeff=1e200", "run",
+     EXIT_NUMERICAL, "force bound"),
+    ("problem.mobility.M_beta=1e200 problem.V.coeff=1e200", "converge",
+     EXIT_NUMERICAL, "force bound"),
+])
+def test_non_finite_numbers_and_force_bounds_fail_cleanly(
+        tmp_path, capsys, overrides, command, code, named):
+    out = tmp_path / "out"
+    argv = ["--config", str(ROOT / "configs" / "reduction.cfg"),
+            "--out-dir", str(out)]
+    for item in overrides.split():
+        argv += ["--override", item]
+    got, err = run_main(capsys, argv + [command])
+    assert got == code
+    assert named in err
+    assert not list(out.glob("*.csv"))
+
+
+PROBLEM_NUMBERS = ("problem.mobility.M_beta", "problem.mobility.gamma",
+                   "problem.V.coeff", "problem.W.c_A", "problem.W.ell_A",
+                   "problem.W.c_R", "problem.W.ell_R", "problem.m",
+                   "problem.initial.amplitude", "problem.initial.center",
+                   "problem.initial.radius")
+EXTREMES = (0, -1, 1e-300, 1e300, float("nan"), float("inf"), float("-inf"))
+
+
+# a command prints numpy's overflow warnings and goes on to its exit code
+# (gamma = 1e300 overflows beta's power, for one); this test checks the
+# code, so it does not turn those warnings into errors
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(overrides=st.dictionaries(
+           st.sampled_from(PROBLEM_NUMBERS),
+           st.one_of(st.sampled_from(EXTREMES),
+                     st.floats(-3.0, 3.0, allow_subnormal=False)),
+           max_size=4),
+       v_kind=st.sampled_from(["linear", "quadratic"]),
+       w_kind=st.sampled_from(["zero", "newtonian_repulsive", "morse"]),
+       n_cells=st.integers(2, 8))
+@settings(max_examples=60, deadline=None)
+def test_any_problem_number_ends_in_an_exit_code(
+        tmp_path_factory, overrides, v_kind, w_kind, n_cells):
+    path = write_config(tmp_path_factory.mktemp("cfg"), f"""
+problem.V.kind = {v_kind}
+problem.W.kind = {w_kind}
+problem.W.c_A = 1.0
+problem.W.ell_A = 1.0
+problem.W.c_R = 0.5
+problem.W.ell_R = 0.3
+discretization.N = {n_cells}
+discretization.t_end = 0.01
+discretization.dt = 1e-3
+""")
+    argv = ["--config", str(path),
+            "--out-dir", str(tmp_path_factory.mktemp("out"))]
+    for key, value in overrides.items():
+        argv += ["--override", f"{key}={value!r}"]
+    assert main(argv + ["run"]) in (EXIT_OK, EXIT_CONFIG, EXIT_INVARIANT,
+                                    EXIT_NUMERICAL)
 
 
 @pytest.mark.parametrize("tolerance, command", [

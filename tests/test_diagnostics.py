@@ -42,9 +42,17 @@ def test_h1_proxy_flat_profiles_differ_only_by_ramps():
     assert two == pytest.approx(np.sqrt(4.0 / 3.0) + np.sqrt(4.0), rel=1e-12)
 
 
+def w1_from_initial(fields):
+    # the diagnostics table's W1 column; the problem only scales min_cell_ratio
+    problem = pm.Problem(pm.power_cap_mobility(1.0),
+                         pm.Potentials(pm.zero_potential(),
+                                       pm.no_interaction()),
+                         pm.parabolic_bump())
+    return diag.diagnostics_records(fields, problem)["w1_from_initial"]
+
+
 def test_w1_same_time_is_zero(short_attractive_run):
-    fields = short_attractive_run.fields
-    assert diag.w1_distance(fields, 0.0, 0.0) == 0.0
+    assert w1_from_initial(short_attractive_run.fields)[0] == 0.0
 
 
 def test_w1_translation_identity():
@@ -55,7 +63,7 @@ def test_w1_translation_identity():
             np.stack([base, base + delta]),
             np.ones((2, 2)) * 1.0,
             np.zeros((2, 3)), mass=1.0)
-        assert diag.w1_distance(f, 0.0, 1.0) == pytest.approx(delta, abs=1e-12)
+        assert w1_from_initial(f)[1] == pytest.approx(delta, abs=1e-12)
 
 
 def riemann_sum_w1_oracle(edges_a, rho_a, edges_b, rho_b, m, n=100000):
@@ -75,7 +83,7 @@ def test_w1_two_cell_example_against_riemann_sum():
         np.array([[0.0, 1.0], [0.0, 2.0]]),
         np.array([[1.0], [0.5]]),
         np.zeros((2, 2)), mass=1.0)
-    exact = diag.w1_distance(f, 0.0, 1.0)
+    exact = w1_from_initial(f)[1]
     assert exact == pytest.approx(0.5, abs=1e-12)
     oracle = riemann_sum_w1_oracle([0.0, 1.0], [1.0], [0.0, 2.0], [0.5], 1.0)
     assert exact == pytest.approx(oracle, abs=1e-4)
@@ -96,7 +104,7 @@ def test_w1_symmetry_and_triangle(width_a, shift, width_b):
                                    np.stack([edges[i], edges[j]]),
                                    np.stack([rho[i], rho[j]]),
                                    np.zeros((2, 2)), mass=1.0)
-        return diag.w1_distance(g, 0.0, 1.0)
+        return w1_from_initial(g)[1]
     d01, d10 = dist(0, 1), dist(1, 0)
     assert d01 == pytest.approx(d10, abs=1e-12)
     assert dist(0, 2) <= d01 + dist(1, 2) + 1e-10
@@ -155,7 +163,7 @@ def test_entropy_static_zero_force_vanishes():
     fields = traj.fields
     phi = diag.BumpTestFunction(0.0, 1.5, 0.5)
     for c in (0.25, 0.6, 1.0):
-        r = diag.entropy_residual(fields, p, c, phi)
+        r = diag.entropy_report(fields, p, [c], [phi])["residual"][0]
         assert r == pytest.approx(0.0, abs=1e-12)
 
 
@@ -168,7 +176,7 @@ def test_entropy_level_above_cap_vanishes():
     traj = pm.integrate(s, p, 0.5, dt=0.05)
     fields = traj.fields
     phi = diag.BumpTestFunction(0.3, 1.0, 0.5)
-    assert diag.entropy_residual(fields, p, 1.0, phi) == \
+    assert diag.entropy_report(fields, p, [1.0], [phi])["residual"][0] == \
         pytest.approx(0.0, abs=1e-12)
 
 
@@ -177,7 +185,7 @@ def test_entropy_positive_level_required(short_attractive_run,
     fields = short_attractive_run.fields
     phi = diag.BumpTestFunction(0.0, 1.0, float(fields.times[-1]))
     with pytest.raises(ValueError):
-        diag.entropy_residual(fields, attractive_problem, -0.5, phi)
+        diag.entropy_report(fields, attractive_problem, [-0.5], [phi])
 
 
 def test_entropy_reduction_particle_vs_reference(reduction_problem):

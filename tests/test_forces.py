@@ -8,6 +8,7 @@ import partmob as pm
 from partmob import forces
 from partmob.forces import continuum_force
 from partmob.model import GAUSS_NODES, GAUSS_WEIGHTS
+from partmob.quantile import row_densities
 
 
 @composite
@@ -87,7 +88,7 @@ def test_neighbour_difference_bound_along_trajectory(attractive_problem,
     for k in range(0, len(traj.times), 10):
         state = traj.state_at(k)
         f = pm.forces_for(state, attractive_problem)
-        widths = state.widths()
+        widths = np.diff(state.positions)
         assert np.all(np.abs(np.diff(f)) <= c_f * widths + 1e-12)
         second = np.abs(f[2:] - 2 * f[1:-1] + f[:-2])
         bound = c_f * (widths[1:] ** 2 + widths[:-1] ** 2
@@ -251,7 +252,7 @@ MORSE_JUMP = pytest.param(
                          ids=["V=0", "quadratic"])
 def test_continuum_dforce_is_the_derivative_of_force(kernel, external):
     state = pm.quantile_partition(pm.parabolic_bump(), 200)
-    edges, rho = state.positions, state.densities()
+    edges, rho = state.positions, row_densities(state.positions, state.h)
     pots = pm.Potentials(external, kernel)
     # one point per cell, at least 1 % of its width from both edges, so
     # that x -+ eps stays in the cell

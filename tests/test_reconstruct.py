@@ -11,8 +11,9 @@ from partmob import diagnostics as diag
 from partmob import reconstruct
 from partmob import variational as var
 from partmob.cli import space_time_l1
-from partmob.reconstruct import (SNAPSHOT_COLUMNS, continuity_residual,
-                                 write_snapshots_csv, write_table)
+from partmob.model import cell_gauss, simpson
+from partmob.reconstruct import (SNAPSHOT_COLUMNS, write_snapshots_csv,
+                                 write_table)
 
 
 def static_fields(edges, velocities=None, times=(0.0, 0.5, 1.0), h=None):
@@ -63,9 +64,9 @@ def test_one_stored_time_tolerance(t_end, share, same):
     checks = [
         lambda: fields.index_of(t_end + off),
         lambda: space_time_l1(fields, static_fields(edges, times=times + off)),
-        lambda: diag.entropy_residual(fields, problem, 0.5,
-                                      diag.BumpTestFunction(0.5, 0.3,
-                                                            t_end + off)),
+        lambda: diag.entropy_report(fields, problem, [0.5],
+                                    [diag.BumpTestFunction(0.5, 0.3,
+                                                           t_end + off)]),
     ]
     for check in checks:
         if same:
@@ -75,34 +76,39 @@ def test_one_stored_time_tolerance(t_end, share, same):
                 check()
 
 
-def test_flux_interpolates_edge_velocities():
-    f = static_fields([0.0, 1.0], velocities=[-1.0, 1.0], h=1.0)
-    assert f.flux_at(0.0, 0.5)[0] == pytest.approx(0.0)
-    assert f.flux_at(0.0, 0.75)[0] == pytest.approx(0.5)
-    assert f.flux_at(0.0, 0.0)[0] == pytest.approx(-1.0)
-    # static trajectory: flux vanishes
-    g = static_fields([0.0, 1.0])
-    assert g.flux_at(0.0, 0.3)[0] == 0.0
-
-
 def test_mass_constant_along_run(short_attractive_run):
     fields = short_attractive_run.fields
     for mass in fields.masses():
         assert mass == pytest.approx(fields.mass, rel=1e-12)
 
 
+def continuity_defect(fields, phi, dphi):
+    """Weak-form defect ``|<phi, rho_T> - <phi, rho_0> - int <phi', j>|``
+    of the reconstruction over the whole run: Gauss order 4 per cell in
+    space, composite Simpson on the stored grid in time."""
+    def moment(k, fn, flux=False):
+        nodes, weights = cell_gauss(fields.edges[k])
+        vals = fn(nodes)
+        if flux:
+            vals = vals * np.interp(nodes, fields.edges[k],
+                                    fields.edge_velocities[k])
+        return np.sum(fields.densities[k][:, None] * weights * vals)
+    series = [moment(k, dphi, flux=True) for k in range(len(fields.times))]
+    change = moment(-1, phi) - moment(0, phi)
+    return abs(change - simpson(np.array(series), fields.times))
+
+
 def test_continuity_constant_test_function(short_attractive_run):
     fields = short_attractive_run.fields
-    r = continuity_residual(fields, lambda x: np.ones_like(x),
-                            lambda x: np.zeros_like(x), 0.0,
-                            float(fields.times[-1]))
+    r = continuity_defect(fields, lambda x: np.ones_like(x),
+                          lambda x: np.zeros_like(x))
     assert r == pytest.approx(0.0, abs=1e-13)
 
 
 def test_continuity_static_any_test_function():
     f = static_fields([0.0, 0.4, 1.0])
-    r = continuity_residual(f, lambda x: np.sin(3 * x), lambda x: 3 * np.cos(3 * x),
-                            0.0, 1.0)
+    r = continuity_defect(f, lambda x: np.sin(3 * x),
+                          lambda x: 3 * np.cos(3 * x))
     assert r == pytest.approx(0.0, abs=1e-14)
 
 
@@ -110,8 +116,7 @@ def test_continuity_center_of_mass(attractive_problem):
     s = pm.quantile_partition(attractive_problem.initial, 100)
     traj = pm.integrate(s, attractive_problem, 1.0, dt=1e-3)
     fields = traj.fields
-    r = continuity_residual(fields, lambda x: x, lambda x: np.ones_like(x),
-                            0.0, 1.0)
+    r = continuity_defect(fields, lambda x: x, lambda x: np.ones_like(x))
     m = fields.mass
     support = fields.edges[0][-1] - fields.edges[0][0]
     assert r <= 1e-4 * m * support
@@ -121,13 +126,6 @@ def test_continuity_center_of_mass(attractive_problem):
     assert abs(moments[-1] - moments[0]) <= 1e-3
 
 
-def test_missing_derivative_rejected(short_attractive_run):
-    fields = short_attractive_run.fields
-    with pytest.raises(ValueError):
-        continuity_residual(fields, lambda x: x, None, 0.0,
-                            float(fields.times[-1]))
-
-
 def test_flux_total_variation_bound(short_attractive_run):
     traj = short_attractive_run
     fields = traj.fields
@@ -135,7 +133,10 @@ def test_flux_total_variation_bound(short_attractive_run):
         t = float(fields.times[k])
         edges = fields.edges[k]
         xs = np.linspace(edges[0], edges[-1], 4001)
-        flux_l1 = np.trapezoid(np.abs(fields.flux_at(t, xs)), xs)
+        # density times the velocity interpolated between the edges
+        flux = fields.density_at(t, xs) * np.interp(
+            xs, edges, fields.edge_velocities[k])
+        flux_l1 = np.trapezoid(np.abs(flux), xs)
         sup_u = np.max(np.abs(fields.edge_velocities[k]))
         assert flux_l1 <= fields.mass * sup_u * (1.0 + 1e-6) + 1e-12
 

@@ -35,7 +35,7 @@ def make_problem(external, interaction):
 def test_zero_field_is_static():
     p = make_problem(pm.zero_potential(), pm.no_interaction())
     s = pm.quantile_partition(p.initial, 10)
-    assert np.all(pm.rhs(s, p) == 0.0)
+    assert np.all(velocity_field(p, s.h)(s.positions) == 0.0)
     traj = pm.integrate(s, p, 0.5, dt=0.05)
     assert np.allclose(traj.positions, traj.positions[0], atol=1e-15)
 
@@ -44,14 +44,14 @@ def test_capped_interior_is_frozen():
     # both neighbouring cells at the cap: the interior particle cannot move
     p = make_problem(pm.quadratic_potential(3.0), pm.no_interaction())
     s = pm.ParticleState([0.0, 1.0, 2.0], h=1.0)  # densities exactly 1
-    v = pm.rhs(s, p)
+    v = velocity_field(p, s.h)(s.positions)
     assert v[1] == 0.0
 
 
 def test_upwind_rule_matches_hand_example():
     p = make_problem(pm.quadratic_potential(1.0), pm.newtonian(False))
     s = pm.ParticleState([-1.0, 0.0, 1.0], h=1.0)
-    v = pm.rhs(s, p)
+    v = velocity_field(p, s.h)(s.positions)
     assert np.allclose(v, [-1.0, 0.0, 1.0], atol=1e-14)
     assert np.allclose(v, upwind_oracle(s.positions, 1.0, p), atol=1e-14)
 
@@ -63,7 +63,7 @@ def test_single_cell_translation():
                                  pm.no_interaction()),
                    pm.uniform_density(0.0, 1.0, 1.0))
     s = pm.ParticleState([0.0, 1.0], h=1.0)
-    v = pm.rhs(s, p)
+    v = velocity_field(p, s.h)(s.positions)
     assert np.allclose(v, [0.0, 1.0], atol=1e-14)
     assert np.allclose(v, upwind_oracle(s.positions, 1.0, p), atol=1e-14)
 
@@ -74,8 +74,7 @@ def test_oracle_agrees_on_random_states(attractive_problem):
         positions = np.sort(rng.uniform(-2, 2, 12))
         positions += np.arange(12) * 1e-3  # enforce distinctness
         h = 0.15
-        s = pm.ParticleState(positions, h=h)
-        assert np.allclose(pm.rhs(s, attractive_problem),
+        assert np.allclose(velocity_field(attractive_problem, h)(positions),
                            upwind_oracle(positions, h, attractive_problem),
                            atol=1e-13)
 
@@ -173,6 +172,29 @@ def test_store_every_validated(attractive_problem):
         pm.integrate(s, attractive_problem, 0.1, dt=0.01, store_every=0)
 
 
+@pytest.mark.parametrize("t_end, dt, named", [
+    (np.inf, 0.01, "t_end"), (np.nan, 0.01, "t_end"), (0.0, 0.01, "t_end"),
+    (0.1, 0.0, "dt"), (0.1, -1e-3, "dt"), (0.1, np.inf, "dt"),
+    (0.1, np.nan, "dt"),
+    (0.1, 1e-320, "dt"),    # t_end / dt overflows
+])
+def test_horizon_and_step_validated(attractive_problem, t_end, dt, named):
+    s = pm.quantile_partition(attractive_problem.initial, 10)
+    with pytest.raises(ValueError, match=named):
+        pm.integrate(s, attractive_problem, t_end, dt=dt)
+
+
+def test_overflowing_force_bound_leaves_no_default_step():
+    # beta_max * max|f| = 1e200 * 1e200 is inf: the step would be 0.0
+    p = pm.Problem(pm.power_cap_mobility(1e200),
+                   pm.Potentials(pm.linear_potential(1e200),
+                                 pm.no_interaction()),
+                   pm.parabolic_bump())
+    s = pm.quantile_partition(p.initial, 10)
+    with pytest.raises(pm.NonFiniteState, match="force bound"):
+        pm.default_dt(s, p)
+
+
 def test_rk45_reaches_end(attractive_problem):
     s = pm.quantile_partition(attractive_problem.initial, 20)
     traj = pm.integrate(s, attractive_problem, 0.2, scheme="rk45", tol=1e-9)
@@ -233,7 +255,7 @@ def test_disordered_initial_state_rejected(attractive_problem):
         pm.integrate(s, attractive_problem, 0.1, dt=0.01)
     # a numerical failure, not bad input: the CLI maps it to exit code 3
     with pytest.raises(pm.UnorderedState, match="strictly ordered"):
-        pm.rhs(s, attractive_problem)
+        velocity_field(attractive_problem, s.h)(s.positions)
     assert issubclass(pm.UnorderedState, ValueError)
 
 

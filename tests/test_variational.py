@@ -6,16 +6,30 @@ from hypothesis import strategies as st
 import partmob as pm
 from partmob import forces
 from partmob.model import GAUSS_NODES, GAUSS_WEIGHTS, cell_gauss
+from partmob.quantile import row_densities
 from partmob.solver import upwind_betas
-from partmob.variational import (continuous_dual_dissipation, dissipation,
-                                 dissipation_rate, dual_dissipation,
+from partmob.variational import (_dissipations, _dual_dissipations,
+                                 _rate_series, continuous_dual_dissipation,
                                  edb_series, free_energy,
                                  reconstructed_energy, records_residual)
 
 
+def betas_of(state, mobility):
+    # the upwind mobilities of one state, as the block functionals read them
+    return upwind_betas(row_densities(state.positions, state.h), mobility)
+
+
+def r_of(state, mobility, flux):
+    return float(_dissipations(*betas_of(state, mobility), flux))
+
+
+def r_star_of(state, mobility, zeta):
+    return float(_dual_dissipations(*betas_of(state, mobility), zeta))
+
+
 def quadratic_form_oracle(state, mobility, zeta):
     # independent scalar expansion of the dual dissipation
-    rho = list(state.densities())
+    rho = list(row_densities(state.positions, state.h))
     n = len(rho)
     beta = lambda s: float(mobility.beta(s))
     total = 0.0
@@ -59,9 +73,9 @@ def test_energy_newtonian_pair_sum():
 def test_dual_dissipation_trivial_and_capped():
     mob = pm.power_cap_mobility(1.0)
     s = pm.ParticleState([0.0, 1.0, 2.0], h=1.0)   # densities at the cap
-    assert dual_dissipation(s, mob, np.zeros(3)) == 0.0
+    assert r_star_of(s, mob, np.zeros(3)) == 0.0
     # interior-only potential: both neighbouring betas vanish
-    assert dual_dissipation(s, mob, np.array([0.0, 5.0, 0.0])) == 0.0
+    assert r_star_of(s, mob, np.array([0.0, 5.0, 0.0])) == 0.0
 
 
 def test_dual_dissipation_single_cell_value():
@@ -70,17 +84,17 @@ def test_dual_dissipation_single_cell_value():
     zeta = np.array([1.0, -1.0])
     expected = quadratic_form_oracle(s, mob, zeta)
     assert expected == pytest.approx(0.5)
-    assert dual_dissipation(s, mob, zeta) == pytest.approx(expected, abs=1e-15)
+    assert r_star_of(s, mob, zeta) == pytest.approx(expected, abs=1e-15)
 
 
 def test_dissipation_trivial_and_infeasible():
     mob = pm.power_cap_mobility(1.0)
     s = pm.ParticleState([0.0, 1.0, 2.0], h=1.0)   # cap densities
-    assert dissipation(s, mob, np.zeros(3)) == 0.0
+    assert r_of(s, mob, np.zeros(3)) == 0.0
     # pushing the interior particle right needs beta of its right cell
-    assert dissipation(s, mob, np.array([0.0, 1.0, 0.0])) == np.inf
+    assert r_of(s, mob, np.array([0.0, 1.0, 0.0])) == np.inf
     # outward motion of the endpoints is free of the cap
-    assert np.isfinite(dissipation(s, mob, np.array([-1.0, 0.0, 1.0])))
+    assert np.isfinite(r_of(s, mob, np.array([-1.0, 0.0, 1.0])))
 
 
 @given(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=3,
@@ -98,15 +112,16 @@ def test_fenchel_young_inequality(zeta_raw, gaps):
     rng = np.random.default_rng(0)
     for _ in range(8):
         j = rng.uniform(-1.5, 1.5, n + 1)
-        r = dissipation(state, mob, j)
+        r = r_of(state, mob, j)
         if np.isfinite(r):
-            assert r + dual_dissipation(state, mob, zeta) >= \
+            assert r + r_star_of(state, mob, zeta) >= \
                 float(np.dot(zeta, j)) - 1e-10
     # equality at the dual-optimal flux
-    rho_ext = np.concatenate([[0.0], state.densities(), [0.0]])
+    rho_ext = np.concatenate([[0.0], row_densities(state.positions, 0.4),
+                              [0.0]])
     bl, br = mob.beta(rho_ext[:-1]), mob.beta(rho_ext[1:])
     j_opt = bl * np.minimum(zeta, 0.0) + br * np.maximum(zeta, 0.0)
-    lhs = dissipation(state, mob, j_opt) + dual_dissipation(state, mob, zeta)
+    lhs = r_of(state, mob, j_opt) + r_star_of(state, mob, zeta)
     assert lhs == pytest.approx(float(np.dot(zeta, j_opt)), abs=1e-12)
 
 
@@ -115,12 +130,12 @@ def test_legendre_dual_by_grid_search():
     mob = pm.power_cap_mobility(1.0)
     state = pm.ParticleState([0.0, 0.8, 2.1], h=0.5)
     zeta = np.array([0.7, -1.1, 0.4])
-    target = dual_dissipation(state, mob, zeta)
+    target = r_star_of(state, mob, zeta)
     grid = np.linspace(-3.0, 3.0, 61)
     flux = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"),
                     axis=-1).reshape(-1, 3)
     # R on the whole grid from the same upwind split, +inf where infeasible
-    beta_left, beta_right = upwind_betas(state.densities(), mob)
+    beta_left, beta_right = betas_of(state, mob)
     jp, jm = np.maximum(flux, 0.0), np.minimum(flux, 0.0)
     infeasible = np.any(((jp > 0) & (beta_right == 0.0))
                         | ((jm < 0) & (beta_left == 0.0)), axis=1)
@@ -130,31 +145,29 @@ def test_legendre_dual_by_grid_search():
     r = np.where(infeasible, np.inf, 0.5 * terms.sum(axis=1))
     sample = np.random.default_rng(0).choice(len(flux), 100, replace=False)
     for k in sample:
-        assert r[k] == dissipation(state, mob, flux[k])
+        assert r[k] == r_of(state, mob, flux[k])
     best = float(np.max(flux @ zeta - r))
     assert best == pytest.approx(target, abs=5e-3)
 
 
-def test_fenchel_young_equality_along_flow(short_attractive_run,
-                                           attractive_problem):
-    traj = short_attractive_run
-    mob = attractive_problem.mobility
-    for k in range(0, len(traj.times), 7):
-        state = traj.state_at(k)
-        f = pm.forces_for(state, attractive_problem)
-        r = dissipation(state, mob, traj.velocities[k])
-        r_star = dual_dissipation(state, mob, -f)
-        assert abs(r - r_star) <= 1e-12 * (1.0 + r_star)
+def test_fenchel_young_equality_along_flow(short_attractive_run):
+    r, r_star = _rate_series(short_attractive_run)
+    assert np.all(np.abs(r - r_star) <= 1e-12 * (1.0 + r_star))
 
 
 def test_decay_rate_equals_twice_dual(short_attractive_run,
                                       attractive_problem):
+    # D = sum_i [beta(right_i)(f_i^-)^2 + beta(left_i)(f_i^+)^2] = 2 R*
     traj = short_attractive_run
     state = traj.state_at(5)
     f = pm.forces_for(state, attractive_problem)
-    d = dissipation_rate(state, attractive_problem)
-    assert d == pytest.approx(
-        2.0 * dual_dissipation(state, attractive_problem.mobility, -f),
+    beta_left, beta_right = betas_of(state, attractive_problem.mobility)
+    decay = np.sum(beta_right * np.minimum(f, 0.0)**2
+                   + beta_left * np.maximum(f, 0.0)**2)
+    _, _, _, _, d, _ = edb_series(traj)
+    assert d[5] == pytest.approx(decay, rel=1e-14)
+    assert d[5] == pytest.approx(
+        2.0 * r_star_of(state, attractive_problem.mobility, -f),
         rel=1e-14)
 
 
@@ -180,9 +193,10 @@ def test_records_residual_matches_edb_residual(short_attractive_run):
     table = pm.gradient_records(traj)
     assert records_residual(table) == pm.edb_residual(traj)
     _, _, _, _, d, _ = edb_series(traj)
-    assert np.array_equal(d, [dissipation_rate(traj.state_at(k),
-                                               traj.problem)
-                              for k in range(len(traj.times))])
+    assert np.array_equal(d, [
+        2.0 * r_star_of(traj.state_at(k), traj.problem.mobility,
+                               -pm.forces_for(traj.state_at(k), traj.problem))
+        for k in range(len(traj.times))])
 
 
 def test_energy_monotone_along_flow(short_attractive_run):
@@ -347,15 +361,13 @@ def test_profile_dual_dissipation_close_to_particle_one(attractive_problem):
         s = pm.quantile_partition(p.initial, n)
         traj = pm.integrate(s, p, 0.1, dt=2e-3, store_every=25)
         fields = traj.fields
+        _, r_star = _rate_series(traj)
         worst = -np.inf
         for k in range(len(fields.times)):
-            state = traj.state_at(k)
-            f = pm.forces_for(state, p)
             lhs = continuous_dual_dissipation(fields.edges[k],
                                               fields.densities[k], p,
                                               exclude_own_cell=True)
-            rhs = traj.h * dual_dissipation(state, p.mobility, -f)
-            worst = max(worst, (lhs - rhs) / traj.h)
+            worst = max(worst, (lhs - traj.h * r_star[k]) / traj.h)
         slack.append(worst)
     assert slack[1] <= max(2.0 * slack[0], 1.0)
 
@@ -378,11 +390,14 @@ def test_action_consistency_shrinks_with_h(attractive_problem):
         edges, rho = fields.edges[k], fields.densities[k]
         xs = np.linspace(edges[0], edges[-1], 20001)
         theta_vals = p.mobility.theta(fields.density_at(t, xs))
-        pair_cont = fields.integrate_flux(t, phi) \
+        # <phi, flux>: Gauss per cell, velocity interpolated between edges
+        nodes, weights = cell_gauss(edges)
+        u = np.interp(nodes, edges, fields.edge_velocities[k])
+        pair_cont = np.sum(rho[:, None] * weights * u * phi(nodes)) \
             - 0.5 * np.trapezoid(phi(xs)**2 * theta_vals, xs)
         xi = phi(state.positions)
         pair_disc = traj.h * (float(np.dot(xi, traj.velocities[k]))
-                              - dual_dissipation(state, p.mobility, xi))
+                              - r_star_of(state, p.mobility, xi))
         gaps.append(abs(pair_cont - pair_disc))
     assert gaps[2] < gaps[0]
     assert gaps[2] <= 0.6 * gaps[0]
