@@ -91,7 +91,7 @@ def _theta_max(mobility) -> float:
     return float(np.max(mobility.theta(np.linspace(0.0, mobility.cap, 257))))
 
 
-def _max_dt(grid: FvGrid, problem: Problem, force: np.ndarray, cfl: float,
+def _max_dt(grid: FvGrid, problem: Problem, force: np.ndarray,
             theta_max: float) -> float:
     lip_theta = problem.mobility.lip_theta
     fmax = float(np.max(np.abs(force)))
@@ -99,12 +99,12 @@ def _max_dt(grid: FvGrid, problem: Problem, force: np.ndarray, cfl: float,
     speed = fmax * lip_theta + theta_max * lip_force
     if speed <= 0:
         return np.inf
-    return cfl * grid.dx / speed
+    return 0.45 * grid.dx / speed   # Courant number 0.45
 
 
 def fv_step(grid: FvGrid, problem: Problem, dt: float,
-            force: np.ndarray | None = None, cfl: float = 0.45,
-            boundary: str = "vacuum", max_dt: float | None = None) -> FvGrid:
+            force: np.ndarray | None = None, boundary: str = "vacuum",
+            max_dt: float | None = None) -> FvGrid:
     """One conservative Rusanov step; raises ``CflViolation`` when ``dt``
     exceeds the stability bound.
 
@@ -116,8 +116,7 @@ def fv_step(grid: FvGrid, problem: Problem, dt: float,
     if force is None:
         force = _interface_force(grid, problem, grid.edges)
     if max_dt is None:
-        max_dt = _max_dt(grid, problem, force, cfl,
-                         _theta_max(problem.mobility))
+        max_dt = _max_dt(grid, problem, force, _theta_max(problem.mobility))
     if dt > max_dt * (1.0 + 1e-12):
         raise CflViolation(
             f"dt={dt:.3e} exceeds the CFL bound at t={grid.t:.6g}")
@@ -145,8 +144,8 @@ def fv_step(grid: FvGrid, problem: Problem, dt: float,
 
 
 def fv_solve(problem: Problem, window: tuple[float, float], dx: float,
-             t_end: float, cfl: float = 0.45, store_times=None,
-             boundary: str = "vacuum") -> tuple[FvGrid, ReconstructedFields]:
+             t_end: float, store_times=None, boundary: str = "vacuum"
+             ) -> tuple[FvGrid, ReconstructedFields]:
     """March the grid to ``t_end``, storing snapshots at the requested
     times (always including 0 and ``t_end``) on the fixed grid's edges,
     with zero edge velocities."""
@@ -164,7 +163,7 @@ def fv_solve(problem: Problem, window: tuple[float, float], dx: float,
     theta_max = _theta_max(problem.mobility)
     while grid.t < t_end - 1e-14:
         force = _interface_force(grid, problem, edges)
-        bound = _max_dt(grid, problem, force, cfl, theta_max)
+        bound = _max_dt(grid, problem, force, theta_max)
         dt = min(bound, t_end - grid.t)
         if next_i < len(wanted):
             dt = min(dt, wanted[next_i] - grid.t)
@@ -184,9 +183,8 @@ def fv_solve(problem: Problem, window: tuple[float, float], dx: float,
 # Exact Riemann solutions for the conservation-law reduction
 # ---------------------------------------------------------------------------
 
-def _check_concave(mobility, lo=0.0, hi=None):
-    hi = mobility.cap if hi is None else hi
-    s = np.linspace(lo, hi, 1025)
+def _check_concave(mobility):
+    s = np.linspace(0.0, mobility.cap, 1025)
     slopes = mobility.dtheta(s)
     if np.any(np.diff(slopes) > 1e-9 * max(1.0, np.max(np.abs(slopes)))):
         raise NonConcaveFlux("flux mobility must be concave for the exact "

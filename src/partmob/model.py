@@ -614,14 +614,14 @@ class InvalidProblem(ValueError):
         super().__init__(f"invalid problem: {lines}")
 
 
-def _integrate_density(initial: InitialDensity, panels_per_piece: int = 512) -> float:
+def _integrate_density(initial: InitialDensity) -> float:
     # composite Gauss aligned to declared breakpoints, so step profiles are
     # integrated exactly and smooth ones far beyond the check tolerance
     pieces = initial.breakpoints if initial.breakpoints is not None \
         else np.array([initial.x_min, initial.x_max])
     total = 0.0
     for a, b in zip(pieces[:-1], pieces[1:]):
-        nodes, weights = cell_gauss(np.linspace(a, b, panels_per_piece + 1))
+        nodes, weights = cell_gauss(np.linspace(a, b, 512 + 1))
         total += float(np.sum(weights * initial.density(nodes)))
     return total
 

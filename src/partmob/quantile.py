@@ -38,17 +38,6 @@ class ParticleState:
         return len(self.positions) - 1
 
 
-def row_densities(positions: np.ndarray, h: float) -> np.ndarray:
-    """Per-cell densities ``h / (x[i+1] - x[i])`` of one state or of every
-    row of a ``(n_times, n_particles)`` block of positions; rejects
-    coincident particles."""
-    widths = np.diff(positions, axis=-1)
-    if np.any(widths <= 0):
-        bad = int(np.argmin(widths)) % widths.shape[-1]
-        raise QuantileError(f"coincident or disordered particles at cell {bad}")
-    return h / widths
-
-
 def _rightmost_quantile(cumulative, target, lo, hi, mass, span):
     # binary search on the monotone predicate cumulative(x) > target; the
     # bracket shrinks onto the rightmost point where the cumulative equals

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .forces import PairWorker, force_rows, pair_worker, row_blocks
-from .model import Mobility, Problem
+from .model import Problem
 from .quantile import ParticleState
 from .reconstruct import ReconstructedFields
 
@@ -50,15 +50,18 @@ def forces_for(state: ParticleState, problem: Problem,
     return force_rows(state.positions, state.h, problem.potentials, pairs)
 
 
-def upwind_betas(densities: np.ndarray,
-                 mobility: Mobility) -> tuple[np.ndarray, np.ndarray]:
-    """Mobility of the cell left and right of every particle, with vacuum
-    ghost cells beyond both ends; one ``beta`` evaluation.  ``densities``
-    holds one state or one row per stored time."""
-    padded = np.zeros(densities.shape[:-1] + (densities.shape[-1] + 2,))
-    padded[..., 1:-1] = densities
-    beta = mobility.beta(padded)
-    return beta[..., :-1], beta[..., 1:]
+def upwind_betas(positions: np.ndarray, h: float, beta,
+                 padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``beta`` of the cell left and right of every particle, for one state
+    or one row per stored time, by one ``beta`` call on ``padded``: the
+    densities ``h / width`` between zero vacuum ghost cells.  Raises
+    ``UnorderedState`` unless the positions strictly increase."""
+    widths = positions[..., 1:] - positions[..., :-1]
+    if (widths <= 0.0).any():
+        raise UnorderedState("state is not strictly ordered")
+    np.divide(h, widths, out=padded[..., 1:-1])
+    betas = beta(padded)
+    return betas[..., :-1], betas[..., 1:]
 
 
 def velocity_field(problem: Problem, h: float,
@@ -73,20 +76,16 @@ def velocity_field(problem: Problem, h: float,
 
     def velocity(x):
         nonlocal padded
-        widths = x[1:] - x[:-1]
-        if (widths <= 0.0).any():
-            raise UnorderedState("state is not strictly ordered")
         if len(padded) != len(x) + 1:
             padded = np.zeros(len(x) + 1)
-        np.divide(h, widths, out=padded[1:-1])
-        betas = beta(padded)
+        beta_left, beta_right = upwind_betas(x, h, beta, padded)
         f = forces_for(ParticleState(x, h=h), problem, pairs)
-        # (-beta_right) * f^- - beta_left * f^+, the upwind_betas split;
+        # (-beta_right) * f^- - beta_left * f^+;
         # -(beta_right * f^- + ...) would flip the sign of some zeros
         v = np.minimum(f, 0.0)
-        np.multiply(np.negative(betas[1:]), v, out=v)
+        np.multiply(np.negative(beta_right), v, out=v)
         np.maximum(f, 0.0, out=f)
-        np.multiply(betas[:-1], f, out=f)
+        np.multiply(beta_left, f, out=f)
         return np.subtract(v, f, out=v)
 
     return velocity
@@ -100,7 +99,8 @@ class Trajectory:
     h: float
     problem: Problem
     # what integrate did: "velocity_evals", "halvings" (intervals halved in
-    # the fixed-step scheme) and "pair_worker" (dense pair fills on two CPUs)
+    # the fixed-step scheme), "dt" (the rk4 step, given or default_dt's;
+    # None under rk45) and "pair_worker" (dense pair fills on two CPUs)
     stats: dict = field(default_factory=dict)
 
     @property
@@ -240,9 +240,13 @@ def _integrate_rk4(x, t_end, dt, velocity, min_dt, store_every, stats):
     dt = t_end / n_steps
     # step 0, every store_every-th step, and the last step
     n_store = 1 + -(-n_steps // store_every)
-    times = np.empty(n_store)
-    states = np.empty((n_store, x.size))
-    vels = np.empty((n_store, x.size))
+    try:
+        times = np.empty(n_store)
+        states = np.empty((n_store, x.size))
+        vels = np.empty((n_store, x.size))
+    except ValueError as exc:   # more values than numpy can index
+        raise MemoryError(f"{n_store:.3g} stored times of {x.size} "
+                          f"particles: {exc}") from None
     times[0], states[0], vels[0] = 0.0, x, velocity(x)
     k = 1
     for step in range(n_steps):
@@ -282,11 +286,12 @@ def integrate(initial: ParticleState, problem: Problem, t_end: float,
     elif scheme == "rk45":
         if not (1e-12 < tol < 1e-2):
             raise ValueError("tolerance must lie in (1e-12, 1e-2)")
+        dt = None
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     h = initial.h
     min_dt = 1e-12 * t_end
-    stats = {"velocity_evals": 0, "halvings": 0}
+    stats = {"velocity_evals": 0, "halvings": 0, "dt": dt}
 
     with pair_worker(problem.potentials, x0.size) as pairs:
         stats["pair_worker"] = pairs is not None
@@ -312,10 +317,6 @@ class CellBoundReport:
     max_width_ratio: float | None     # max over time of max_i width * sigma / h
     growth_bound: float | None        # e^(mu T) with mu slightly above c_f * beta_max
     max_density: float                # max over time of max_i h / width
-
-    @property
-    def lower_bound_ok(self) -> bool:
-        return self.min_width_ratio >= 1.0 - 1e-6
 
 
 def check_cell_bounds(traj: Trajectory) -> CellBoundReport:

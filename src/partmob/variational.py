@@ -21,7 +21,7 @@ import numpy as np
 from .forces import (cell_pair_sum, continuum_force, force_rows, pair_sum,
                      row_blocks)
 from .model import Potentials, Problem, cell_gauss, cumulative_simpson, simpson
-from .quantile import ParticleState, row_densities
+from .quantile import ParticleState
 from .reconstruct import write_table
 from .solver import Trajectory, upwind_betas
 
@@ -71,13 +71,14 @@ def _rate_series(traj: Trajectory):
     :func:`~partmob.forces.force_rows` call and its upwind mobilities from
     one :func:`~partmob.solver.upwind_betas` call.
     """
-    mob = traj.problem.mobility
+    beta = traj.problem.mobility.beta
     n, n_particles = traj.positions.shape
     r, r_star = np.empty(n), np.empty(n)
     # the widest temporary is the padded row of n_particles + 1 betas
     for rows in row_blocks(n, n_particles + 1):
         x = traj.positions[rows]
-        betas = upwind_betas(row_densities(x, traj.h), mob)
+        betas = upwind_betas(x, traj.h, beta,
+                             np.zeros((len(x), n_particles + 1)))
         f = force_rows(x, traj.h, traj.problem.potentials)
         r[rows] = _dissipations(*betas, traj.velocities[rows])
         r_star[rows] = _dual_dissipations(*betas, -f)

@@ -18,7 +18,6 @@ from partmob import variational as var
 from partmob.cli import build_problem, parse_config
 from partmob.forces import force_rows
 from partmob.model import edge_masses
-from partmob.quantile import row_densities
 from partmob.solver import Trajectory, upwind_betas, velocity_field
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -141,13 +140,25 @@ def assert_series_match_loops(traj):
     assert bit_equal(r, ref[0])
     assert bit_equal(r_star, ref[1])
     assert bit_equal(2.0 * r_star, ref[2])
-    # one stored time alone is the one-row case of the same code
-    mob = traj.problem.mobility
+    # one stored time alone is the one-row case of the same code, and the
+    # velocity splits the force with the same betas
+    beta = traj.problem.mobility.beta
+    n_particles = traj.positions.shape[1]
+    block = upwind_betas(traj.positions, traj.h, beta,
+                         np.zeros((len(traj.times), n_particles + 1)))
+    velocity = velocity_field(traj.problem, traj.h)
     for k in (0, len(traj.times) // 2, len(traj.times) - 1):
         state = traj.state_at(k)
         f = pm.forces_for(state, traj.problem)
         assert bit_equal(f, ref_forces(state.positions, traj.h, traj.problem))
-        betas = upwind_betas(row_densities(state.positions, traj.h), mob)
+        betas = upwind_betas(state.positions, traj.h, beta,
+                             np.zeros(n_particles + 1))
+        assert all(map(bit_equal, betas, (block[0][k], block[1][k])))
+        assert all(map(bit_equal, betas, ref_betas(
+            traj.h / np.diff(state.positions), traj.problem.mobility)))
+        assert bit_equal(velocity(state.positions),
+                         -betas[1] * np.minimum(f, 0.0)
+                         - betas[0] * np.maximum(f, 0.0))
         assert var._dissipations(*betas, traj.velocities[k]) == ref[0][k]
         assert var._dual_dissipations(*betas, -f) == ref[1][k]
 
@@ -325,6 +336,6 @@ def test_random_problems_series_and_ordering(problem, n_cells):
         state = pm.quantile_partition(problem.initial, n_cells)
     traj = pm.integrate(state, problem, 0.05, store_every=2)
     assert np.all(np.diff(traj.positions, axis=1) > 0.0)
-    assert pm.check_cell_bounds(traj).lower_bound_ok
+    assert pm.check_cell_bounds(traj).min_width_ratio >= 1.0 - 1e-6
     assert_series_match_loops(traj)
     assert_norms_match_loops(traj)

@@ -383,6 +383,38 @@ def test_edb_check_prints_fresh_residual(tmp_path, capsys):
     assert printed.startswith(f"edb residual: {pm.edb_residual(traj):.6e} ")
 
 
+@pytest.mark.parametrize("dt", [None, "2e-3"])
+def test_edb_check_halves_the_runs_own_step(tmp_path, capsys, monkeypatch,
+                                            dt):
+    # the half-step run halves the step the main run resolved, without a
+    # second default_dt
+    steps, guards = [], []
+
+    def recording_integrate(*args, **kwargs):
+        traj = pm.integrate(*args, **kwargs)
+        steps.append(traj.stats["dt"])
+        return traj
+
+    def counting_default_dt(*args):
+        guards.append(1)
+        return pm.default_dt(*args)
+
+    monkeypatch.setattr(cli, "integrate", recording_integrate)
+    monkeypatch.setattr(cli, "default_dt", counting_default_dt)
+    monkeypatch.setattr(pm.solver, "default_dt", counting_default_dt)
+    given = "" if dt is None else f"discretization.dt = {dt}\n"
+    path = write_config(tmp_path, BASE_CONFIG.replace(
+        "discretization.dt = 1e-3\n", given))
+    code, _ = run_main(capsys, ["--config", str(path), "--out-dir",
+                                str(tmp_path / "edb"), "edb-check"])
+    assert code == EXIT_OK
+    problem = build_problem(parse_config(path))
+    state = pm.quantile_partition(problem.initial, 24)
+    step = float(dt) if dt else pm.default_dt(state, problem)
+    assert steps == [step, step / 2.0]
+    assert len(guards) == (dt is None)
+
+
 def test_edb_check_rk45_skips_the_half_step_rerun(tmp_path, capsys,
                                                   monkeypatch):
     # rk45 ignores dt, so a half-step rerun would repeat the main run
@@ -541,6 +573,62 @@ def test_non_finite_numbers_and_force_bounds_fail_cleanly(
     assert got == code
     assert named in err
     assert not list(out.glob("*.csv"))
+
+
+HUGE = "1" + "0" * 400   # an integer beyond the float range
+
+
+@pytest.mark.parametrize("overrides, command, code, named", [
+    # an integer must convert to a finite float
+    (f"discretization.N={HUGE}", "run", EXIT_CONFIG, ["discretization.N"]),
+    (f"discretization.output_every={HUGE}", "run", EXIT_CONFIG,
+     ["discretization.output_every"]),
+    (f"discretization.N_list={HUGE},2{HUGE[1:]}", "converge", EXIT_CONFIG,
+     ["discretization.N_list"]),
+    (f"diagnostics.entropy.phi_grid={HUGE}", "entropy-check", EXIT_CONFIG,
+     ["diagnostics.entropy.phi_grid"]),
+    # more stored times than numpy can index
+    ("discretization.dt=1e-300", "run", EXIT_CONFIG,
+     ["discretization.dt", "discretization.output_every"]),
+    # densities of 1e300 square past the float range in the h1 norm
+    ("problem.initial.amplitude=1e300 discretization.N=8 "
+     "discretization.t_end=0.01 discretization.dt=1e-3", "run",
+     EXIT_NUMERICAL, ["numerical failure: h1"]),
+], ids=["N", "output_every", "N_list", "phi_grid", "dt", "h1"])
+def test_out_of_range_numbers_name_their_key(tmp_path, capsys, overrides,
+                                             command, code, named):
+    out = tmp_path / "out"
+    argv = ["--config", str(ROOT / "configs" / "reduction.cfg"),
+            "--out-dir", str(out)]
+    for item in overrides.split():
+        argv += ["--override", item]
+    got, err = run_main(capsys, argv + [command])
+    assert got == code
+    for key in named:
+        assert key in err
+    assert not (out / "diagnostics.csv").exists()
+
+
+def test_a_cell_above_the_density_bound_is_one_violation(tmp_path, capsys,
+                                                         monkeypatch):
+    # the last stored state squeezes one cell to half the width h / M
+    # allows; the run still writes its tables
+    def squeezed(state0, problem, t_end, **kwargs):
+        x = np.tile(state0.positions, (3, 1))
+        x[-1, 13] = x[-1, 12] + 0.5 * state0.h / problem.M
+        return pm.Trajectory(np.array([0.0, 0.5, 1.0]) * t_end, x,
+                             np.zeros_like(x), h=state0.h, problem=problem)
+
+    monkeypatch.setattr(cli, "integrate", squeezed)
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    code, err = run_main(capsys, ["--config", str(path), "--out-dir",
+                                  str(out), "run"])
+    assert code == EXIT_INVARIANT
+    lines = err.splitlines()
+    assert len(lines) == 1 and "max density" in lines[0]
+    for name in ("snapshots.csv", "diagnostics.csv", "variational.csv"):
+        assert (out / name).exists()
 
 
 PROBLEM_NUMBERS = ("problem.mobility.M_beta", "problem.mobility.gamma",

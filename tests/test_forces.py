@@ -8,7 +8,6 @@ import partmob as pm
 from partmob import forces
 from partmob.forces import continuum_force
 from partmob.model import GAUSS_NODES, GAUSS_WEIGHTS
-from partmob.quantile import row_densities
 
 
 @composite
@@ -252,7 +251,7 @@ MORSE_JUMP = pytest.param(
                          ids=["V=0", "quadratic"])
 def test_continuum_dforce_is_the_derivative_of_force(kernel, external):
     state = pm.quantile_partition(pm.parabolic_bump(), 200)
-    edges, rho = state.positions, row_densities(state.positions, state.h)
+    edges, rho = state.positions, state.h / np.diff(state.positions)
     pots = pm.Potentials(external, kernel)
     # one point per cell, at least 1 % of its width from both edges, so
     # that x -+ eps stays in the cell

@@ -159,8 +159,7 @@ def test_particle_fv_agreement_improves_with_n(reduction_problem):
 # bound once per step, and theta and theta' once on the ghost-padded row.
 # The reference below rebuilds every one of them per use, as before.
 
-def reference_solve(problem, window, dx, t_end, store_times, boundary,
-                    cfl=0.45):
+def reference_solve(problem, window, dx, t_end, store_times, boundary):
     mob = problem.mobility
 
     def force_of(grid):
@@ -172,7 +171,7 @@ def reference_solve(problem, window, dx, t_end, store_times, boundary,
         lip_force = float(np.max(np.abs(np.diff(force)))) / grid.dx
         theta_max = float(np.max(mob.theta(np.linspace(0.0, mob.cap, 257))))
         speed = fmax * mob.lip_theta + theta_max * lip_force
-        return np.inf if speed <= 0 else cfl * grid.dx / speed
+        return np.inf if speed <= 0 else 0.45 * grid.dx / speed
 
     def step(grid, dt, force):
         assert dt <= max_dt(grid, force) * (1.0 + 1e-12)

@@ -121,7 +121,7 @@ def test_stats_count_the_run(n_particles, forked, worker_pids):
     traj = morse_run(n_particles - 1, store_every=3)
     assert len(traj.times) == 5
     assert traj.stats == {"velocity_evals": 4 * 10 + 5, "halvings": 0,
-                          "pair_worker": forked}
+                          "dt": 1e-3, "pair_worker": forked}
     assert len(worker_pids) == forked
 
 

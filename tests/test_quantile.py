@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import partmob as pm
 from partmob.model import _clamp
-from partmob.quantile import QuantileError, row_densities
+from partmob.quantile import QuantileError
 
 
 def bisect_oracle(fn, target, lo, hi, iters=200):
@@ -45,20 +45,6 @@ def test_bump_quartiles_match_cubic_root():
     assert np.allclose(masses, state.h, atol=1e-10 * state.h)
 
 
-def test_state_densities_direct_division():
-    assert np.allclose(row_densities(np.array([0.0, 1.0, 2.0]), 1.0),
-                       [1.0, 1.0])
-    assert np.allclose(row_densities(np.array([0.0, 0.5, 2.0]), 1.0),
-                       [2.0, 2.0 / 3.0])
-    assert np.allclose(row_densities(np.array([-1.0, 0.0, 1.0]), 0.5),
-                       [0.5, 0.5])
-
-
-def test_coincident_particles_rejected():
-    with pytest.raises(QuantileError):
-        row_densities(np.array([0.0, 0.0, 1.0]), 0.5)
-
-
 def test_refinement_keeps_coarse_quantiles():
     init = pm.parabolic_bump()
     coarse = pm.quantile_partition(init, 8)
@@ -88,8 +74,8 @@ def test_uniform_partition_scales(n, width, left):
     expected = np.linspace(left, left + width, n + 1)
     assert np.allclose(state.positions, expected, atol=1e-9 * max(1.0, width))
     widths = np.diff(state.positions)
-    assert np.isclose(np.sum(row_densities(state.positions, state.h) * widths),
-                      init.mass, rtol=1e-12)
+    assert np.isclose(np.sum(state.h / widths * widths), init.mass,
+                      rtol=1e-12)
 
 
 def test_zero_mass_rejected():

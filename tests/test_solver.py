@@ -89,10 +89,41 @@ def test_ordering_and_velocity_bound(attractive_problem, short_attractive_run):
             beta_max * np.max(np.abs(f)) + 1e-13
 
 
+def test_upwind_betas_divide_h_by_the_widths():
+    # with beta the identity, the betas are the densities h / width
+    # between the zero ghost cells, for one state or a block of rows
+    def identity(s):
+        return s
+
+    for x, h, rho in (([0.0, 1.0, 2.0], 1.0, [1.0, 1.0]),
+                      ([0.0, 0.5, 2.0], 1.0, [2.0, 2.0 / 3.0]),
+                      ([-1.0, 0.0, 1.0], 0.5, [0.5, 0.5])):
+        left, right = solver.upwind_betas(np.array(x), h, identity,
+                                          np.zeros(4))
+        assert np.allclose(left, [0.0] + rho)
+        assert np.allclose(right, rho + [0.0])
+    block = np.array([[0.0, 1.0, 2.0], [0.0, 0.5, 2.0]])
+    left, right = solver.upwind_betas(block, 1.0, identity, np.zeros((2, 4)))
+    assert np.allclose(left, [[0.0, 1.0, 1.0], [0.0, 2.0, 2.0 / 3.0]])
+    assert np.allclose(right, [[1.0, 1.0, 0.0], [2.0, 2.0 / 3.0, 0.0]])
+
+
+@pytest.mark.parametrize("positions", [
+    [0.0, 0.0, 1.0],
+    [0.0, 1.0, 0.5],
+    [[0.0, 0.5, 1.0], [0.0, 1.0, 1.0]],
+], ids=["coincident", "disordered", "block_row"])
+def test_upwind_betas_reject_coincident_particles(positions):
+    x = np.array(positions)
+    padded = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    with pytest.raises(pm.UnorderedState, match="strictly ordered"):
+        solver.upwind_betas(x, 0.5, pm.power_cap_mobility(1.0).beta, padded)
+
+
 def test_cell_lower_bound_report(attractive_problem, short_attractive_run):
     traj = short_attractive_run
     report = pm.check_cell_bounds(traj)
-    assert report.lower_bound_ok
+    assert report.min_width_ratio >= 1.0 - 1e-6
     assert report.max_width_ratio is None  # bump touches zero at the edges
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import partmob as pm
 from partmob import forces
 from partmob.model import GAUSS_NODES, GAUSS_WEIGHTS, cell_gauss
-from partmob.quantile import row_densities
 from partmob.solver import upwind_betas
 from partmob.variational import (_dissipations, _dual_dissipations,
                                  _rate_series, continuous_dual_dissipation,
@@ -16,7 +15,8 @@ from partmob.variational import (_dissipations, _dual_dissipations,
 
 def betas_of(state, mobility):
     # the upwind mobilities of one state, as the block functionals read them
-    return upwind_betas(row_densities(state.positions, state.h), mobility)
+    return upwind_betas(state.positions, state.h, mobility.beta,
+                        np.zeros(len(state.positions) + 1))
 
 
 def r_of(state, mobility, flux):
@@ -29,7 +29,7 @@ def r_star_of(state, mobility, zeta):
 
 def quadratic_form_oracle(state, mobility, zeta):
     # independent scalar expansion of the dual dissipation
-    rho = list(row_densities(state.positions, state.h))
+    rho = list(state.h / np.diff(state.positions))
     n = len(rho)
     beta = lambda s: float(mobility.beta(s))
     total = 0.0
@@ -117,8 +117,7 @@ def test_fenchel_young_inequality(zeta_raw, gaps):
             assert r + r_star_of(state, mob, zeta) >= \
                 float(np.dot(zeta, j)) - 1e-10
     # equality at the dual-optimal flux
-    rho_ext = np.concatenate([[0.0], row_densities(state.positions, 0.4),
-                              [0.0]])
+    rho_ext = np.concatenate([[0.0], 0.4 / np.diff(state.positions), [0.0]])
     bl, br = mob.beta(rho_ext[:-1]), mob.beta(rho_ext[1:])
     j_opt = bl * np.minimum(zeta, 0.0) + br * np.maximum(zeta, 0.0)
     lhs = r_of(state, mob, j_opt) + r_star_of(state, mob, zeta)
