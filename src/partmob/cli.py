@@ -31,7 +31,7 @@ from .model import (InvalidProblem, Potentials, Problem, linear_potential,
                     uniform_density, validate, zero_potential)
 from .quantile import ParticleState, QuantileError, quantile_partition
 from .reconstruct import TimeGridMismatch, write_snapshots_csv, write_table
-from .solver import (NonFiniteState, StepUnderflow, Trajectory,
+from .solver import (NonFiniteState, StepUnderflow, TooManySteps, Trajectory,
                      UnorderedState, check_cell_bounds, default_dt, integrate)
 
 __all__ = ["main", "parse_config", "build_problem", "ConfigError"]
@@ -485,7 +485,9 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, InvalidProblem, OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        hint = (": raise discretization.dt" if isinstance(exc, TooManySteps)
+                else "")
+        print(f"config error: {exc}{hint}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:
         detail = str(exc) or "no detail"    # numpy names the allocation

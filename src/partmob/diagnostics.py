@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forces import continuum_force, row_blocks, step_values
-from .model import GAUSS_NODES, GAUSS_WEIGHTS, Problem, edge_masses, simpson
+from .model import (GAUSS_NODES, GAUSS_WEIGHTS, Problem, edge_masses, simpson,
+                    sorted_union)
 from .reconstruct import ReconstructedFields, TimeGridMismatch, write_table
 from .solver import NonFiniteState
 
@@ -76,7 +77,7 @@ def _w1_between(edges_s, at_s, edges_t, at_t, m):
     # 1-Wasserstein distance of two profiles of mass m, given their edges
     # and edge_masses: exactly the L1 distance of the normalised cumulative
     # functions
-    grid = np.union1d(edges_s, edges_t)
+    grid = sorted_union(edges_s, edges_t)
     d = (np.interp(grid, edges_s, at_s) - np.interp(grid, edges_t, at_t)) / m
     return float(_segment_abs_integral(np.diff(grid), d[:-1], d[1:]))
 
@@ -229,7 +230,7 @@ def _panel_densities(edges, densities, lo, n_cuts, seg, nodes, offsets):
     out = np.repeat(values.ravel()[at - row], nodes.shape[1])
     strayed = ~((left <= nodes[:, 0]) & (nodes[:, -1] < right))
     if strayed.any():
-        for r in np.unique(row[strayed]):
+        for r in sorted_union(row[strayed]):
             i, j = offsets[r], offsets[r + 1]
             out[i:j] = step_values(edges[r], densities[r], nodes.ravel()[i:j])
     return out

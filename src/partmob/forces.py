@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from contextlib import contextmanager
 from functools import lru_cache
@@ -112,12 +113,7 @@ def rank_term(sign: int, h: float, n_particles: int) -> np.ndarray:
     return term
 
 
-# -- dense pair fills on two CPUs ----------------------------------------
-
-# From this many particles on, solver.integrate fills the dense pair
-# matrices of its force evaluations on two CPUs (see PairWorker).
-FORK_MIN_PARTICLES = 200
-
+# -- work on two CPUs ---------------------------------------------------
 
 def _can_fork() -> bool:
     """A forked worker can run beside this process: the platform forks,
@@ -145,6 +141,50 @@ def _cpu_apart() -> set[int] | None:
     return set(others[:1]) or None
 
 
+def _fork(work) -> int | None:
+    """The pid of a worker forked to run ``work()`` on a CPU apart and exit,
+    with status 0 if it returns, or None where no process can be forked.
+    Flushed first, no buffer of the standard streams is written twice."""
+    for stream in (sys.stdout, sys.stderr):
+        stream.flush()
+    cpus = _cpu_apart()
+    try:
+        pid = os.fork()
+    except OSError:             # no process to be had
+        return None
+    if pid:
+        return pid
+    try:
+        if cpus:    # unpinned, the kernel kept both on one CPU, taking turns
+            os.sched_setaffinity(0, cpus)
+        work()
+    except BaseException:
+        os._exit(1)
+    os._exit(0)
+
+
+def fork_join(mine, theirs) -> None:
+    """Run ``mine()`` here beside a :func:`_fork` worker running ``theirs()``
+    (no traced calls, results in shared memory or a file), and ``theirs()``
+    here after it where no process could be forked or the worker failed.
+    The worker is reaped on every path, killed first if ``mine()`` raises."""
+    pid = _fork(theirs)
+    try:
+        mine()
+    except BaseException:
+        if pid is not None:
+            os.kill(pid, 9)     # SIGKILL, without importing signal
+            os.waitpid(pid, 0)
+        raise
+    if pid is None or os.waitpid(pid, 0)[1] != 0:
+        theirs()
+
+
+# From this many particles on, solver.integrate fills the dense pair
+# matrices of its force evaluations on two CPUs (see PairWorker).
+FORK_MIN_PARTICLES = 200
+
+
 class PairWorker:
     """A forked process that fills the odd blocks of ``row_blocks(n, n)``
     of :func:`particle_forces`' pair matrix for the kernel derivative
@@ -154,63 +194,44 @@ class PairWorker:
 
     The two processes share an anonymous mapping that holds the positions
     and the ``n x n`` matrix, and talk over two pipes, one byte each way
-    per call.  The worker runs on an allowed CPU other than the caller's
-    at the fork; the caller is never pinned.  After any failure, of the
-    worker or of the caller's blocks, the worker is reaped and the caller
-    fills the whole matrix in the one-process order, so the same exception
-    is raised as without the worker.  The worker calls no traced function:
-    its time falls inside the span of the call that waits for it.  It
-    exits at the end of file of its command pipe, on :meth:`close` or when
-    the caller dies.  The constructor raises ``OSError`` when no process
-    can be forked.
+    per call.  After any failure, of the worker or of the caller's blocks,
+    the worker is reaped and the caller fills the whole matrix in the
+    one-process order, so the same exception is raised as without the
+    worker.  The worker calls no traced function: its time falls inside
+    the span of the call that waits for it.  It exits at the end of file
+    of its command pipe, on :meth:`close` or when the caller dies.  Where
+    no process can be forked, ``pid`` is None and every fill is the caller's.
     """
 
     def __init__(self, dw, n: int):
-        # imported on this path only, like the snapshot writer's signal
-        import mmap
-
+        import mmap     # imported on this path only
         self.dw = dw
         self.blocks = list(row_blocks(n, n))
         shared = mmap.mmap(-1, 8 * n * (n + 1))
         self.x = np.frombuffer(shared, count=n)
         self.pair = np.frombuffer(shared, offset=8 * n,
                                   count=n * n).reshape(n, n)
-        cpus = _cpu_apart()
         commands, self._commands = os.pipe()
         self._replies, replies = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (commands, self._commands, self._replies, replies):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            self._serve(commands, replies, cpus)
+        self.pid = _fork(lambda: self._serve(commands, replies))
         os.close(commands)
         os.close(replies)
-
-    def _serve(self, commands: int, replies: int, cpus) -> None:
-        # the worker: one fill per command byte, until end of file
-        try:
+        if self.pid is None:
             os.close(self._commands)
             os.close(self._replies)
-            if cpus:
-                # unpinned, the kernel kept the worker on the caller's CPU
-                # and the two took turns
-                try:
-                    os.sched_setaffinity(0, cpus)
-                except OSError:
-                    pass
-            mine = self.blocks[1::2]
-            while os.read(commands, 1):
-                try:
-                    _fill_pairs(self.pair, self.x, self.dw, mine)
-                    done = b"\0"
-                except Exception:
-                    done = b"\1"
-                os.write(replies, done)
-        finally:
-            os._exit(0)
+
+    def _serve(self, commands: int, replies: int) -> None:
+        # the worker: one fill per command byte, until end of file
+        os.close(self._commands)
+        os.close(self._replies)
+        mine = self.blocks[1::2]
+        while os.read(commands, 1):
+            try:
+                _fill_pairs(self.pair, self.x, self.dw, mine)
+                done = b"\0"
+            except Exception:
+                done = b"\1"
+            os.write(replies, done)
 
     def fill(self, x: np.ndarray) -> np.ndarray:
         """The pair matrix of the positions ``x``, its diagonal unset; the
@@ -245,22 +266,17 @@ class PairWorker:
 
 @contextmanager
 def pair_worker(potentials: Potentials, n: int):
-    """A :class:`PairWorker` for ``n`` particles of a dense kernel, reaped
-    on leaving the block, or None where the pair fill stays in this
-    process: for ``|x|`` and ``W = 0``, below ``FORK_MIN_PARTICLES``
-    particles, where :func:`_can_fork` does not hold or no process can be
-    forked."""
+    """A :class:`PairWorker` for ``n`` particles of a dense kernel, reaped on
+    leaving the block, or None where the pair fill stays in this process: for
+    ``|x|`` and ``W = 0``, below ``FORK_MIN_PARTICLES`` particles, where
+    :func:`_can_fork` does not hold or no process can be forked."""
     w = potentials.interaction
     if not _is_dense(w) or n < FORK_MIN_PARTICLES or not _can_fork():
         yield None
         return
+    pairs = PairWorker(w.dw, n)
     try:
-        pairs = PairWorker(w.dw, n)
-    except OSError:
-        yield None
-        return
-    try:
-        yield pairs
+        yield pairs if pairs.pid is not None else None
     finally:
         pairs.close()
 
@@ -272,15 +288,18 @@ def pair_sum(points: np.ndarray, kernel) -> float:
     For ``W = 0`` it is -0.0, which leaves any sum it is added to bit for
     bit unchanged.  For ``W(x) = s |x|`` the matrix is ``|a_i - a_j|``
     built in place, its diagonal already +0.0, and the sign is applied to
-    the sum: negating a pairwise sum is exact.  Other kernels evaluate the
-    dense matrix."""
+    the sum: negating a pairwise sum is exact.  Other kernels fill the
+    dense matrix over blocks of rows and sum it whole."""
     if kernel.is_zero:
         return -0.0
-    diff = np.subtract.outer(points, points)
     if kernel.is_newtonian:
+        diff = np.subtract.outer(points, points)
         np.abs(diff, out=diff)
         return kernel.newtonian_sign * float(np.sum(diff))
-    pair = kernel.w(diff)
+    n = len(points)
+    pair = np.empty((n, n))
+    for rows in row_blocks(n, n):
+        pair[rows] = kernel.w(points[rows, None] - points[None, :])
     np.fill_diagonal(pair, 0.0)
     return float(np.sum(pair))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forces import continuum_force, step_values
-from .model import Problem, cell_gauss
+from .model import Problem, cell_gauss, sorted_union
 from .reconstruct import ReconstructedFields
 
 __all__ = [
@@ -235,7 +235,7 @@ def l1_distance(edges_a, rho_a, edges_b, rho_b) -> float:
     """Exact L1 distance between two piecewise-constant profiles."""
     edges_a = np.asarray(edges_a, dtype=float)
     edges_b = np.asarray(edges_b, dtype=float)
-    grid = np.union1d(edges_a, edges_b)
+    grid = sorted_union(edges_a, edges_b)
     mids = 0.5 * (grid[:-1] + grid[1:])
     va = step_values(edges_a, rho_a, mids)
     vb = step_values(edges_b, rho_b, mids)

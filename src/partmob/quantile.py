@@ -79,7 +79,10 @@ def quantile_partition(initial: InitialDensity, n_cells: int) -> ParticleState:
             "not be unique", stacklevel=2)
     h = m / n_cells
     span = initial.x_max - initial.x_min
-    positions = np.empty(n_cells + 1)
+    try:
+        positions = np.empty(n_cells + 1)
+    except ValueError as exc:   # more values than numpy can index
+        raise MemoryError(f"{n_cells + 1:.3g} particles: {exc}") from None
     positions[0] = initial.x_min
     positions[-1] = initial.x_max
     lo = initial.x_min

@@ -7,13 +7,12 @@ from __future__ import annotations
 import csv
 import os
 import shutil
-import sys
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .forces import _can_fork, row_blocks, step_values
+from .forces import _can_fork, fork_join, row_blocks, step_values
 
 __all__ = ["ReconstructedFields", "write_snapshots_csv"]
 
@@ -115,47 +114,21 @@ def _snapshot_rows(fh, fields: ReconstructedFields, time_indices) -> None:
 
 def _rows_on_two_cpus(fh, fields: ReconstructedFields, indices) -> None:
     """The rows of ``indices`` into ``fh``: a forked worker formats the
-    second half of them into an anonymous temporary file in ``fh``'s
-    directory while this process formats the first half; the worker's
-    bytes are then appended.
-
-    The worker is always reaped: if this process's half raises, the
-    worker is killed first.  If the fork or the worker fails, this
-    process formats the rows itself, so errors are raised here as
-    without the worker."""
+    second half into an anonymous temporary file in ``fh``'s directory
+    while this process formats the first, then appends that file."""
     half = (len(indices) + 1) // 2
-    # the worker gets a copy of every buffer; flushed, none is written twice
-    for stream in (sys.stdout, sys.stderr, fh):
-        stream.flush()
+    # the worker gets a copy of fh's buffer; flushed, none is written twice
+    fh.flush()
     directory = os.path.dirname(os.path.abspath(fh.name))
     with tempfile.TemporaryFile(dir=directory) as tmp:
-        try:
-            pid = os.fork()
-        except OSError:         # no process to be had: write it all here
-            _snapshot_rows(fh, fields, indices)
-            return
-        if pid == 0:
-            status = 1
-            try:
-                with open(tmp.fileno(), "w", newline="", encoding=fh.encoding,
-                          closefd=False) as out:
-                    _snapshot_rows(out, fields, indices[half:])
-                status = 0
-            finally:
-                os._exit(status)
-        try:
-            _snapshot_rows(fh, fields, indices[:half])
-        except BaseException:
-            # imported on this path only: imported with this module, it
-            # raised the peak RSS of a reference `run` by about 0.1 MB
-            import signal
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitpid(pid, 0)[1]
-        if status != 0:
-            _snapshot_rows(fh, fields, indices[half:])
-            return
+        def theirs():
+            tmp.seek(0)     # over what a failed worker left
+            tmp.truncate()
+            with open(tmp.fileno(), "w", newline="", encoding=fh.encoding,
+                      closefd=False) as out:
+                _snapshot_rows(out, fields, indices[half:])
+
+        fork_join(lambda: _snapshot_rows(fh, fields, indices[:half]), theirs)
         fh.flush()
         tmp.seek(0)
         shutil.copyfileobj(tmp, fh.buffer)
@@ -169,8 +142,7 @@ def write_snapshots_csv(fields: ReconstructedFields, path,
     Every value is formatted once with ``repr``.  The bytes are those
     ``csv.writer`` writes for the same ``repr`` strings, which never need
     quoting.  A file of at least ``FORK_MIN_VALUES`` values is formatted
-    on two CPUs when :func:`_can_fork` allows: a forked worker formats the
-    second half of the stored times while this process formats the first.
+    on two CPUs when :func:`_can_fork` allows (:func:`_rows_on_two_cpus`).
     """
     indices = (range(len(fields.times)) if time_indices is None
                else list(time_indices))

@@ -23,6 +23,7 @@ __all__ = [
     "StepUnderflow",
     "UnorderedState",
     "NonFiniteState",
+    "TooManySteps",
     "Trajectory",
     "forces_for",
     "integrate",
@@ -41,6 +42,10 @@ class NonFiniteState(RuntimeError):
 
 class UnorderedState(ValueError):
     """Particle positions are not strictly increasing."""
+
+
+class TooManySteps(ValueError):
+    """Over 2^53 RK4 steps, more than ``(step + 1) * dt`` can count."""
 
 
 def forces_for(state: ParticleState, problem: Problem,
@@ -247,6 +252,8 @@ def _integrate_rk4(x, t_end, dt, velocity, min_dt, store_every, stats):
     except ValueError as exc:   # more values than numpy can index
         raise MemoryError(f"{n_store:.3g} stored times of {x.size} "
                           f"particles: {exc}") from None
+    if n_steps > 2**53:     # after the allocation, which names the times
+        raise TooManySteps(f"{n_steps:.3g} RK4 steps, more than 2^53")
     times[0], states[0], vels[0] = 0.0, x, velocity(x)
     k = 1
     for step in range(n_steps):

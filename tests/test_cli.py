@@ -590,11 +590,20 @@ HUGE = "1" + "0" * 400   # an integer beyond the float range
     # more stored times than numpy can index
     ("discretization.dt=1e-300", "run", EXIT_CONFIG,
      ["discretization.dt", "discretization.output_every"]),
+    # more particles than numpy can index
+    (f"discretization.N=1{'0' * 40}", "run", EXIT_CONFIG,
+     ["discretization.N"]),
+    # more RK4 steps than (step + 1) * dt can count; the stored times fit
+    (f"discretization.dt=1e-300 discretization.output_every=1{'0' * 299}",
+     "run", EXIT_CONFIG, ["2^53", "discretization.dt"]),
+    ("discretization.N_list=10,20 discretization.dt=1e-300", "converge",
+     EXIT_CONFIG, ["2^53", "discretization.dt"]),
     # densities of 1e300 square past the float range in the h1 norm
     ("problem.initial.amplitude=1e300 discretization.N=8 "
      "discretization.t_end=0.01 discretization.dt=1e-3", "run",
      EXIT_NUMERICAL, ["numerical failure: h1"]),
-], ids=["N", "output_every", "N_list", "phi_grid", "dt", "h1"])
+], ids=["N", "output_every", "N_list", "phi_grid", "dt", "N_dimension",
+        "dt_steps_run", "dt_steps_converge", "h1"])
 def test_out_of_range_numbers_name_their_key(tmp_path, capsys, overrides,
                                              command, code, named):
     out = tmp_path / "out"

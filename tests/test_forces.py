@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.strategies import composite
 
@@ -332,10 +332,15 @@ def test_abs_pair_sum_on_the_bump_partition(attractive, n_cells):
             dense_pair_sum(points, kernel)
 
 
-@given(sorted_points(n_max=20))
-@settings(max_examples=50, deadline=None)
-def test_other_kernels_keep_the_dense_pair_sum(points):
-    kernel = pm.morse(1.0, 1.0, 0.5, 0.3)
+@given(sorted_points(n_max=300), st.booleans())
+@settings(max_examples=60, deadline=None)
+# one block of 128 rows, then 127 + 2 rows, then 3 blocks of 64 and one of 63
+@example(np.linspace(-3.0, 3.0, 128), False)
+@example(np.linspace(-3.0, 3.0, 129), True)
+@example(np.linspace(-3.0, 3.0, 255), False)
+def test_other_kernels_keep_the_dense_pair_sum(points, smooth):
+    # past 128 points the matrix is filled over several row blocks
+    kernel = smooth_kernel() if smooth else pm.morse(1.0, 1.0, 0.5, 0.3)
     assert forces.pair_sum(points, kernel) == dense_pair_sum(points, kernel)
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import partmob as pm
 from partmob.model import (MASS_MISMATCH, NEGATIVE_DENSITY,
                            NON_MONOTONE_MOBILITY, InvalidProblem, _clamp,
-                           check_problem)
+                           check_problem, sorted_union)
 
 
 def make_problem(mobility=None, external=None, interaction=None, initial=None):
@@ -268,3 +268,19 @@ def test_cumulatives_equal_their_clip_forms(make, clipped):
     assert same_values(cumulative(points), clipped(points))
     for x in points:
         assert same_values(cumulative(float(x)), clipped(float(x))), x
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=30), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sorted_union_has_the_bits_of_np_unique(pool, data):
+    # two sorted draws from one pool share values, signed zeros included
+    pick = st.lists(st.sampled_from(pool), min_size=1, max_size=30)
+    a, b = (np.sort(np.array(data.draw(pick))) for _ in range(2))
+    got, want = sorted_union(a, b), np.union1d(a, b)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the one-array form, on the row indices diagnostics passes
+    rows = np.array(data.draw(st.lists(st.integers(0, 20), max_size=30)),
+                    dtype=np.intp)
+    got, want = sorted_union(rows), np.unique(rows)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

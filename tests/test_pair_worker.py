@@ -114,6 +114,23 @@ def test_integrate_with_the_worker_matches_one_process(monkeypatch,
 
 
 @needs_fork
+def test_a_failed_fork_leaves_the_fills_to_the_caller(monkeypatch):
+    one = morse_run(FORK_MIN_PARTICLES + 40, store_every=3)
+
+    def no_process():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    worker = PairWorker(pm.morse(1.0, 1.0, 0.5, 0.3).dw, FORK_MIN_PARTICLES)
+    assert worker.pid is None
+    worker.close()
+    two = morse_run(FORK_MIN_PARTICLES + 40, store_every=3)
+    assert not two.stats["pair_worker"]
+    assert two.positions.tobytes() == one.positions.tobytes()
+    assert two.stats == {**one.stats, "pair_worker": False}
+
+
+@needs_fork
 @pytest.mark.parametrize("n_particles, forked", [
     (FORK_MIN_PARTICLES - 1, False), (FORK_MIN_PARTICLES, True)])
 def test_stats_count_the_run(n_particles, forked, worker_pids):
