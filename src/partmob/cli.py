@@ -405,7 +405,7 @@ def cmd_entropy_check(cfg, args) -> int:
           f"{len(c_values)} levels)")
     if worst < -tol:
         print(f"invariant violation: entropy residual {worst:.3e} below "
-              f"-{tol:g}", file=sys.stderr)
+              f"{-tol:g}", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK
 

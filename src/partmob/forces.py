@@ -35,37 +35,39 @@ def row_blocks(n_rows: int, row_elements: int):
         yield slice(start, min(start + step, n_rows))
 
 
-def _fill_pairs(pair: np.ndarray, x: np.ndarray, dw, blocks) -> None:
-    # rows r0:r1 of a block get dw on the columns j >= r0, and the negated
-    # transpose of their columns j >= r1 goes into the rows below: the
-    # entries with min(i, j) in the block, so blocks write disjoint parts
+def _fill_pairs(pair: np.ndarray, x: np.ndarray, fn, odd, blocks) -> None:
+    """The entries ``fn(x_i - x_j)`` of ``pair`` with ``min(i, j)`` in one
+    of the row ``blocks``, one ``fn`` call per unordered pair.  Rows
+    ``r0:r1`` get ``fn`` on the columns ``j >= r0``, and the transpose of
+    their columns ``j >= r1``, negated for an ``odd`` ``fn``, goes into the
+    rows below, so blocks write disjoint entries.  Since
+    ``fl(x_j - x_i) == -fl(x_i - x_j)``, for an ``fn`` odd (or even) bit for
+    bit every entry equals the full matrix's."""
+    mirror = np.negative if odd else np.positive
     for rows in blocks:
         r0, r1 = rows.start, rows.stop
-        pair[rows, r0:] = dw(x[rows, None] - x[None, r0:])
-        np.negative(pair[rows, r1:].T, out=pair[r1:, rows])
+        pair[rows, r0:] = fn(x[rows, None] - x[None, r0:])
+        mirror(pair[rows, r1:].T, out=pair[r1:, rows])
 
 
 def particle_forces(state: ParticleState, potentials: Potentials,
                     pairs: PairWorker | None = None) -> np.ndarray:
     """Exact pairwise forces ``V'(x_i) + h * sum_{j != i} W'(x_i - x_j)``.
 
-    ``W'`` is evaluated once per unordered pair: a block of rows
-    ``r0:r1`` evaluates the columns ``j >= r0`` and writes the negated
-    transpose of its columns ``j >= r1`` into the rows below.  Since
-    ``fl(x_j - x_i) == -fl(x_i - x_j)`` and ``dw`` is odd bit for bit, every
-    entry equals the dense pair matrix's.  Each row is then reduced whole,
-    so the result does not depend on the block size and repeated runs are
-    bit-identical.  The pair matrix is a transient of ``8 (N + 1)^2``
-    bytes (1.3 MB at N = 400).  With a :class:`PairWorker` of this kernel
-    and particle count, the blocks are filled on two CPUs, with the same
-    bits.
+    The pair matrix of the odd ``W'`` is filled by :func:`_fill_pairs` and
+    each row reduced whole, so the result does not depend on the block size
+    and repeated runs are bit-identical.  The matrix is a transient of
+    ``8 (N + 1)^2`` bytes (1.3 MB at N = 400).  With a :class:`PairWorker`
+    of this kernel and particle count, the blocks are filled on two CPUs,
+    with the same bits.
     """
     x = state.positions
     f = np.array(potentials.external.dv(x), dtype=float, copy=True)
     if pairs is None:
         n = len(x)
         pair = np.empty((n, n))
-        _fill_pairs(pair, x, potentials.interaction.dw, row_blocks(n, n))
+        _fill_pairs(pair, x, potentials.interaction.dw, True,
+                    row_blocks(n, n))
     else:
         pair = pairs.fill(x)
     np.fill_diagonal(pair, 0.0)
@@ -227,7 +229,7 @@ class PairWorker:
         mine = self.blocks[1::2]
         while os.read(commands, 1):
             try:
-                _fill_pairs(self.pair, self.x, self.dw, mine)
+                _fill_pairs(self.pair, self.x, self.dw, True, mine)
                 done = b"\0"
             except Exception:
                 done = b"\1"
@@ -242,7 +244,7 @@ class PairWorker:
             try:
                 os.write(self._commands, b"\0")
                 sent = True
-                _fill_pairs(self.pair, x, self.dw, self.blocks[::2])
+                _fill_pairs(self.pair, x, self.dw, True, self.blocks[::2])
                 done = True
             except Exception:   # filled again below, in one process
                 pass
@@ -252,7 +254,7 @@ class PairWorker:
             if done:
                 return self.pair
             self.close()
-        _fill_pairs(self.pair, x, self.dw, self.blocks)
+        _fill_pairs(self.pair, x, self.dw, True, self.blocks)
         return self.pair
 
     def close(self) -> None:
@@ -289,7 +291,7 @@ def pair_sum(points: np.ndarray, kernel) -> float:
     bit unchanged.  For ``W(x) = s |x|`` the matrix is ``|a_i - a_j|``
     built in place, its diagonal already +0.0, and the sign is applied to
     the sum: negating a pairwise sum is exact.  Other kernels fill the
-    dense matrix over blocks of rows and sum it whole."""
+    matrix of the even ``W`` by :func:`_fill_pairs` and sum it whole."""
     if kernel.is_zero:
         return -0.0
     if kernel.is_newtonian:
@@ -298,10 +300,19 @@ def pair_sum(points: np.ndarray, kernel) -> float:
         return kernel.newtonian_sign * float(np.sum(diff))
     n = len(points)
     pair = np.empty((n, n))
-    for rows in row_blocks(n, n):
-        pair[rows] = kernel.w(points[rows, None] - points[None, :])
+    _fill_pairs(pair, points, kernel.w, False, row_blocks(n, n))
     np.fill_diagonal(pair, 0.0)
     return float(np.sum(pair))
+
+
+def pair_terms(n_points: int, kernel) -> int:
+    """Terms of one :func:`pair_sum` over ``n_points`` points."""
+    return 0 if kernel.is_zero else n_points * n_points
+
+
+def cell_pair_terms(n_cells: int, kernel) -> int:
+    """Terms of one :func:`cell_pair_sum` over ``n_cells`` cells."""
+    return pair_terms(n_cells * (4 if _is_dense(kernel) else 1), kernel)
 
 
 def cell_pair_sum(edges: np.ndarray, kernel) -> float:

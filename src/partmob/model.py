@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "Mobility",
@@ -45,8 +45,12 @@ __all__ = [
 
 Array = np.ndarray
 
-# 4-point Gauss-Legendre rule on [-1, 1], shared by every per-cell quadrature
-GAUSS_NODES, GAUSS_WEIGHTS = leggauss(4)
+# 4-point Gauss-Legendre rule on [-1, 1], shared by every per-cell
+# quadrature: leggauss(4)'s bits, without importing numpy.polynomial
+GAUSS_NODES = np.array([-0.8611363115940526, -0.33998104358485626,
+                        0.33998104358485626, 0.8611363115940526])
+GAUSS_WEIGHTS = np.array([0.34785484513745357, 0.6521451548625464,
+                          0.6521451548625464, 0.34785484513745357])
 
 
 def cell_gauss(edges: Array) -> tuple[Array, Array]:
@@ -320,11 +324,8 @@ class InteractionPotential:
     ``sign(0) = 0``).  ``newtonian_sign`` is +1 for the attractive absolute
     value kernel, -1 for the repulsive one, 0 otherwise; the sign drives the
     closed-form cumulative expressions in :mod:`partmob.forces`.
-    ``is_zero`` marks ``W = 0``, set by :func:`no_interaction`.
-
-    ``dw`` must be odd bit for bit: ``dw(-d) == -dw(d)`` exactly for every
-    float ``d``.  :func:`~partmob.forces.particle_forces` evaluates it once
-    per pair of particles and negates it for the mirrored pair.
+    ``is_zero`` marks ``W = 0``, set by :func:`no_interaction`.  ``w`` is
+    even and ``dw`` odd bit for bit (see :func:`regular_interaction`).
     """
 
     w: Callable[[Array], Array]
@@ -363,70 +364,85 @@ def newtonian(attractive: bool = True) -> InteractionPotential:
     return InteractionPotential(w, dw, d2w, 1.0, 0.0, 0.0, sign)
 
 
+def exponential_kernel(terms) -> InteractionPotential:
+    """``W(x) = sum_k c_k exp(-|x| / l_k)`` for ``terms = ((c_k, l_k), ...)``.
+
+    ``W = sum_k c_k e_k``, ``W' = sign(x) sum_k (-c_k / l_k) e_k`` and
+    ``W'' = sum_k (c_k / l_k**2) e_k``, the coefficients of derivative
+    ``p`` being ``(-1)**p * c_k / l_k**p`` and ``e_k = exp(|x| / (-l_k))``,
+    which rounds as ``exp(-|x| / l_k)``, are summed term by term in work
+    arrays: the last term reuses the ``|x|`` array, and ``sign`` that array
+    once it is added.  The argument is never written, and a 0-d one gives
+    a numpy scalar.  ``W`` is even and ``W'`` odd bit for bit, through
+    ``abs``.  The bound ``sum_k |c_k| / l_k**p`` of derivative ``p`` is inf
+    where a power leaves the float range (``l**2`` overflows at 1e200,
+    ``l**3`` is 0.0 at 1e-120).
+    """
+    last = len(terms) - 1
+
+    @lru_cache(maxsize=None)
+    def scaled(p):
+        # (coefficient, -l_k, whether last) per term of derivative p, kept
+        # (formed per call they cost Morse particle forces about 1 %) and
+        # formed on first use: where a bound is inf a coefficient may not
+        # exist, and morse refuses that kernel before any call
+        return tuple(((-1) ** p * c / ell**p, -ell, k == last)
+                     for k, (c, ell) in enumerate(terms))
+
+    def _sum(x, p):
+        # (derivative p without sign(x), in a fresh array unless there is
+        # one term; |x|'s array)
+        ax = np.abs(x, out=np.empty_like(x))
+        total = None
+        for c, neg_ell, is_last in scaled(p):
+            e = np.divide(ax, neg_ell,
+                          out=ax if is_last else np.empty_like(x))
+            np.multiply(c, np.exp(e, out=e), out=e)
+            total = e if total is None else np.add(total, e, out=total)
+        return total, ax
+
+    def w(x):
+        return _sum(np.asarray(x, dtype=float), 0)[0][()]
+
+    def dw(x):
+        x = np.asarray(x, dtype=float)
+        total, ax = _sum(x, 1)
+        sign = np.sign(x, out=ax if last else None)
+        return np.multiply(sign, total, out=total)[()]
+
+    def d2w(x):
+        return _sum(np.asarray(x, dtype=float), 2)[0][()]
+
+    def bound(p):
+        try:
+            return sum(abs(c) / ell**p for c, ell in terms)
+        except (OverflowError, ZeroDivisionError):
+            return math.inf
+
+    return InteractionPotential(w, dw, d2w, bound(1), bound(2), bound(3))
+
+
 def morse(c_attract: float, ell_attract: float,
           c_repulse: float, ell_repulse: float) -> InteractionPotential:
     """Short-range attraction/repulsion kernel with two decay lengths.
 
     ``W(x) = -c_attract * exp(-|x|/ell_attract)
-            + c_repulse * exp(-|x|/ell_repulse)``.
+            + c_repulse * exp(-|x|/ell_repulse)``, the
+    :func:`exponential_kernel` of its two terms.
     """
     ca, la, cr, lr = (float(c_attract), float(ell_attract),
                       float(c_repulse), float(ell_repulse))
     if min(ca, la, cr, lr) <= 0:
         raise ValueError("Morse parameters must be positive")
-
-    # Each closure evaluates
-    #   w   = -ca * exp(-|x|/la) + cr * exp(-|x|/lr)
-    #   dw  = sign(x) * (ca/la * exp(-|x|/la) - cr/lr * exp(-|x|/lr))
-    #   d2w = -ca/la**2 * exp(-|x|/la) + cr/lr**2 * exp(-|x|/lr)
-    # with the same roundings in the same order, written into two work
-    # arrays instead of one temporary per operation; (-|x|)/l is computed
-    # as |x|/(-l), which rounds identically.  The argument is never written:
-    # continuum quadrature passes one array to dw and then to d2w.  [()]
-    # returns a numpy scalar for a 0-d input, as the expressions do.
-    def _two_exps(x, c_a, c_r):
-        # (c_a * exp(-|x|/la), c_r * exp(-|x|/lr)) in two fresh arrays
-        er = np.abs(x, out=np.empty_like(x))
-        ea = np.divide(er, -la, out=np.empty_like(x))
-        np.exp(ea, out=ea)
-        np.multiply(c_a, ea, out=ea)
-        np.divide(er, -lr, out=er)
-        np.exp(er, out=er)
-        np.multiply(c_r, er, out=er)
-        return ea, er
-
-    def w(x):
-        ea, er = _two_exps(np.asarray(x, dtype=float), -ca, cr)
-        return np.add(ea, er, out=ea)[()]
-
-    def dw(x):
-        x = np.asarray(x, dtype=float)
-        ea, er = _two_exps(x, ca / la, cr / lr)
-        np.subtract(ea, er, out=ea)
-        return np.multiply(np.sign(x, out=er), ea, out=ea)[()]
-
-    def d2w(x):
-        ea, er = _two_exps(np.asarray(x, dtype=float), -ca / la**2,
-                           cr / lr**2)
-        return np.add(ea, er, out=ea)[()]
-
-    def bound(power):
-        # ca / la**power + cr / lr**power, inf where a power leaves the
-        # float range (la**2 overflows at 1e200, lr**3 is 0.0 at 1e-120)
-        try:
-            return ca / la**power + cr / lr**power
-        except (OverflowError, ZeroDivisionError):
-            return math.inf
-
-    bounds = {"sup_dw": ca / la + cr / lr, "sup_d2w": bound(2),
-              "lip_d2w": bound(3)}
-    infinite = [name for name, b in bounds.items() if not math.isfinite(b)]
+    kernel = exponential_kernel(((-ca, la), (cr, lr)))
+    infinite = [name for name in ("sup_dw", "sup_d2w", "lip_d2w")
+                if not math.isfinite(getattr(kernel, name))]
     if infinite:
         raise ValueError(
             f"Morse parameters c_attract={ca!r}, ell_attract={la!r}, "
             f"c_repulse={cr!r}, ell_repulse={lr!r} give non-finite kernel "
             f"bounds: {', '.join(infinite)}")
-    return InteractionPotential(w, dw, d2w, **bounds)
+    return kernel
 
 
 def regular_interaction(w, dw, d2w, sup_dw, sup_d2w,
@@ -435,10 +451,12 @@ def regular_interaction(w, dw, d2w, sup_dw, sup_d2w,
 
     ``w``, ``dw`` and ``d2w`` must act elementwise on float arrays of any
     shape: the force and energy paths call them on 2-D and 3-D blocks of
-    pairwise differences.  ``dw`` must be odd bit for bit,
-    ``dw(-d) == -dw(d)`` exactly: the particle forces evaluate it once per
-    pair and negate it for the mirrored pair.  A formula such as
-    ``sign(d) * g(abs(d))`` is odd by construction.
+    pairwise differences.  ``w`` must be even and ``dw`` odd bit for bit,
+    ``w(-d) == w(d)`` and ``dw(-d) == -dw(d)`` exactly for every float
+    ``d``: the dense pair sums evaluate each once per unordered pair, and
+    copy it, or negate it, for the mirrored pair.  Formulas such as
+    ``g(abs(d))`` and ``sign(d) * g(abs(d))`` are even and odd by
+    construction.
     """
     return InteractionPotential(w, dw, d2w, float(sup_dw), float(sup_d2w),
                                 float(lip_d2w))

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forces import (_can_fork, _is_dense, cell_pair_sum, continuum_force,
-                     force_rows, fork_join, pair_sum, row_blocks)
+from .forces import (_can_fork, cell_pair_sum, cell_pair_terms,
+                     continuum_force, force_rows, fork_join, pair_sum,
+                     pair_terms, row_blocks)
 from .model import Potentials, Problem, cell_gauss, cumulative_simpson, simpson
 from .quantile import ParticleState
 from .reconstruct import write_table
@@ -57,11 +58,9 @@ FORK_MIN_PAIRS = 8_000_000
 
 def _energies(traj: Trajectory, pairs: int, energy, untraced, args):
     """``energy(*args(k))`` at every stored time ``k``.  From
-    ``FORK_MIN_PAIRS`` pair terms on (``pairs`` per time, none for W = 0),
-    a ``fork_join`` worker computes the second half with ``untraced``."""
+    ``FORK_MIN_PAIRS`` pair terms on (``pairs`` per time), a ``fork_join``
+    worker computes the second half with ``untraced``."""
     n = len(traj.times)
-    if traj.problem.potentials.interaction.is_zero:
-        pairs = 0
     if n * pairs < FORK_MIN_PAIRS or not _can_fork():
         return np.array([energy(*args(k)) for k in range(n)])
     import mmap     # on this path only, as in PairWorker
@@ -148,8 +147,9 @@ def edb_series(traj: Trajectory):
     times = traj.times
     r, r_star = _rate_series(traj)
     pots = traj.problem.potentials
-    energies = _energies(traj, traj.positions.shape[1] ** 2, free_energy,
-                         _free_energy, lambda k: (traj.state_at(k), pots))
+    terms = pair_terms(traj.positions.shape[1], pots.interaction)
+    energies = _energies(traj, terms, free_energy, _free_energy,
+                         lambda k: (traj.state_at(k), pots))
     partial = cumulative_simpson(r + r_star, times)
     defect = partial + energies - energies[0]
     return times, energies, r, r_star, 2.0 * r_star, defect
@@ -196,9 +196,8 @@ def gradient_records(traj: Trajectory) -> dict:
     reconstructed energy of the run's fields at every stored time."""
     times, energies, r, r_star, d, defect = edb_series(traj)
     fields, pots, h = traj.fields, traj.problem.potentials, traj.h
-    # cell_pair_sum pairs the 4 Gauss nodes of each cell, or the midpoints
-    n = fields.n_cells * (4 if _is_dense(pots.interaction) else 1)
-    fhat = _energies(traj, n * n, reconstructed_energy, _reconstructed_energy,
+    fhat = _energies(traj, cell_pair_terms(fields.n_cells, pots.interaction),
+                     reconstructed_energy, _reconstructed_energy,
                      lambda k: (fields.edges[k], fields.densities[k], pots, h))
     return {"t": times, "F_h": energies, "Fhat_h": fhat, "R_h": r,
             "R_h_star": r_star, "D_h": d, "edb_partial": defect}

@@ -210,9 +210,14 @@ discretization.output_every = 4
                  "entropy-check"]) == EXIT_OK
     assert "over 9 cases (3 test bumps, 3 levels)" in capsys.readouterr().out
     # an unattainable tolerance turns the same run into a violation report
+    # that names the bound itself
     assert main(["--config", str(path), "--out-dir", str(out),
                  "--override", "diagnostics.entropy.tol=-1.0",
                  "entropy-check"]) == EXIT_INVARIANT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("invariant violation: entropy residual ")
+    assert err[0].endswith(" below 1")
 
 
 def test_edb_check(tmp_path):
@@ -682,6 +687,42 @@ discretization.dt = 1e-3
                                     EXIT_NUMERICAL)
 
 
+COMMAND_KEYS = ("discretization.N", "discretization.t_end",
+                "discretization.integrator", "discretization.dt",
+                "discretization.tolerance", "discretization.output_every",
+                "discretization.N_list", "oracle.fv_dx", "oracle.window_lo",
+                "oracle.window_hi", "oracle.compare_times",
+                "diagnostics.norms", "diagnostics.edb",
+                "diagnostics.entropy.c", "diagnostics.entropy.phi_grid",
+                "diagnostics.entropy.tol")
+# written into the override as they stand ("4,8" is a list); no step or
+# grid spacing between 1e-300 and 0.05, so every run at N = 8 stays short
+# (discretization.dt = 1e-6 alone takes minutes)
+COMMAND_VALUES = EXTREMES + (
+    2, 3, 4, 0.05, 0.1, 0.5, 1.5, -0.3, "4,8", "8,4", "3,6,12",
+    "0.1,0.5", "0.5,0.25", "rk4", "rk45", "euler", "yes", "off", "")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(overrides=st.dictionaries(st.sampled_from(COMMAND_KEYS),
+                                 st.sampled_from(COMMAND_VALUES),
+                                 max_size=4),
+       command=st.sampled_from(["run", "converge", "oracle-compare",
+                                "entropy-check", "edb-check"]))
+@settings(max_examples=60, deadline=None)
+def test_any_command_key_ends_in_an_exit_code(tmp_path_factory, overrides,
+                                              command):
+    argv = ["--config", str(ROOT / "configs" / "reduction.cfg"),
+            "--out-dir", str(tmp_path_factory.mktemp("out")),
+            "--override", "discretization.N=8",
+            "--override", "discretization.N_list=4,8",
+            "--override", "oracle.fv_dx=0.05"]
+    for key, value in overrides.items():
+        argv += ["--override", f"{key}={value}"]
+    assert main(argv + [command]) in (EXIT_OK, EXIT_CONFIG, EXIT_INVARIANT,
+                                      EXIT_NUMERICAL)
+
+
 @pytest.mark.parametrize("tolerance, command", [
     ("1", "run"), ("-1", "run"), ("nan", "run"), ("1e-12", "run"),
     ("0.01", "edb-check"), ("inf", "entropy-check"),
@@ -760,7 +801,8 @@ for cfg in ("configs/reduction.cfg", "configs/attractive.cfg"):
 PLAIN_IMPORT = """
 import sys
 import partmob.cli
-loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+loaded = sorted(m for m in sys.modules
+                if m.startswith(("scipy", "numpy.polynomial")))
 sys.exit(f"importing partmob.cli loaded {loaded}" if loaded else 0)
 """
 

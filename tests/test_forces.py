@@ -296,7 +296,7 @@ def test_blocked_particle_forces_match_dense(kernel, n, block_elements,
 def dense_pair_sum(points, kernel):
     # the full pair matrix with a zeroed diagonal, summed by np.sum: the
     # reference whose bits pair_sum keeps
-    pair = kernel.w(points[:, None] - points[None, :])
+    pair = kernel.w(np.subtract.outer(points, points))
     np.fill_diagonal(pair, 0.0)
     return float(np.sum(pair))
 
@@ -332,14 +332,20 @@ def test_abs_pair_sum_on_the_bump_partition(attractive, n_cells):
             dense_pair_sum(points, kernel)
 
 
-@given(sorted_points(n_max=300), st.booleans())
+@given(sorted_points(n_max=300), st.booleans(),
+       st.one_of(st.none(), st.integers(0, 2**32 - 1)))
 @settings(max_examples=60, deadline=None)
-# one block of 128 rows, then 127 + 2 rows, then 3 blocks of 64 and one of 63
-@example(np.linspace(-3.0, 3.0, 128), False)
-@example(np.linspace(-3.0, 3.0, 129), True)
-@example(np.linspace(-3.0, 3.0, 255), False)
-def test_other_kernels_keep_the_dense_pair_sum(points, smooth):
-    # past 128 points the matrix is filled over several row blocks
+# one block of 128 rows, then 127 + 2 rows, then 3 blocks of 64 and one of
+# 63, then 10 blocks of 40 and one of 1, in a shuffled order
+@example(np.linspace(-3.0, 3.0, 128), False, None)
+@example(np.linspace(-3.0, 3.0, 129), True, None)
+@example(np.linspace(-3.0, 3.0, 255), False, None)
+@example(np.linspace(-3.0, 3.0, 401), False, 7)
+def test_other_kernels_keep_the_dense_pair_sum(points, smooth, shuffle):
+    # past 128 points the matrix is filled over several row blocks, each
+    # unordered pair once; the points need not be sorted
+    if shuffle is not None:
+        points = np.random.default_rng(shuffle).permutation(points)
     kernel = smooth_kernel() if smooth else pm.morse(1.0, 1.0, 0.5, 0.3)
     assert forces.pair_sum(points, kernel) == dense_pair_sum(points, kernel)
 

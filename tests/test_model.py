@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import partmob as pm
-from partmob.model import (MASS_MISMATCH, NEGATIVE_DENSITY,
-                           NON_MONOTONE_MOBILITY, InvalidProblem, _clamp,
-                           check_problem, sorted_union)
+from partmob.model import (GAUSS_NODES, GAUSS_WEIGHTS, MASS_MISMATCH,
+                           NEGATIVE_DENSITY, NON_MONOTONE_MOBILITY,
+                           InvalidProblem, _clamp, check_problem,
+                           sorted_union)
 
 
 def make_problem(mobility=None, external=None, interaction=None, initial=None):
@@ -88,6 +91,15 @@ def test_tabulated_mobility_interpolates_and_clamps():
     assert mob.cap == 1.0
 
 
+def test_gauss_rule_is_numpys_leggauss_4():
+    # the literals stand in for numpy.polynomial, which the package does
+    # not import
+    from numpy.polynomial.legendre import leggauss
+    nodes, weights = leggauss(4)
+    assert GAUSS_NODES.tobytes() == nodes.tobytes()
+    assert GAUSS_WEIGHTS.tobytes() == weights.tobytes()
+
+
 def test_morse_kernel_shape():
     w = pm.morse(2.0, 1.0, 1.0, 0.5)
     x = np.linspace(-3, 3, 101)
@@ -123,18 +135,51 @@ def same_bits(a, b):
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
-def test_morse_closures_match_reference_expressions():
-    params = (1.0, 1.0, 0.5, 0.3)
+def reference_bound(ca, la, cr, lr, power):
+    # ca / la**power + cr / lr**power, inf where a power leaves the float
+    # range: Python raises where la**2 overflows and where lr**3 is 0.0
+    try:
+        return ca / la**power + cr / lr**power
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+@given(params=st.tuples(*[st.floats(1e-300, 1e300)] * 4),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+# with lr = 0.3, |x| = 800 underflows both exponentials, |x| = 220 only
+# the repulsive one
+@example(params=(1.0, 1.0, 0.5, 0.3), seed=5)
+# bounds past the float range: la**2 overflows, lr**3 is 0.0, ca / la
+# overflows
+@example(params=(1.0, 1e200, 0.5, 0.3), seed=0)
+@example(params=(1.0, 1.0, 0.5, 1e-120), seed=0)
+@example(params=(1.0, 1e-310, 0.5, 0.3), seed=0)
+def test_morse_closures_match_reference_expressions(params, seed):
+    ca, la, cr, lr = params
+    bounds = {name: reference_bound(*params, power) for power, name
+              in enumerate(("sup_dw", "sup_d2w", "lip_d2w"), start=1)}
+    infinite = [name for name, b in bounds.items() if not math.isfinite(b)]
+    if infinite:
+        with pytest.raises(ValueError) as info:
+            pm.morse(*params)
+        assert str(info.value) == (
+            f"Morse parameters c_attract={ca!r}, ell_attract={la!r}, "
+            f"c_repulse={cr!r}, ell_repulse={lr!r} give non-finite kernel "
+            f"bounds: {', '.join(infinite)}")
+        return
     kernel = pm.morse(*params)
-    rng = np.random.default_rng(5)
-    # |x| = 800 underflows both exponentials, |x| = 220 only the repulsive
-    # one with lr = 0.3
+    assert [kernel.sup_dw, kernel.sup_d2w, kernel.lip_d2w] == \
+        list(bounds.values())
+    rng = np.random.default_rng(seed)
     special = np.array([0.0, -0.0, 1e-300, -5e-324, 220.0, -220.0, 800.0,
                         -800.0, np.inf, -np.inf])
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
     inputs = [0.0, -0.0, 2.5, -800.0, np.float64(-1.5), np.array(0.7),
-              np.array(-0.0), special, rng.normal(0.0, 3.0, 257),
-              rng.normal(0.0, 3.0, (17, 33)), rng.normal(0.0, 3.0, (3, 5, 4)),
-              rng.normal(0.0, 3.0, (40, 30))[:, ::3]]
+              np.array(-0.0), special, rng.normal(0.0, scale, 257),
+              rng.normal(0.0, scale, (17, 33)),
+              rng.normal(0.0, scale, (3, 5, 4)),
+              rng.normal(0.0, scale, (40, 30))[:, ::3]]
     for x in inputs:
         before = np.array(x, copy=True)
         for got_fn, want_fn in zip((kernel.w, kernel.dw, kernel.d2w),
