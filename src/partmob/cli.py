@@ -209,32 +209,39 @@ def _positive(cfg, key, default):
     return value
 
 
+def _flag(cfg, key) -> bool:
+    """A switch, on unless given as false; a given value must be a boolean
+    (``true``/``false``, ``yes``/``no``, ``on``/``off``)."""
+    value = _get(cfg, key, True)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, not {value!r}")
+    return value
+
+
 def _discretization(cfg):
+    """``(n_cells, t_end, dt, store_every)``, with ``dt`` None for the CFL
+    guard's default step."""
     n_cells = _number(cfg, "discretization.N", required=True, kind=int)
     if n_cells < 2:
         raise ConfigError("discretization.N must be at least 2")
     t_end = _positive(cfg, "discretization.t_end", 1.0)
-    scheme = _get(cfg, "discretization.integrator", "rk4")
-    if scheme not in ("rk4", "rk45"):
-        raise ConfigError("discretization.integrator must be rk4 or rk45, "
-                          f"not {scheme!r}")
+    integrator = _get(cfg, "discretization.integrator", "rk4")
+    if integrator != "rk4":
+        raise ConfigError(f"discretization.integrator must be rk4, not "
+                          f"{integrator!r}: runs use fixed RK4 steps, set "
+                          "by discretization.dt")
     dt = _positive(cfg, "discretization.dt", None)
-    tol = _number(cfg, "discretization.tolerance", 1e-8)
-    if scheme == "rk45" and not 1e-12 < tol < 1e-2:
-        raise ConfigError("discretization.tolerance must lie in "
-                          "(1e-12, 1e-2) under rk45")
     store_every = _number(cfg, "discretization.output_every", 1, kind=int)
     if store_every < 1:
         raise ConfigError("discretization.output_every must be at least 1")
-    return n_cells, t_end, scheme, dt, tol, store_every
+    return n_cells, t_end, dt, store_every
 
 
 def run_trajectory(cfg: dict) -> Trajectory:
     problem = validate(build_problem(cfg))
-    n_cells, t_end, scheme, dt, tol, store_every = _discretization(cfg)
+    n_cells, t_end, dt, store_every = _discretization(cfg)
     state0 = quantile_partition(problem.initial, n_cells)
-    return integrate(state0, problem, t_end, scheme=scheme, dt=dt, tol=tol,
-                     store_every=store_every)
+    return integrate(state0, problem, t_end, dt=dt, store_every=store_every)
 
 
 def check_invariants(traj: Trajectory) -> list[str]:
@@ -268,8 +275,7 @@ def _aligned_run(problem, n_cells, t_end, n_out=100,
     dt_target = min(dt_cap, default_dt(state0, problem))
     per_out = max(1, int(np.ceil((t_end / n_out) / dt_target)))
     dt = (t_end / n_out) / per_out
-    return integrate(state0, problem, t_end, scheme="rk4", dt=dt,
-                     store_every=per_out)
+    return integrate(state0, problem, t_end, dt=dt, store_every=per_out)
 
 
 def space_time_l1(fields_a, fields_b) -> float:
@@ -290,32 +296,56 @@ def space_time_l1(fields_a, fields_b) -> float:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _edb_balance(table) -> tuple[float, float, list[str]]:
+    """The energy balance residual of a ``gradient_records`` table of at
+    least three stored times, the tolerance ``1e-6 * (|F_h(0)| + 1)`` that
+    ``run`` and ``edb-check`` hold it to, and the violation message, if
+    any, as a list."""
+    residual = var.records_residual(table)
+    tol = 1e-6 * (abs(table["F_h"][0]) + 1.0)
+    violations = []
+    if residual > tol:
+        violations.append(f"energy balance residual {residual:.3e} above "
+                          f"the tolerance {tol:.3e}: lower "
+                          "discretization.dt")
+    return residual, tol, violations
+
+
+def _report(violations) -> int:
+    for v in violations:
+        print(f"invariant violation: {v}", file=sys.stderr)
+    return EXIT_INVARIANT if violations else EXIT_OK
+
+
 def cmd_run(cfg, args) -> int:
+    norms = _flag(cfg, "diagnostics.norms")
+    edb = _flag(cfg, "diagnostics.edb")
     traj = run_trajectory(cfg)
     out = _out_dir(cfg, args)
     write_snapshots_csv(traj.fields, out / "snapshots.csv")
-    if _get(cfg, "diagnostics.norms", True):
+    if norms:
         diag.write_diagnostics_csv(
             diag.diagnostics_records(traj.fields, traj.problem),
             out / "diagnostics.csv")
-    if _get(cfg, "diagnostics.edb", True):
-        var.write_gradient_csv(var.gradient_records(traj),
-                               out / "variational.csv")
-    violations = check_invariants(traj)
+    balance = []
+    if edb:
+        table = var.gradient_records(traj)
+        var.write_gradient_csv(table, out / "variational.csv")
+        if len(traj.times) >= 3:    # Simpson's rule in time
+            balance = _edb_balance(table)[2]
+        # freed before check_invariants allocates: kept alive, the table's
+        # float objects raised the peak RSS of the figure configs' runs
+        del table
+    violations = check_invariants(traj) + balance
     if violations:
-        for v in violations:
-            print(f"invariant violation: {v}", file=sys.stderr)
-        return EXIT_INVARIANT
+        return _report(violations)
     print(f"run ok: {len(traj.times)} stored times, outputs in {out}")
     return EXIT_OK
 
 
 def cmd_converge(cfg, args) -> int:
     problem = validate(build_problem(cfg))
-    _, t_end, scheme, dt, _, _ = _discretization(cfg)
-    if scheme != "rk4":
-        raise ConfigError("converge needs discretization.integrator = rk4 "
-                          "for fixed steps onto shared output times")
+    _, t_end, dt, _ = _discretization(cfg)
     n_list = _numbers(cfg, "discretization.N_list", [50, 100, 200, 400],
                       kind=int)
     if len(n_list) < 2:
@@ -420,30 +450,19 @@ def cmd_edb_check(cfg, args) -> int:
     out = _out_dir(cfg, args)
     table = var.gradient_records(traj)
     var.write_gradient_csv(table, out / "variational.csv")
-    residual = var.records_residual(table)
-    tol = 1e-6 * (abs(table["F_h"][0]) + 1.0)
+    residual, tol, violations = _edb_balance(table)
     print(f"edb residual: {residual:.6e} (tolerance {tol:.3e})")
-    _, t_end, scheme, _, _, store_every = _discretization(cfg)
-    if scheme == "rk45":
-        # rk45 ignores dt: a half-step rerun would repeat the main run
-        print("half-step residual: skipped, the halving check applies to "
-              "rk4 only")
-    else:
-        problem, dt = traj.problem, traj.stats["dt"]
-        state0 = ParticleState(traj.positions[0].copy(), h=traj.h)
-        # the half-step run starts from the same particles and needs none
-        # of the main run's arrays
-        del traj, table
-        residual_half = var.edb_residual(integrate(
-            state0, problem, t_end, dt=dt / 2.0, store_every=store_every))
-        ratio = residual / residual_half if residual_half > 0 \
-            else float("inf")
-        print(f"half-step residual: {residual_half:.6e}  ratio={ratio:.2f}")
-    if residual > tol:
-        print("invariant violation: energy balance residual above tolerance",
-              file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    _, t_end, _, store_every = _discretization(cfg)
+    problem, dt = traj.problem, traj.stats["dt"]
+    state0 = ParticleState(traj.positions[0].copy(), h=traj.h)
+    # the half-step run starts from the same particles and needs none of
+    # the main run's arrays
+    del traj, table
+    residual_half = var.edb_residual(integrate(
+        state0, problem, t_end, dt=dt / 2.0, store_every=store_every))
+    ratio = residual / residual_half if residual_half > 0 else float("inf")
+    print(f"half-step residual: {residual_half:.6e}  ratio={ratio:.2f}")
+    return _report(violations)
 
 
 def build_parser() -> argparse.ArgumentParser:

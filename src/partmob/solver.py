@@ -103,9 +103,9 @@ class Trajectory:
     velocities: np.ndarray    # (n_times, n_particles)
     h: float
     problem: Problem
-    # what integrate did: "velocity_evals", "halvings" (intervals halved in
-    # the fixed-step scheme), "dt" (the rk4 step, given or default_dt's;
-    # None under rk45) and "pair_worker" (dense pair fills on two CPUs)
+    # what integrate did: "velocity_evals", "halvings" (intervals halved),
+    # "dt" (the step, given or default_dt's) and "pair_worker" (dense pair
+    # fills on two CPUs)
     stats: dict = field(default_factory=dict)
 
     @property
@@ -181,141 +181,66 @@ def default_dt(state: ParticleState, problem: Problem) -> float:
     return dt
 
 
-# Dormand-Prince 5(4) coefficients
-_DP_A = [
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-
-
-def _integrate_rk45(x, t_end, velocity, tol, min_dt, store_every):
-    # k1 is the velocity at x: kept after a rejected step, taken from the
-    # stored velocity after a stored step, None until evaluated otherwise
-    t = 0.0
-    dt = min(1e-2, t_end / 10.0)
-    k1 = velocity(x)
-    times, states, vels = [0.0], [x.copy()], [k1]
-    accepted = 0
-    while t < t_end:
-        dt = min(dt, t_end - t)
-        try:
-            if k1 is None:
-                k1 = velocity(x)
-            k = [k1]
-            for row in _DP_A[1:]:
-                xi = x + dt * sum(a * ki for a, ki in zip(row, k))
-                k.append(velocity(xi))
-            k = np.array(k)
-            x5 = x + dt * (_DP_B5 @ k)
-            err = dt * ((_DP_B5 - _DP_B4) @ k)
-            scale = tol * (1.0 + np.max(np.abs(x)))
-            err_norm = float(np.max(np.abs(err))) / scale
-            ordered = np.all(np.diff(x5) > 0.0) and np.all(np.isfinite(x5))
-        except UnorderedState:
-            err_norm, ordered = np.inf, False
-        if err_norm <= 1.0 and ordered:
-            t += dt
-            x = x5
-            k1 = None
-            accepted += 1
-            if accepted % store_every == 0 or t >= t_end:
-                k1 = velocity(x)
-                times.append(t)
-                states.append(x.copy())
-                vels.append(k1)
-            dt *= min(5.0, max(0.2, 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0))
-        else:
-            dt *= 0.5 if not np.isfinite(err_norm) \
-                else min(0.9, max(0.2, 0.9 * err_norm ** -0.2))
-            if dt < min_dt:
-                raise StepUnderflow(f"adaptive step underflow at t={t:.6g}")
-    return np.array(times), np.array(states), np.array(vels)
-
-
-def _integrate_rk4(x, t_end, dt, velocity, min_dt, store_every, stats):
-    n_steps = max(1, int(round(t_end / dt)))
-    dt = t_end / n_steps
-    # step 0, every store_every-th step, and the last step
-    n_store = 1 + -(-n_steps // store_every)
-    try:
-        times = np.empty(n_store)
-        states = np.empty((n_store, x.size))
-        vels = np.empty((n_store, x.size))
-    except ValueError as exc:   # more values than numpy can index
-        raise MemoryError(f"{n_store:.3g} stored times of {x.size} "
-                          f"particles: {exc}") from None
-    if n_steps > 2**53:     # after the allocation, which names the times
-        raise TooManySteps(f"{n_steps:.3g} RK4 steps, more than 2^53")
-    times[0], states[0], vels[0] = 0.0, x, velocity(x)
-    k = 1
-    for step in range(n_steps):
-        x = _advance(x, dt, velocity, min_dt, step * dt, stats)
-        if (step + 1) % store_every == 0 or step + 1 == n_steps:
-            times[k], states[k], vels[k] = (step + 1) * dt, x, velocity(x)
-            k += 1
-    return times, states, vels
-
-
 def integrate(initial: ParticleState, problem: Problem, t_end: float,
-              scheme: str = "rk4", dt: float | None = None,
-              tol: float = 1e-8, store_every: int = 1) -> Trajectory:
-    """Evolve the particle system to ``t_end``.
+              dt: float | None = None, store_every: int = 1) -> Trajectory:
+    """Evolve the particle system to ``t_end`` by classical RK4.
 
-    ``rk4`` takes fixed steps (default chosen by the CFL guard), storing
-    every ``store_every``-th step; a step that would disorder the particles
-    is halved down to ``1e-12 * t_end`` before giving up.  ``rk45`` is the
-    adaptive alternative with local error control.  For a dense kernel
-    with at least ``forces.FORK_MIN_PARTICLES`` particles, the run's pair
-    fills go to one forked :class:`~partmob.forces.PairWorker`, reaped
-    however the run ends.  The trajectory's ``stats`` count what was done.
+    The steps are fixed: ``dt``, or the CFL guard's :func:`default_dt`,
+    rounded so that a whole number of steps ends at ``t_end``.  Step 0,
+    every ``store_every``-th step and the last are stored.  A step that
+    would disorder the particles is halved down to ``1e-12 * t_end`` before
+    giving up.  For a dense kernel with at least
+    ``forces.FORK_MIN_PARTICLES`` particles, the run's pair fills go to one
+    forked :class:`~partmob.forces.PairWorker`, reaped however the run
+    ends.  The trajectory's ``stats`` count what was done.
     """
     if not 0.0 < t_end < np.inf:
         raise ValueError("t_end must be finite and positive")
     if store_every < 1:
         raise ValueError("store_every must be at least 1")
-    x0 = np.asarray(initial.positions, dtype=float)
-    if np.any(np.diff(x0) <= 0):
+    x = np.asarray(initial.positions, dtype=float)
+    if np.any(np.diff(x) <= 0):
         raise ValueError("initial particles must be strictly increasing")
-    if scheme == "rk4":
-        if dt is None:
-            dt = default_dt(initial, problem)
-        elif not (0.0 < dt < np.inf and t_end / dt < np.inf):
-            raise ValueError("dt must be finite and positive, and t_end / dt "
-                             "finite")
-    elif scheme == "rk45":
-        if not (1e-12 < tol < 1e-2):
-            raise ValueError("tolerance must lie in (1e-12, 1e-2)")
-        dt = None
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    h = initial.h
+    if dt is None:
+        dt = default_dt(initial, problem)
+    elif not (0.0 < dt < np.inf and t_end / dt < np.inf):
+        raise ValueError("dt must be finite and positive, and t_end / dt "
+                         "finite")
     min_dt = 1e-12 * t_end
     stats = {"velocity_evals": 0, "halvings": 0, "dt": dt}
+    n_steps = max(1, int(round(t_end / dt)))
+    step_dt = t_end / n_steps
+    # step 0, every store_every-th step, and the last step
+    n_store = 1 + -(-n_steps // store_every)
 
-    with pair_worker(problem.potentials, x0.size) as pairs:
+    with pair_worker(problem.potentials, x.size) as pairs:
         stats["pair_worker"] = pairs is not None
-        bare = velocity_field(problem, h, pairs)
+        bare = velocity_field(problem, initial.h, pairs)
 
-        def velocity(x):
+        def velocity(y):
             stats["velocity_evals"] += 1
-            return bare(x)
+            return bare(y)
 
-        if scheme == "rk4":
-            times, states, vels = _integrate_rk4(
-                x0, t_end, dt, velocity, min_dt, store_every, stats)
-        else:
-            times, states, vels = _integrate_rk45(
-                x0, t_end, velocity, tol, min_dt, store_every)
+        try:
+            times = np.empty(n_store)
+            states = np.empty((n_store, x.size))
+            vels = np.empty((n_store, x.size))
+        except ValueError as exc:   # more values than numpy can index
+            raise MemoryError(f"{n_store:.3g} stored times of {x.size} "
+                              f"particles: {exc}") from None
+        if n_steps > 2**53:     # after the allocation, which names the times
+            raise TooManySteps(f"{n_steps:.3g} RK4 steps, more than 2^53")
+        times[0], states[0], vels[0] = 0.0, x, velocity(x)
+        k = 1
+        for step in range(n_steps):
+            x = _advance(x, step_dt, velocity, min_dt, step * step_dt, stats)
+            if (step + 1) % store_every == 0 or step + 1 == n_steps:
+                times[k], states[k], vels[k] = \
+                    (step + 1) * step_dt, x, velocity(x)
+                k += 1
 
-    return Trajectory(times, states, vels, h=h, problem=problem, stats=stats)
+    return Trajectory(times, states, vels, h=initial.h, problem=problem,
+                      stats=stats)
 
 
 @dataclass(frozen=True)

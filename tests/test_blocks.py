@@ -163,6 +163,15 @@ def assert_series_match_loops(traj):
         assert var._dual_dissipations(*betas, -f) == ref[1][k]
 
 
+def assert_residual_matches_loops(traj):
+    r, r_star, _ = ref_rates(traj)
+    pots = traj.problem.potentials
+    expected = var._balance_defect(
+        traj.times, r, r_star, var.free_energy(traj.state_at(0), pots),
+        var.free_energy(traj.state_at(len(traj.times) - 1), pots))
+    assert var.edb_residual(traj) == expected
+
+
 def assert_norms_match_loops(traj):
     fields = traj.fields
     problem = traj.problem
@@ -201,21 +210,21 @@ def test_blocks_match_per_state_loops(config, budget, monkeypatch):
     assert bit_equal(traj.velocities, vels)
     assert_series_match_loops(traj)
     assert_norms_match_loops(traj)
-    r, r_star, _ = ref_rates(traj)
-    pots = problem.potentials
-    expected = var._balance_defect(
-        traj.times, r, r_star, var.free_energy(traj.state_at(0), pots),
-        var.free_energy(traj.state_at(len(traj.times) - 1), pots))
-    assert var.edb_residual(traj) == expected
+    assert_residual_matches_loops(traj)
 
 
-def test_rk45_series_match_per_state_loops(attractive_problem):
+def test_irregular_grid_series_match_per_state_loops(attractive_problem):
+    # the rows of an RK4 run at irregular indices: stored times with
+    # unequal spacings, an even count of them, and the run's own velocities
     state = pm.quantile_partition(attractive_problem.initial, 30)
-    traj = pm.integrate(state, attractive_problem, 0.2, scheme="rk45",
-                        tol=1e-6)
+    run = pm.integrate(state, attractive_problem, 0.2, dt=1e-2)
+    rows = [0, 1, 3, 4, 7, 8, 12, 13, 17, 20]
+    traj = Trajectory(run.times[rows], run.positions[rows],
+                      run.velocities[rows], h=run.h, problem=run.problem)
     assert len(np.unique(np.diff(traj.times))) > 1
     assert_series_match_loops(traj)
     assert_norms_match_loops(traj)
+    assert_residual_matches_loops(traj)
 
 
 @pytest.mark.parametrize("budget", BLOCK_BUDGETS)

@@ -1,5 +1,7 @@
+import ast
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 import partmob as pm
 from partmob import cli
 from partmob import fv as fvmod
+from partmob import variational as var
 from partmob.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
                          ConfigError, build_problem, main, parse_config)
 
@@ -247,6 +250,37 @@ diagnostics.edb = false
     assert not (out / "variational.csv").exists()
 
 
+def test_run_checks_the_energy_balance_it_writes(tmp_path, capsys,
+                                                 monkeypatch):
+    # a step far past RK4's stability limit: the balance residual is 6.5e-4
+    # against a tolerance of 1e-6
+    tables, real = [], var.gradient_records
+
+    def recording_records(traj):
+        tables.append(real(traj))
+        return tables[-1]
+
+    monkeypatch.setattr(var, "gradient_records", recording_records)
+    out = tmp_path / "run"
+    code, err = run_main(capsys, [
+        "--config", str(ROOT / "configs" / "reduction.cfg"),
+        "--out-dir", str(out),
+        "--override", "discretization.N=100",
+        "--override", "discretization.dt=0.04",
+        "--override", "discretization.t_end=0.5",
+        "--override", "discretization.output_every=1", "run"])
+    assert code == EXIT_INVARIANT
+    assert len(tables) == 1         # the table run writes is the one checked
+    residual = var.records_residual(tables[0])
+    tol = 1e-6 * (abs(tables[0]["F_h"][0]) + 1.0)
+    assert residual > 100.0 * tol
+    assert err == (f"invariant violation: energy balance residual "
+                   f"{residual:.3e} above the tolerance {tol:.3e}: lower "
+                   "discretization.dt\n")
+    for name in ("snapshots.csv", "diagnostics.csv", "variational.csv"):
+        assert (out / name).exists()
+
+
 @pytest.mark.parametrize("override, command", [
     ("discretization.dt=0", "run"),
     ("discretization.dt=-1", "run"),
@@ -267,6 +301,12 @@ diagnostics.edb = false
     ("discretization.integrator=bogus", "run"),
     ("discretization.integrator=bogus", "converge"),
     ("discretization.integrator=rk45", "converge"),
+    # a boolean key given anything but a parsed boolean
+    ("diagnostics.edb=flase", "run"),
+    ("diagnostics.edb=2", "run"),
+    ("diagnostics.edb=0.5", "run"),
+    ("diagnostics.norms=1", "run"),
+    ("diagnostics.norms=none", "run"),
     # a value that is not a number, or a list where one number is read
     ("discretization.dt=1,2", "run"),
     ("discretization.t_end=abc", "run"),
@@ -420,27 +460,6 @@ def test_edb_check_halves_the_runs_own_step(tmp_path, capsys, monkeypatch,
     assert len(guards) == (dt is None)
 
 
-def test_edb_check_rk45_skips_the_half_step_rerun(tmp_path, capsys,
-                                                  monkeypatch):
-    # rk45 ignores dt, so a half-step rerun would repeat the main run
-    calls = []
-
-    def counting_integrate(*args, **kwargs):
-        calls.append(kwargs.get("scheme"))
-        return pm.integrate(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "integrate", counting_integrate)
-    path = write_config(tmp_path)
-    assert main(["--config", str(path), "--out-dir", str(tmp_path / "edb"),
-                 "--override", "discretization.integrator=rk45",
-                 "edb-check"]) == EXIT_OK
-    printed = capsys.readouterr().out
-    assert calls == ["rk45"]
-    assert printed.startswith("edb residual: ")
-    assert "ratio=" not in printed
-    assert "rk4 only" in printed
-
-
 # -- exit codes of the stored-time errors: 1 for a config that stores too
 # few times, 3 for time grids that rounding drove apart --------------------
 
@@ -454,7 +473,7 @@ def run_main(capsys, argv):
 @pytest.mark.parametrize("overrides", [
     ["discretization.dt=0.05"],                                # one step
     ["discretization.output_every=50"],                        # t = 0, 0.05
-    ["discretization.integrator=rk45", "discretization.output_every=1000"],
+    ["discretization.dt=1"],                                   # dt > t_end
 ])
 def test_edb_check_needs_three_stored_times(tmp_path, capsys, overrides):
     # a configuration that stores too few times for Simpson's rule
@@ -626,7 +645,8 @@ def test_out_of_range_numbers_name_their_key(tmp_path, capsys, overrides,
 def test_a_cell_above_the_density_bound_is_one_violation(tmp_path, capsys,
                                                          monkeypatch):
     # the last stored state squeezes one cell to half the width h / M
-    # allows; the run still writes its tables
+    # allows; the run still writes its tables.  The made-up states, which
+    # do not move, also break the energy balance: one more line
     def squeezed(state0, problem, t_end, **kwargs):
         x = np.tile(state0.positions, (3, 1))
         x[-1, 13] = x[-1, 12] + 0.5 * state0.h / problem.M
@@ -640,7 +660,8 @@ def test_a_cell_above_the_density_bound_is_one_violation(tmp_path, capsys,
                                   str(out), "run"])
     assert code == EXIT_INVARIANT
     lines = err.splitlines()
-    assert len(lines) == 1 and "max density" in lines[0]
+    assert len(lines) == 2 and "max density" in lines[0]
+    assert lines[1].startswith("invariant violation: energy balance residual")
     for name in ("snapshots.csv", "diagnostics.csv", "variational.csv"):
         assert (out / name).exists()
 
@@ -689,7 +710,7 @@ discretization.dt = 1e-3
 
 COMMAND_KEYS = ("discretization.N", "discretization.t_end",
                 "discretization.integrator", "discretization.dt",
-                "discretization.tolerance", "discretization.output_every",
+                "discretization.output_every",
                 "discretization.N_list", "oracle.fv_dx", "oracle.window_lo",
                 "oracle.window_hi", "oracle.compare_times",
                 "diagnostics.norms", "diagnostics.edb",
@@ -723,13 +744,31 @@ def test_any_command_key_ends_in_an_exit_code(tmp_path_factory, overrides,
                                       EXIT_NUMERICAL)
 
 
-@pytest.mark.parametrize("tolerance, command", [
-    ("1", "run"), ("-1", "run"), ("nan", "run"), ("1e-12", "run"),
-    ("0.01", "edb-check"), ("inf", "entropy-check"),
-    ("1", "oracle-compare"),
-])
-def test_rk45_tolerance_is_checked_before_the_partition(
-        tmp_path, capsys, monkeypatch, tolerance, command):
+def test_cli_readme_and_fuzzer_name_the_same_command_keys():
+    # the discretization.*, oracle.* and diagnostics.* keys named by the
+    # string literals of cli.py, by the README's config paragraph and by
+    # COMMAND_KEYS, which the fuzzer above draws from
+    pattern = re.compile(r"\b(?:discretization|oracle|diagnostics)\.[\w.]*\w")
+
+    def keys(text):
+        return {key for key in pattern.findall(text)
+                if not key.endswith(".csv")}
+
+    tree = ast.parse((ROOT / "src" / "partmob" / "cli.py").read_text())
+    literals = "\n".join(node.value for node in ast.walk(tree)
+                         if isinstance(node, ast.Constant)
+                         and isinstance(node.value, str))
+    readme = (ROOT / "README.md").read_text()
+    paragraph = readme.split("Configs are flat", 1)[1] \
+        .split("CSV schemas:", 1)[0]
+    assert keys(literals) == set(COMMAND_KEYS)
+    assert keys(paragraph) == set(COMMAND_KEYS)
+
+
+@pytest.mark.parametrize("command", ["run", "converge", "oracle-compare",
+                                     "entropy-check", "edb-check"])
+def test_integrator_is_checked_before_the_partition(tmp_path, capsys,
+                                                    monkeypatch, command):
     calls = []
     monkeypatch.setattr(cli, "quantile_partition",
                         lambda *a, **k: calls.append(1))
@@ -737,20 +776,13 @@ def test_rk45_tolerance_is_checked_before_the_partition(
     out = tmp_path / "out"
     code, err = run_main(capsys, [
         "--config", str(path), "--out-dir", str(out),
-        "--override", "discretization.integrator=rk45",
-        "--override", f"discretization.tolerance={tolerance}", command])
+        "--override", "discretization.integrator=rk45", command])
     assert code == EXIT_CONFIG
-    assert err.startswith("config error: discretization.tolerance")
+    assert err.startswith("config error: discretization.integrator must be "
+                          "rk4, not 'rk45'")
+    assert "discretization.dt" in err
     assert calls == []
     assert not list(out.glob("*.csv"))
-
-
-def test_rk4_ignores_the_tolerance(tmp_path, capsys):
-    path = write_config(tmp_path)
-    code, _ = run_main(capsys, ["--config", str(path), "--out-dir",
-                                str(tmp_path / "out"), "--override",
-                                "discretization.tolerance=1", "run"])
-    assert code == EXIT_OK
 
 
 @pytest.mark.parametrize("error", [

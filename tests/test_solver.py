@@ -226,20 +226,6 @@ def test_overflowing_force_bound_leaves_no_default_step():
         pm.default_dt(s, p)
 
 
-def test_rk45_reaches_end(attractive_problem):
-    s = pm.quantile_partition(attractive_problem.initial, 20)
-    traj = pm.integrate(s, attractive_problem, 0.2, scheme="rk45", tol=1e-9)
-    assert traj.times[-1] == pytest.approx(0.2)
-    ref = pm.integrate(s, attractive_problem, 0.2, dt=1e-3)
-    assert np.allclose(traj.positions[-1], ref.positions[-1], atol=1e-6)
-
-
-def test_rk45_tolerance_validated(attractive_problem):
-    s = pm.quantile_partition(attractive_problem.initial, 10)
-    with pytest.raises(ValueError):
-        pm.integrate(s, attractive_problem, 0.1, scheme="rk45", tol=1.0)
-
-
 def test_integrator_order_on_energy_balance(attractive_problem):
     # fourth-order scheme: the balance defect should drop ~16x per halving
     p = attractive_problem
@@ -387,34 +373,3 @@ def test_rk4_step_keeps_the_bits(kernel, external):
         y = _rk4_step(x, dt, velocity)
         assert same_bits(y, plain_rk4_step(x, dt, reference))
         assert np.array_equal(x, state.positions)   # x is read only
-
-
-def test_rk45_reuses_the_first_stage(attractive_problem, monkeypatch):
-    calls = []
-    real = solver.forces_for
-
-    def counting(state, problem, pairs=None):
-        calls.append(len(state.positions))
-        return real(state, problem, pairs)
-
-    monkeypatch.setattr(solver, "forces_for", counting)
-    state = pm.quantile_partition(attractive_problem.initial, 50)
-    traj = pm.integrate(state, attractive_problem, 0.2, scheme="rk45")
-    # 7 attempts (5 accepted, 2 rejected) of six new stages each, plus
-    # the velocity at the 6 stored states; k1 of an attempt is the stored
-    # velocity or the rejected attempt's k1
-    assert len(traj.times) == 6
-    assert len(calls) == 7 * 6 + 6
-
-
-def test_rk45_steps_do_not_depend_on_storage(attractive_problem):
-    # a k1 evaluated afresh and one reused from a stored velocity are the
-    # same bits, so storing every second step takes the same steps
-    state = pm.quantile_partition(attractive_problem.initial, 50)
-    every = pm.integrate(state, attractive_problem, 0.2, scheme="rk45")
-    second = pm.integrate(state, attractive_problem, 0.2, scheme="rk45",
-                          store_every=2)
-    rows = [0, 2, 4, 5]
-    assert np.array_equal(second.times, every.times[rows])
-    assert np.array_equal(second.positions, every.positions[rows])
-    assert np.array_equal(second.velocities, every.velocities[rows])
