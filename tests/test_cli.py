@@ -765,10 +765,15 @@ def test_cli_readme_and_fuzzer_name_the_same_command_keys():
     assert keys(paragraph) == set(COMMAND_KEYS)
 
 
-@pytest.mark.parametrize("command", ["run", "converge", "oracle-compare",
-                                     "entropy-check", "edb-check"])
-def test_integrator_is_checked_before_the_partition(tmp_path, capsys,
-                                                    monkeypatch, command):
+@pytest.mark.parametrize("tolerance, command", [
+    ("1", "run"), ("-1", "run"), ("nan", "run"), ("1e-12", "run"),
+    ("0.01", "edb-check"), ("inf", "entropy-check"),
+    ("1", "oracle-compare"), ("1", "converge"),
+])
+def test_rk45_tolerance_is_checked_before_the_partition(
+        tmp_path, capsys, monkeypatch, tolerance, command):
+    # an rk45 config is refused on its integrator, whatever its tolerance,
+    # before any particle is placed
     calls = []
     monkeypatch.setattr(cli, "quantile_partition",
                         lambda *a, **k: calls.append(1))
@@ -776,13 +781,23 @@ def test_integrator_is_checked_before_the_partition(tmp_path, capsys,
     out = tmp_path / "out"
     code, err = run_main(capsys, [
         "--config", str(path), "--out-dir", str(out),
-        "--override", "discretization.integrator=rk45", command])
+        "--override", "discretization.integrator=rk45",
+        "--override", f"discretization.tolerance={tolerance}", command])
     assert code == EXIT_CONFIG
     assert err.startswith("config error: discretization.integrator must be "
                           "rk4, not 'rk45'")
     assert "discretization.dt" in err
     assert calls == []
     assert not list(out.glob("*.csv"))
+
+
+def test_rk4_ignores_the_tolerance(tmp_path, capsys):
+    # a tolerance left in a config from rk45 runs is not read
+    path = write_config(tmp_path)
+    code, _ = run_main(capsys, ["--config", str(path), "--out-dir",
+                                str(tmp_path / "out"), "--override",
+                                "discretization.tolerance=1", "run"])
+    assert code == EXIT_OK
 
 
 @pytest.mark.parametrize("error", [
