@@ -9,9 +9,12 @@ Runs 16 commands of the checkout this script belongs to, each in a fresh
 ``perfbench/configs/morse*.cfg``; ``converge``, ``oracle-compare`` and
 ``entropy-check`` on ``configs/reduction.cfg``; ``entropy-check`` on
 ``perfbench/configs/morse_entropy.cfg``.  Together they write 28 CSVs.
-Compare two such trees with ``scripts/compare_outputs.py``.  The exit
-status is 0 only when every command exits 0, 1 otherwise, and 2 for a
-usage error.
+Compare two such trees with ``scripts/compare_outputs.py``.  Each command
+starts a session of its own; a command that leaves a process of that
+session running after it exits counts as failed ("left a process
+running"), and the process is killed.  The exit status is 0 only when
+every command exits 0 and leaves nothing running, 1 otherwise, and 2 for
+a usage error.
 
 Two commands run at a time when the process may use two CPUs, one at a
 time under ``taskset -c 0``; the lines print in the order above either way.
@@ -42,12 +45,20 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0]).resolve()
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
-    def exit_code(command):
+    def outcome(command):
+        # the exit code and whether the command's session outlived it
         cfg, cmd = command
-        return subprocess.run(
+        proc = subprocess.Popen(
             [sys.executable, "-m", "partmob", "--config", str(ROOT / cfg),
              "--out-dir", str(out / Path(cfg).stem / cmd), cmd],
-            env=env, stdout=subprocess.DEVNULL).returncode
+            env=env, stdout=subprocess.DEVNULL, start_new_session=True)
+        code = proc.wait()
+        try:
+            os.killpg(proc.pid, 0)      # the session's process group
+        except ProcessLookupError:
+            return code, False
+        os.killpg(proc.pid, 9)          # SIGKILL
+        return code, True
 
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -55,14 +66,16 @@ def main(argv: list[str]) -> int:
         cpus = os.cpu_count() or 1
     failed = []
     # each command is a child process, so a thread per running command
-    # only waits; map yields the exit codes in COMMANDS order
+    # only waits; map yields the outcomes in COMMANDS order
     with ThreadPoolExecutor(min(2, cpus)) as pool:
-        for (cfg, cmd), code in zip(COMMANDS, pool.map(exit_code, COMMANDS)):
-            print(f"{cfg} {cmd}: exit {code}", flush=True)
-            if code != 0:
+        for (cfg, cmd), (code, left) in zip(COMMANDS,
+                                            pool.map(outcome, COMMANDS)):
+            note = ", left a process running" if left else ""
+            print(f"{cfg} {cmd}: exit {code}{note}", flush=True)
+            if code != 0 or left:
                 failed.append(f"{cfg} {cmd}")
     print(f"{len(COMMANDS) - len(failed)} of {len(COMMANDS)} commands "
-          f"exited 0")
+          f"exited 0 and left nothing running")
     return 1 if failed else 0
 
 

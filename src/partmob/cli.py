@@ -29,7 +29,8 @@ from .model import (InvalidProblem, Potentials, Problem, linear_potential,
                     piecewise_constant_density, power_cap_mobility,
                     quadratic_potential, simpson, tabulated_mobility,
                     uniform_density, validate, zero_potential)
-from .quantile import ParticleState, QuantileError, quantile_partition
+from .forces import _can_fork, fork_join
+from .quantile import QuantileError, quantile_partition
 from .reconstruct import TimeGridMismatch, write_snapshots_csv, write_table
 from .solver import (NonFiniteState, StepUnderflow, TooManySteps, Trajectory,
                      UnorderedState, check_cell_bounds, default_dt, integrate)
@@ -237,9 +238,15 @@ def _discretization(cfg):
     return n_cells, t_end, dt, store_every
 
 
-def run_trajectory(cfg: dict) -> Trajectory:
-    problem = validate(build_problem(cfg))
-    n_cells, t_end, dt, store_every = _discretization(cfg)
+def _resolve(cfg):
+    """``(problem, discretization)``: the validated problem and
+    :func:`_discretization`'s tuple, checked in that order."""
+    return validate(build_problem(cfg)), _discretization(cfg)
+
+
+def run_trajectory(resolved) -> Trajectory:
+    """The run of a :func:`_resolve` pair."""
+    problem, (n_cells, t_end, dt, store_every) = resolved
     state0 = quantile_partition(problem.initial, n_cells)
     return integrate(state0, problem, t_end, dt=dt, store_every=store_every)
 
@@ -320,7 +327,7 @@ def _report(violations) -> int:
 def cmd_run(cfg, args) -> int:
     norms = _flag(cfg, "diagnostics.norms")
     edb = _flag(cfg, "diagnostics.edb")
-    traj = run_trajectory(cfg)
+    traj = run_trajectory(_resolve(cfg))
     out = _out_dir(cfg, args)
     write_snapshots_csv(traj.fields, out / "snapshots.csv")
     if norms:
@@ -344,8 +351,7 @@ def cmd_run(cfg, args) -> int:
 
 
 def cmd_converge(cfg, args) -> int:
-    problem = validate(build_problem(cfg))
-    _, t_end, dt, _ = _discretization(cfg)
+    problem, (_, t_end, dt, _) = _resolve(cfg)
     n_list = _numbers(cfg, "discretization.N_list", [50, 100, 200, 400],
                       kind=int)
     if len(n_list) < 2:
@@ -380,9 +386,9 @@ def cmd_oracle_compare(cfg, args) -> int:
     if (lo is None) != (hi is None) or (lo is not None and not lo < hi):
         raise ConfigError("oracle.window_lo and oracle.window_hi must be "
                           "given together, with lo < hi")
-    traj = run_trajectory(cfg)
-    problem, fields = traj.problem, traj.fields
-    _, t_end, *_ = _discretization(cfg)
+    problem, discretization = _resolve(cfg)
+    fields = run_trajectory((problem, discretization)).fields
+    _, t_end, *_ = discretization
     if lo is None:
         pad = 1.0 + problem.mobility.beta_max * t_end
         lo = problem.initial.x_min - pad
@@ -414,9 +420,9 @@ def cmd_entropy_check(cfg, args) -> int:
     if n_phi < 1:
         raise ConfigError("diagnostics.entropy.phi_grid must be at least 1")
     tol = _number(cfg, "diagnostics.entropy.tol", 1e-2)
-    traj = run_trajectory(cfg)
-    problem, fields = traj.problem, traj.fields
-    _, t_end, *_ = _discretization(cfg)
+    problem, discretization = _resolve(cfg)
+    fields = run_trajectory((problem, discretization)).fields
+    _, t_end, *_ = discretization
     cap = problem.mobility.cap
     c_values = c_values or [0.25 * cap, 0.5 * cap, 0.75 * cap]
     n_centers = max(1, int(round(n_phi / 3)))
@@ -440,26 +446,57 @@ def cmd_entropy_check(cfg, args) -> int:
     return EXIT_OK
 
 
+# From this many particle-steps on ((N + 1) x steps of the dt/2 run),
+# edb-check runs its half-step run in a fork_join worker beside the main
+# run.  On |x| at N = 24 the fork won 14-15 of 21 alternating calls at
+# 2,500 particle-steps, 14-20 of 21 at 5,000 and 20-21 of 21 at 10,000
+# (2-vCPU x86-64 VM).
+HALF_STEP_FORK_MIN = 10_000
+
+
 def cmd_edb_check(cfg, args) -> int:
-    traj = run_trajectory(cfg)
-    if len(traj.times) < 3:
-        # the balance integrates in time by Simpson's rule
-        raise ConfigError("edb-check needs at least three stored times; "
-                          f"this run stored {len(traj.times)}: lower "
-                          "discretization.dt or discretization.output_every")
-    out = _out_dir(cfg, args)
-    table = var.gradient_records(traj)
-    var.write_gradient_csv(table, out / "variational.csv")
-    residual, tol, violations = _edb_balance(table)
-    print(f"edb residual: {residual:.6e} (tolerance {tol:.3e})")
-    _, t_end, _, store_every = _discretization(cfg)
-    problem, dt = traj.problem, traj.stats["dt"]
-    state0 = ParticleState(traj.positions[0].copy(), h=traj.h)
-    # the half-step run starts from the same particles and needs none of
-    # the main run's arrays
-    del traj, table
-    residual_half = var.edb_residual(integrate(
-        state0, problem, t_end, dt=dt / 2.0, store_every=store_every))
+    problem, (n_cells, t_end, dt, store_every) = _resolve(cfg)
+    state0 = quantile_partition(problem.initial, n_cells)
+    if dt is None:
+        dt = default_dt(state0, problem)
+    balance = []
+
+    def main_run():
+        # its arrays are freed on return, before a half-step run here
+        traj = integrate(state0, problem, t_end, dt=dt,
+                         store_every=store_every)
+        if len(traj.times) < 3:
+            # the balance integrates in time by Simpson's rule
+            raise ConfigError("edb-check needs at least three stored "
+                              f"times; this run stored {len(traj.times)}: "
+                              "lower discretization.dt or "
+                              "discretization.output_every")
+        out = _out_dir(cfg, args)
+        table = var.gradient_records(traj)
+        var.write_gradient_csv(table, out / "variational.csv")
+        residual, tol, violations = _edb_balance(table)
+        print(f"edb residual: {residual:.6e} (tolerance {tol:.3e})")
+        balance[:] = residual, violations
+
+    import mmap     # on this command only, as in variational._energies
+    half = np.frombuffer(mmap.mmap(-1, 8), count=1)    # shared with a fork
+
+    def half_run():
+        # starts from the same particles and needs none of main_run's arrays
+        half[0] = var.edb_residual(integrate(state0, problem, t_end,
+                                             dt=dt / 2.0,
+                                             store_every=store_every))
+
+    # particle-steps of the dt/2 run, in floats: inf for a step count
+    # beyond them, which integrate rejects
+    if (n_cells + 1) * (2.0 * t_end / dt) < HALF_STEP_FORK_MIN \
+            or not _can_fork():
+        main_run()
+        half_run()
+    else:
+        fork_join(main_run, half_run)
+    residual_half = float(half[0])
+    residual, violations = balance
     ratio = residual / residual_half if residual_half > 0 else float("inf")
     print(f"half-step residual: {residual_half:.6e}  ratio={ratio:.2f}")
     return _report(violations)

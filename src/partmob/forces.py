@@ -143,13 +143,13 @@ def _cpu_apart() -> set[int] | None:
     return set(others[:1]) or None
 
 
-def _fork(work) -> int | None:
-    """The pid of a worker forked to run ``work()`` on a CPU apart and exit,
-    with status 0 if it returns, or None where no process can be forked.
-    Flushed first, no buffer of the standard streams is written twice."""
+def _fork(work, cpus) -> int | None:
+    """The pid of a worker forked to run ``work()`` pinned to the CPU set
+    ``cpus`` (unpinned for None) and exit, with status 0 if it returns, or
+    None where no process can be forked.  Flushed first, no buffer of the
+    standard streams is written twice."""
     for stream in (sys.stdout, sys.stderr):
         stream.flush()
-    cpus = _cpu_apart()
     try:
         pid = os.fork()
     except OSError:             # no process to be had
@@ -167,17 +167,30 @@ def _fork(work) -> int | None:
 
 def fork_join(mine, theirs) -> None:
     """Run ``mine()`` here beside a :func:`_fork` worker running ``theirs()``
-    (no traced calls, results in shared memory or a file), and ``theirs()``
-    here after it where no process could be forked or the worker failed.
-    The worker is reaped on every path, killed first if ``mine()`` raises."""
-    pid = _fork(theirs)
+    (results in shared memory or a file), and ``theirs()`` here after it
+    where no process could be forked or the worker failed.  While ``mine()``
+    runs, this process is pinned to its allowed CPUs other than the
+    worker's, so on two CPUs :func:`_can_fork` is False on both sides and
+    nothing forks again; its affinity is restored however ``mine()`` ends.
+    The worker is reaped on every path, killed first if ``mine()`` raises.
+    Spans of traced functions that ``theirs()`` calls in the worker stay
+    there: the caller's trace counts that time as waiting."""
+    cpus = _cpu_apart()
+    pid = _fork(theirs, cpus)
+    allowed = None
     try:
+        if pid is not None and cpus:
+            allowed = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, allowed - cpus)
         mine()
     except BaseException:
         if pid is not None:
             os.kill(pid, 9)     # SIGKILL, without importing signal
             os.waitpid(pid, 0)
         raise
+    finally:
+        if allowed:
+            os.sched_setaffinity(0, allowed)
     if pid is None or os.waitpid(pid, 0)[1] != 0:
         theirs()
 
@@ -215,7 +228,8 @@ class PairWorker:
                                   count=n * n).reshape(n, n)
         commands, self._commands = os.pipe()
         self._replies, replies = os.pipe()
-        self.pid = _fork(lambda: self._serve(commands, replies))
+        self.pid = _fork(lambda: self._serve(commands, replies),
+                         _cpu_apart())
         os.close(commands)
         os.close(replies)
         if self.pid is None:

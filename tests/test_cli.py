@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partmob as pm
-from partmob import cli
+from partmob import cli, forces
 from partmob import fv as fvmod
 from partmob import variational as var
 from partmob.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
                          ConfigError, build_problem, main, parse_config)
+from partmob.solver import StepUnderflow
 
 BASE_CONFIG = """
 # attractive kernel on the standard bump
@@ -487,6 +488,114 @@ def test_edb_check_needs_three_stored_times(tmp_path, capsys, overrides):
     assert err.startswith("config error: edb-check needs at least three "
                           "stored times; this run stored 2")
     assert not out.exists()
+
+
+# -- edb-check's half-step run in a forked worker: from HALF_STEP_FORK_MIN
+# particle-steps on it runs beside the main run.  Every path must give the
+# one-process CSV bytes, lines and exit code, and leave no child behind ---
+
+needs_fork = pytest.mark.skipif(not forces._can_fork(),
+                                reason="no second CPU, or no os.fork")
+
+MORSE_CONFIG = BASE_CONFIG.replace(
+    "newtonian_attractive", "morse\nproblem.W.c_A = 1.0\n"
+    "problem.W.ell_A = 1.0\nproblem.W.c_R = 0.5\nproblem.W.ell_R = 0.3")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every process forked, as the caller sees it, and the
+    exit status of every one reaped."""
+    pids, statuses = [], []
+    fork, waitpid = os.fork, os.waitpid
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def recorded_wait(pid, options):
+        reaped = waitpid(pid, options)
+        statuses.append(reaped[1])
+        return reaped
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(os, "waitpid", recorded_wait)
+    yield pids, statuses
+    with pytest.raises(ChildProcessError):
+        waitpid(-1, os.WNOHANG)
+
+
+def edb_check(tmp_path, capsys, text, name, *overrides):
+    """(exit code, stdout, stderr, variational.csv bytes or None)."""
+    path = write_config(tmp_path, text, name=f"{name}.cfg")
+    out = tmp_path / name
+    argv = ["--config", str(path), "--out-dir", str(out)]
+    for item in overrides:
+        argv += ["--override", item]
+    code = main(argv + ["edb-check"])
+    captured = capsys.readouterr()
+    table = out / "variational.csv"
+    return (code, captured.out, captured.err,
+            table.read_bytes() if table.exists() else None)
+
+
+@needs_fork
+@pytest.mark.parametrize("text", [BASE_CONFIG, MORSE_CONFIG],
+                         ids=["abs", "morse"])
+def test_the_half_step_worker_gives_the_one_process_outputs(
+        tmp_path, capsys, monkeypatch, forks, text):
+    # 25 particles x 100 half-steps: below the minimum, in one process
+    off = edb_check(tmp_path, capsys, text, "off")
+    assert forks == ([], [])
+    monkeypatch.setattr(cli, "HALF_STEP_FORK_MIN", 0)
+    on = edb_check(tmp_path, capsys, text, "on")
+    assert forks == ([forks[0][0]], [0])
+    assert on == off
+    code, out, err, table = off
+    assert code == EXIT_OK and err == "" and table
+    assert [line.split(":")[0] for line in out.splitlines()] == \
+        ["edb residual", "half-step residual"]
+
+
+@needs_fork
+def test_a_failing_half_step_run_fails_as_in_one_process(
+        tmp_path, capsys, monkeypatch, forks):
+    def underflow(traj):
+        raise StepUnderflow("step underflow at t=0.025: cell 3 (width "
+                            "1.000e-12) keeps violating ordering")
+
+    # the main run checks its balance without edb_residual
+    monkeypatch.setattr(var, "edb_residual", underflow)
+    off = edb_check(tmp_path, capsys, BASE_CONFIG, "off")
+    monkeypatch.setattr(cli, "HALF_STEP_FORK_MIN", 0)
+    on = edb_check(tmp_path, capsys, BASE_CONFIG, "on")
+    # the worker failed, and the caller ran the half-step run again
+    assert len(forks[0]) == 1 and forks[1] != [0]
+    assert on == off
+    code, out, err, table = off
+    assert code == EXIT_NUMERICAL and table
+    assert out.startswith("edb residual: ") and "half-step" not in out
+    assert err == "numerical failure: step underflow at t=0.025: cell 3 " \
+        "(width 1.000e-12) keeps violating ordering\n"
+
+
+@needs_fork
+def test_a_failing_main_run_reaps_the_worker(tmp_path, capsys, monkeypatch,
+                                             forks):
+    off = edb_check(tmp_path, capsys, BASE_CONFIG, "off",
+                    "discretization.output_every=50")
+    monkeypatch.setattr(cli, "HALF_STEP_FORK_MIN", 0)
+    on = edb_check(tmp_path, capsys, BASE_CONFIG, "on",
+                   "discretization.output_every=50")
+    assert len(forks[0]) == 1
+    assert on == off
+    code, out, err, table = on
+    assert (code, out, table) == (EXIT_CONFIG, "", None)
+    assert err.startswith("config error: edb-check needs at least three "
+                          "stored times; this run stored 2")
+    assert not (tmp_path / "on").exists()
 
 
 def drift_times(traj):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import partmob as pm
-from partmob import forces
+from partmob import cli, forces, reconstruct
 from partmob import variational as var
 
 needs_fork = pytest.mark.skipif(not forces._can_fork(),
@@ -203,3 +203,85 @@ def test_small_runs_stay_in_one_process(fork_pids):
     state = pm.quantile_partition(problem.initial, 20)
     var.gradient_records(pm.integrate(state, problem, 0.02, dt=1e-3))
     assert fork_pids == []
+
+
+# -- fork_join's pinning: while the caller's half runs, the caller keeps off
+# the worker's CPU, so that on two CPUs neither side forks again and at most
+# two processes are busy -----------------------------------------------------
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                    reason="no CPU affinity")
+set_affinity = getattr(os, "sched_setaffinity", None)
+
+
+@pytest.fixture
+def cpus(request):
+    """This process pinned to ``request.param`` of its allowed CPUs, as on a
+    host with that many; its affinity is restored after the test."""
+    allowed = os.sched_getaffinity(0)
+    if len(allowed) < request.param:
+        pytest.skip(f"fewer than {request.param} allowed CPUs")
+    pinned = set(sorted(allowed)[:request.param])
+    set_affinity(0, pinned)
+    yield pinned
+    set_affinity(0, allowed)
+
+
+@needs_fork
+@needs_affinity
+@pytest.mark.parametrize("cpus", [2], indirect=True)
+@pytest.mark.parametrize("raises", [False, True])
+def test_fork_join_keeps_the_caller_off_the_workers_cpu(cpus, raises,
+                                                        fork_pids):
+    import mmap
+    worker = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)   # shared
+    seen = {}
+
+    def mine():
+        seen["can_fork"] = forces._can_fork()
+        seen["cpus"] = os.sched_getaffinity(0)
+        if raises:
+            raise RuntimeError("caller failure")
+
+    def theirs():
+        pinned = sorted(os.sched_getaffinity(0))
+        worker[:] = len(pinned), pinned[0]
+
+    if raises:
+        with pytest.raises(RuntimeError, match="caller failure"):
+            forces.fork_join(mine, theirs)
+    else:
+        forces.fork_join(mine, theirs)
+        assert worker[0] == 1
+        assert seen["cpus"] == cpus - {int(worker[1])}
+    assert len(seen["cpus"]) == 1
+    assert seen["can_fork"] is False
+    assert os.sched_getaffinity(0) == cpus
+    assert len(fork_pids) == 1
+    assert_reaped(fork_pids)
+
+
+@needs_affinity
+@pytest.mark.parametrize("cpus", [1], indirect=True)
+def test_one_allowed_cpu_forks_and_pins_nothing(cpus, tmp_path, monkeypatch,
+                                                fork_pids):
+    # every fork of run and edb-check on a Morse config, below its minimum
+    pins = []
+    monkeypatch.setattr(os, "sched_setaffinity",
+                        lambda pid, mask: pins.append(mask))
+    monkeypatch.setattr(var, "FORK_MIN_PAIRS", 0)
+    monkeypatch.setattr(forces, "FORK_MIN_PARTICLES", 0)
+    monkeypatch.setattr(reconstruct, "FORK_MIN_VALUES", 0)
+    monkeypatch.setattr(cli, "HALF_STEP_FORK_MIN", 0)
+    config = tmp_path / "morse.cfg"
+    config.write_text("problem.W.kind = morse\nproblem.W.c_A = 1.0\n"
+                      "problem.W.ell_A = 1.0\nproblem.W.c_R = 0.5\n"
+                      "problem.W.ell_R = 0.3\ndiscretization.N = 24\n"
+                      "discretization.t_end = 0.03\n"
+                      "discretization.dt = 1e-3\n")
+    for command in ("run", "edb-check"):
+        assert cli.main(["--config", str(config), "--out-dir",
+                         str(tmp_path / command), command]) == 0
+    assert fork_pids == []
+    assert pins == []
+    assert os.sched_getaffinity(0) == cpus
