@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,8 @@ from .model import (InvalidProblem, Potentials, Problem, linear_potential,
                     uniform_density, validate, zero_potential)
 from .forces import _can_fork, fork_join
 from .quantile import QuantileError, quantile_partition
-from .reconstruct import TimeGridMismatch, write_snapshots_csv, write_table
+from .reconstruct import (TimeGridMismatch, write_snapshot_rows,
+                          write_snapshots_csv, write_table)
 from .solver import (NonFiniteState, StepUnderflow, TooManySteps, Trajectory,
                      UnorderedState, check_cell_bounds, default_dt, integrate)
 
@@ -324,19 +327,74 @@ def _report(violations) -> int:
     return EXIT_INVARIANT if violations else EXIT_OK
 
 
+# From this many snapshot values on (stored times x (3N + 3)), run splits
+# its stored times across two CPUs: of 21 alternating in-process runs (2-vCPU
+# x86-64 VM) the split won 17-19 at 10,827-12,033 values on |x| (2 on W = 0)
+# and all 21 at 13,233 on |x|, W = 0 and morse.cfg.
+RUN_FORK_MIN = 12_000
+
+
+def _on_two_cpus(traj: Trajectory, path: Path, norms: bool, edb: bool):
+    """Write ``snapshots.csv`` at ``path`` and return the per-time columns
+    of ``diagnostics.csv`` and ``variational.csv`` (as ``norms`` and ``edb``
+    ask), the stored times split at half between this process and a
+    ``fork_join`` worker.  The worker's rows go into a temporary file beside
+    ``path``, appended after the join; both sides' columns go into one
+    shared ``mmap``."""
+    import mmap     # on this path only
+    fields, n = traj.fields, len(traj.times)
+    n_diag, half = len(diag.DIAGNOSTICS_COLUMNS), (n + 1) // 2
+    rows = n_diag + len(var.GRADIENT_COLUMNS)
+    columns = np.frombuffer(mmap.mmap(-1, 8 * rows * n),
+                            count=rows * n).reshape(rows, n)
+
+    def columns_at(times):
+        if norms:
+            diag.diagnostics_columns(fields, times, columns[:n_diag])
+        if edb:
+            var.gradient_columns(traj, times, columns[n_diag:])
+
+    def mine():
+        write_snapshots_csv(fields, path, range(half))
+        columns_at(slice(0, half))
+
+    with tempfile.TemporaryFile("w+", newline="", dir=path.parent) as tmp:
+        def theirs():
+            tmp.seek(0)     # over what a failed worker left
+            tmp.truncate()
+            write_snapshot_rows(tmp, fields, range(half, n))
+            tmp.flush()     # the worker exits without flushing
+            columns_at(slice(half, n))
+
+        fork_join(mine, theirs)
+        tmp.seek(0)
+        with open(path, "ab") as fh:
+            shutil.copyfileobj(tmp.buffer, fh)
+    return columns[:n_diag], columns[n_diag:]
+
+
 def cmd_run(cfg, args) -> int:
     norms = _flag(cfg, "diagnostics.norms")
     edb = _flag(cfg, "diagnostics.edb")
     traj = run_trajectory(_resolve(cfg))
     out = _out_dir(cfg, args)
-    write_snapshots_csv(traj.fields, out / "snapshots.csv")
+    fields, problem = traj.fields, traj.problem
+    split = (len(traj.times) * (3 * fields.n_cells + 3) >= RUN_FORK_MIN
+             and _can_fork())
+    if split:
+        norm_rows, gradient_rows = _on_two_cpus(traj, out / "snapshots.csv",
+                                                norms, edb)
+    else:
+        write_snapshots_csv(fields, out / "snapshots.csv")
     if norms:
         diag.write_diagnostics_csv(
-            diag.diagnostics_records(traj.fields, traj.problem),
+            diag.diagnostics_table(fields, problem, norm_rows) if split
+            else diag.diagnostics_records(fields, problem),
             out / "diagnostics.csv")
     balance = []
     if edb:
-        table = var.gradient_records(traj)
+        table = (var.gradient_table(traj.times, gradient_rows) if split
+                 else var.gradient_records(traj))
         var.write_gradient_csv(table, out / "variational.csv")
         if len(traj.times) >= 3:    # Simpson's rule in time
             balance = _edb_balance(table)[2]
@@ -478,7 +536,7 @@ def cmd_edb_check(cfg, args) -> int:
         print(f"edb residual: {residual:.6e} (tolerance {tol:.3e})")
         balance[:] = residual, violations
 
-    import mmap     # on this command only, as in variational._energies
+    import mmap     # on this command only, as in _on_two_cpus
     half = np.frombuffer(mmap.mmap(-1, 8), count=1)    # shared with a fork
 
     def half_run():

@@ -9,7 +9,8 @@ import numpy as np
 from .forces import continuum_force, row_blocks, step_values
 from .model import (GAUSS_NODES, GAUSS_WEIGHTS, Problem, edge_masses, simpson,
                     sorted_union)
-from .reconstruct import ReconstructedFields, TimeGridMismatch, write_table
+from .reconstruct import (ReconstructedFields, TimeGridMismatch,
+                          profile_masses, write_table)
 from .solver import NonFiniteState
 
 __all__ = [
@@ -82,36 +83,57 @@ def _w1_between(edges_s, at_s, edges_t, at_t, m):
     return float(_segment_abs_integral(np.diff(grid), d[:-1], d[1:]))
 
 
-def diagnostics_records(fields: ReconstructedFields,
-                        problem: Problem) -> dict:
-    """The ``diagnostics.csv`` table, computed over blocks of stored times;
-    the W1 distance row by row within a block, against the initial
-    profile's cumulative masses built once."""
-    h = fields.mass / fields.n_cells
-    n = len(fields.times)
-    mass = fields.masses()
-    tv, h1, w1, support, max_rho, min_width = (np.empty(n) for _ in range(6))
+# the rows diagnostics_columns fills, one per per-time column
+DIAGNOSTICS_COLUMNS = ("mass", "tv", "h1", "w1_from_initial", "support",
+                       "max_density", "min_width")
+
+
+def diagnostics_columns(fields: ReconstructedFields, rows: slice,
+                        out: np.ndarray) -> None:
+    """The ``DIAGNOSTICS_COLUMNS`` at the stored times ``rows`` into
+    ``out[:, rows]``, over blocks of stored times; the W1 distance row by
+    row, against the initial profile's cumulative masses built once."""
+    mass, tv, h1, w1, support, max_rho, min_width = out[:, rows]
+    edges_all, rho_all = fields.edges[rows], fields.densities[rows]
     initial = (fields.edges[0],
                edge_masses(fields.edges[0], fields.densities[0]))
     # the widest temporaries are the n_cells + 2 interpolant nodes per row
-    for rows in row_blocks(n, fields.n_cells + 2):
-        edges, rho = fields.edges[rows], fields.densities[rows]
-        tv[rows] = total_variation(rho)
-        h1[rows] = h1_proxy(edges, rho)
-        w1[rows] = [_w1_between(*initial, *cum, fields.mass)
-                    for cum in zip(edges, edge_masses(edges, rho))]
-        support[rows] = edges[:, -1] - edges[:, 0]
-        max_rho[rows] = np.max(rho, axis=1)
-        min_width[rows] = np.min(np.diff(edges, axis=1), axis=1)
+    for block in row_blocks(len(edges_all), fields.n_cells + 2):
+        edges, rho = edges_all[block], rho_all[block]
+        mass[block] = profile_masses(edges, rho)
+        tv[block] = total_variation(rho)
+        h1[block] = h1_proxy(edges, rho)
+        w1[block] = [_w1_between(*initial, *cum, fields.mass)
+                     for cum in zip(edges, edge_masses(edges, rho))]
+        support[block] = edges[:, -1] - edges[:, 0]
+        max_rho[block] = np.max(rho, axis=1)
+        min_width[block] = np.min(np.diff(edges, axis=1), axis=1)
+
+
+def diagnostics_table(fields: ReconstructedFields, problem: Problem,
+                      columns: np.ndarray) -> dict:
+    """The ``diagnostics.csv`` table from the ``DIAGNOSTICS_COLUMNS`` of
+    every stored time, after checking that every ``h1`` is finite."""
+    mass, tv, h1, w1, support, max_rho, min_width = columns
     if not np.isfinite(h1).all():
         k = int(np.argmin(np.isfinite(h1)))
         raise NonFiniteState(f"h1 norm at t={fields.times[k]:.6g} is not "
                              "finite: the densities' squares leave the "
                              "float range")
+    h = fields.mass / fields.n_cells
     return {"t": fields.times, "mass": mass, "bv": mass + tv, "tv": tv,
             "h1": h1, "w1_from_initial": w1, "support": support,
             "max_density": max_rho,
             "min_cell_ratio": min_width * problem.M / h}
+
+
+def diagnostics_records(fields: ReconstructedFields,
+                        problem: Problem) -> dict:
+    """The ``diagnostics.csv`` table: :func:`diagnostics_columns` at every
+    stored time, finished by :func:`diagnostics_table`."""
+    columns = np.empty((len(DIAGNOSTICS_COLUMNS), len(fields.times)))
+    diagnostics_columns(fields, slice(None), columns)
+    return diagnostics_table(fields, problem, columns)
 
 
 def write_diagnostics_csv(table: dict, path) -> None:

@@ -319,16 +319,6 @@ def pair_sum(points: np.ndarray, kernel) -> float:
     return float(np.sum(pair))
 
 
-def pair_terms(n_points: int, kernel) -> int:
-    """Terms of one :func:`pair_sum` over ``n_points`` points."""
-    return 0 if kernel.is_zero else n_points * n_points
-
-
-def cell_pair_terms(n_cells: int, kernel) -> int:
-    """Terms of one :func:`cell_pair_sum` over ``n_cells`` cells."""
-    return pair_terms(n_cells * (4 if _is_dense(kernel) else 1), kernel)
-
-
 def cell_pair_sum(edges: np.ndarray, kernel) -> float:
     """``sum_{i != j}`` of the mean of ``W(x - y)`` over ``x`` in cell ``i``
     and ``y`` in cell ``j``.  For ``W = 0`` and ``s |x|`` it is

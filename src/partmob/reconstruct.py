@@ -5,14 +5,11 @@ reconstruction on the moving cells.
 from __future__ import annotations
 
 import csv
-import os
-import shutil
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .forces import _can_fork, fork_join, row_blocks, step_values
+from .forces import row_blocks, step_values
 
 __all__ = ["ReconstructedFields", "write_snapshots_csv"]
 
@@ -91,14 +88,10 @@ def write_table(path, table: dict) -> None:
         out.writerows(zip(*table.values()))
 
 
-# Below this many formatted values a snapshot file is written in one
-# process.  Forking a 40 MB process, waiting for the worker and appending
-# its part cost about 6 ms, against about 1 us per formatted value, so
-# the worker starts to pay at 10,000 to 20,000 values (2 CPUs, x86-64).
-FORK_MIN_VALUES = 50_000
-
-
-def _snapshot_rows(fh, fields: ReconstructedFields, time_indices) -> None:
+def write_snapshot_rows(fh, fields: ReconstructedFields,
+                        time_indices) -> None:
+    """The ``snapshots.csv`` rows of the stored times ``time_indices`` into
+    the text file ``fh`` (opened with ``newline=""``), header excluded."""
     # every value is formatted once with repr; an edge or edge-velocity
     # string serves as the right end of one cell and the left end of the
     # next
@@ -112,28 +105,6 @@ def _snapshot_rows(fh, fields: ReconstructedFields, time_indices) -> None:
         fh.write(stamp + ("\r\n" + stamp).join(rows) + "\r\n")
 
 
-def _rows_on_two_cpus(fh, fields: ReconstructedFields, indices) -> None:
-    """The rows of ``indices`` into ``fh``: a forked worker formats the
-    second half into an anonymous temporary file in ``fh``'s directory
-    while this process formats the first, then appends that file."""
-    half = (len(indices) + 1) // 2
-    # the worker gets a copy of fh's buffer; flushed, none is written twice
-    fh.flush()
-    directory = os.path.dirname(os.path.abspath(fh.name))
-    with tempfile.TemporaryFile(dir=directory) as tmp:
-        def theirs():
-            tmp.seek(0)     # over what a failed worker left
-            tmp.truncate()
-            with open(tmp.fileno(), "w", newline="", encoding=fh.encoding,
-                      closefd=False) as out:
-                _snapshot_rows(out, fields, indices[half:])
-
-        fork_join(lambda: _snapshot_rows(fh, fields, indices[:half]), theirs)
-        fh.flush()
-        tmp.seek(0)
-        shutil.copyfileobj(tmp, fh.buffer)
-
-
 def write_snapshots_csv(fields: ReconstructedFields, path,
                         time_indices=None) -> None:
     """One row per cell per stored time: t, x_left, x_right, rho, u_left,
@@ -141,15 +112,10 @@ def write_snapshots_csv(fields: ReconstructedFields, path,
 
     Every value is formatted once with ``repr``.  The bytes are those
     ``csv.writer`` writes for the same ``repr`` strings, which never need
-    quoting.  A file of at least ``FORK_MIN_VALUES`` values is formatted
-    on two CPUs when :func:`_can_fork` allows (:func:`_rows_on_two_cpus`).
+    quoting.
     """
     indices = (range(len(fields.times)) if time_indices is None
-               else list(time_indices))
+               else time_indices)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(SNAPSHOT_COLUMNS) + "\r\n")
-        if (len(indices) * (3 * fields.n_cells + 3) >= FORK_MIN_VALUES
-                and _can_fork()):
-            _rows_on_two_cpus(fh, fields, indices)
-        else:
-            _snapshot_rows(fh, fields, indices)
+        write_snapshot_rows(fh, fields, indices)

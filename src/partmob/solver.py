@@ -104,8 +104,9 @@ class Trajectory:
     h: float
     problem: Problem
     # what integrate did: "velocity_evals", "halvings" (intervals halved),
-    # "dt" (the step, given or default_dt's) and "pair_worker" (dense pair
-    # fills on two CPUs)
+    # "steps" (RK4 steps completed, halves of a halved interval counted
+    # apart), "min_dt" (the smallest of those steps), "dt" (the step, given
+    # or default_dt's) and "pair_worker" (dense pair fills on two CPUs)
     stats: dict = field(default_factory=dict)
 
     @property
@@ -146,13 +147,16 @@ def _rk4_step(x, dt, velocity):
 
 def _advance(x, dt, velocity, min_dt, t_now, stats):
     """One interval of size dt, recursively halved on ordering violations;
-    each halving is counted in ``stats["halvings"]``."""
+    each halving is counted in ``stats["halvings"]``, each completed step
+    in ``stats["steps"]`` and the smallest in ``stats["min_dt"]``."""
     try:
         y = _rk4_step(x, dt, velocity)
         if not np.isfinite(y).all():
             raise NonFiniteState(f"non-finite state near t={t_now:.6g}")
         # y is finite, so y[i+1] > y[i] exactly when y[i+1] - y[i] > 0
         if (y[1:] > y[:-1]).all():
+            stats["steps"] += 1
+            stats["min_dt"] = min(stats["min_dt"], dt)
             return y
     except UnorderedState:
         pass
@@ -203,11 +207,12 @@ def integrate(initial: ParticleState, problem: Problem, t_end: float,
         raise ValueError("initial particles must be strictly increasing")
     if dt is None:
         dt = default_dt(initial, problem)
-    elif not (0.0 < dt < np.inf and t_end / dt < np.inf):
-        raise ValueError("dt must be finite and positive, and t_end / dt "
-                         "finite")
+    if not (0.0 < dt < np.inf and t_end / dt < np.inf):
+        raise ValueError(f"dt must be finite and positive, and t_end / dt "
+                         f"finite: t_end = {t_end!r}, dt = {dt!r}")
     min_dt = 1e-12 * t_end
-    stats = {"velocity_evals": 0, "halvings": 0, "dt": dt}
+    stats = {"velocity_evals": 0, "halvings": 0, "steps": 0,
+             "min_dt": np.inf, "dt": dt}
     n_steps = max(1, int(round(t_end / dt)))
     step_dt = t_end / n_steps
     # step 0, every store_every-th step, and the last step

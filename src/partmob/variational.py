@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forces import (_can_fork, cell_pair_sum, cell_pair_terms,
-                     continuum_force, force_rows, fork_join, pair_sum,
-                     pair_terms, row_blocks)
+from .forces import (cell_pair_sum, continuum_force, force_rows, pair_sum,
+                     row_blocks)
 from .model import Potentials, Problem, cell_gauss, cumulative_simpson, simpson
 from .quantile import ParticleState
 from .reconstruct import write_table
@@ -40,38 +39,9 @@ __all__ = [
 
 def free_energy(state: ParticleState, potentials: Potentials) -> float:
     """Discrete free energy ``sum_i V(x_i) + (h/2) sum_{i != j} W(x_i - x_j)``."""
-    return _free_energy(state, potentials)
-
-
-def _free_energy(state, potentials) -> float:
-    # free_energy, untraced for the worker of _energies
     x = state.positions
     total = float(np.sum(potentials.external.v(x)))
     return total + 0.5 * state.h * pair_sum(x, potentials.interaction)
-
-
-# From this many pair terms on (stored times x terms of one pair sum), the
-# energies run on two CPUs: with a fork and join at 4 ms and an |x| term at
-# 2.4 ns, the split won 9 of 15 calls at 5.2 M terms, 15 of 15 at 10.3 M.
-FORK_MIN_PAIRS = 8_000_000
-
-
-def _energies(traj: Trajectory, pairs: int, energy, untraced, args):
-    """``energy(*args(k))`` at every stored time ``k``.  From
-    ``FORK_MIN_PAIRS`` pair terms on (``pairs`` per time), a ``fork_join``
-    worker computes the second half with ``untraced``."""
-    n = len(traj.times)
-    if n * pairs < FORK_MIN_PAIRS or not _can_fork():
-        return np.array([energy(*args(k)) for k in range(n)])
-    import mmap     # on this path only, as in PairWorker
-    out = np.frombuffer(mmap.mmap(-1, 8 * n), count=n)     # shared
-    half = (n + 1) // 2
-
-    def fill(lo, hi, fn):
-        out[lo:hi] = [fn(*args(k)) for k in range(lo, hi)]
-
-    fork_join(lambda: fill(0, half, energy), lambda: fill(half, n, untraced))
-    return out.copy()
 
 
 def _dual_dissipations(beta_left, beta_right, zeta) -> np.ndarray:
@@ -94,24 +64,26 @@ def _dissipations(beta_left, beta_right, flux) -> np.ndarray:
     return np.where(infeasible, np.inf, out)
 
 
-def _rate_series(traj: Trajectory):
-    """R_h(x, xdot) and R*(x, -f) at every stored time.
+def _rate_series(traj: Trajectory, rows: slice = slice(None)):
+    """R_h(x, xdot) and R*(x, -f) at the stored times ``rows`` (all by
+    default).
 
     Works on blocks of stored times, with the forces of a block from one
     :func:`~partmob.forces.force_rows` call and its upwind mobilities from
     one :func:`~partmob.solver.upwind_betas` call.
     """
     beta = traj.problem.mobility.beta
-    n, n_particles = traj.positions.shape
+    positions, velocities = traj.positions[rows], traj.velocities[rows]
+    n, n_particles = positions.shape
     r, r_star = np.empty(n), np.empty(n)
     # the widest temporary is the padded row of n_particles + 1 betas
-    for rows in row_blocks(n, n_particles + 1):
-        x = traj.positions[rows]
+    for block in row_blocks(n, n_particles + 1):
+        x = positions[block]
         betas = upwind_betas(x, traj.h, beta,
                              np.zeros((len(x), n_particles + 1)))
         f = force_rows(x, traj.h, traj.problem.potentials)
-        r[rows] = _dissipations(*betas, traj.velocities[rows])
-        r_star[rows] = _dual_dissipations(*betas, -f)
+        r[block] = _dissipations(*betas, velocities[block])
+        r_star[block] = _dual_dissipations(*betas, -f)
     return r, r_star
 
 
@@ -142,17 +114,23 @@ def records_residual(table: dict) -> float:
                            float(energies[0]), float(energies[-1]))
 
 
-def edb_series(traj: Trajectory):
-    """Arrays (times, F, R, R*, D = 2 R*, running balance defect)."""
-    times = traj.times
-    r, r_star = _rate_series(traj)
-    pots = traj.problem.potentials
-    terms = pair_terms(traj.positions.shape[1], pots.interaction)
-    energies = _energies(traj, terms, free_energy, _free_energy,
-                         lambda k: (traj.state_at(k), pots))
+def _decay_and_defect(times, energies, r, r_star):
+    # D = 2 R* and the running balance defect from the first stored time
     partial = cumulative_simpson(r + r_star, times)
-    defect = partial + energies - energies[0]
-    return times, energies, r, r_star, 2.0 * r_star, defect
+    return 2.0 * r_star, partial + energies - energies[0]
+
+
+def edb_series(traj: Trajectory, rows: slice = slice(None)):
+    """Arrays (times, F, R, R*, D = 2 R*, running balance defect) at the
+    stored times ``rows`` (all by default), the defect counted from the
+    first of them."""
+    times = traj.times[rows]
+    r, r_star = _rate_series(traj, rows)
+    pots = traj.problem.potentials
+    energies = np.array([free_energy(traj.state_at(k), pots)
+                         for k in range(len(traj.times))[rows]])
+    return times, energies, r, r_star, *_decay_and_defect(times, energies,
+                                                          r, r_star)
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +141,12 @@ def reconstructed_energy(edges: np.ndarray, densities: np.ndarray,
                          potentials: Potentials, mass_per_cell: float) -> float:
     """Energy of the piecewise-constant profile: exact density integral of
     V plus cell-averaged interaction, own-cell term excluded."""
-    return _reconstructed_energy(edges, densities, potentials, mass_per_cell)
-
-
-def _reconstructed_energy(edges, densities, potentials, h) -> float:
-    # reconstructed_energy, untraced for the worker of _energies
     edges = np.asarray(edges, dtype=float)
     densities = np.asarray(densities, dtype=float)
     nodes, weights = cell_gauss(edges)
     total = float(np.sum(densities[:, None] * weights
                          * potentials.external.v(nodes)))
+    h = mass_per_cell
     return total + 0.5 * h * h * cell_pair_sum(edges, potentials.interaction)
 
 
@@ -191,16 +165,35 @@ def continuous_dual_dissipation(edges: np.ndarray, densities: np.ndarray,
     return 0.5 * float(np.sum(weights.ravel() * force**2 * theta_vals))
 
 
-def gradient_records(traj: Trajectory) -> dict:
-    """The ``variational.csv`` table: :func:`edb_series` and the
-    reconstructed energy of the run's fields at every stored time."""
-    times, energies, r, r_star, d, defect = edb_series(traj)
-    fields, pots, h = traj.fields, traj.problem.potentials, traj.h
-    fhat = _energies(traj, cell_pair_terms(fields.n_cells, pots.interaction),
-                     reconstructed_energy, _reconstructed_energy,
-                     lambda k: (fields.edges[k], fields.densities[k], pots, h))
+# the rows gradient_columns fills, one per per-time column
+GRADIENT_COLUMNS = ("F_h", "R_h", "R_h_star", "Fhat_h")
+
+
+def gradient_columns(traj: Trajectory, rows: slice, out: np.ndarray) -> None:
+    """The ``GRADIENT_COLUMNS`` at the stored times ``rows`` into
+    ``out[:, rows]``: :func:`edb_series`' and the reconstructed energy's."""
+    _, out[0, rows], out[1, rows], out[2, rows], *_ = edb_series(traj, rows)
+    fields, pots = traj.fields, traj.problem.potentials
+    out[3, rows] = [reconstructed_energy(fields.edges[k], fields.densities[k],
+                                         pots, traj.h)
+                    for k in range(len(traj.times))[rows]]
+
+
+def gradient_table(times: np.ndarray, columns: np.ndarray) -> dict:
+    """The ``variational.csv`` table from the ``GRADIENT_COLUMNS`` of every
+    stored time ``times``."""
+    energies, r, r_star, fhat = columns
+    d, defect = _decay_and_defect(times, energies, r, r_star)
     return {"t": times, "F_h": energies, "Fhat_h": fhat, "R_h": r,
             "R_h_star": r_star, "D_h": d, "edb_partial": defect}
+
+
+def gradient_records(traj: Trajectory) -> dict:
+    """The ``variational.csv`` table: :func:`gradient_columns` at every
+    stored time, finished by :func:`gradient_table`."""
+    columns = np.empty((len(GRADIENT_COLUMNS), len(traj.times)))
+    gradient_columns(traj, slice(None), columns)
+    return gradient_table(traj.times, columns)
 
 
 def write_gradient_csv(table: dict, path) -> None:

@@ -334,6 +334,22 @@ def test_non_positive_steps_are_config_errors(tmp_path, capsys, override,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "entropy-check",
+                                     "oracle-compare"])
+def test_a_horizon_beyond_the_default_steps_is_a_config_error(
+        tmp_path, capsys, command):
+    # t_end / default_dt overflows to inf: too many steps to count
+    out = tmp_path / "out"
+    code, err = run_main(capsys, [
+        "--config", str(ROOT / "configs" / "reduction.cfg"),
+        "--out-dir", str(out), "--override", "discretization.t_end=1e306",
+        command])
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: dt must be finite and positive, "
+                          "and t_end / dt finite: t_end = 1e+306")
+    assert not out.exists()
+
+
 def test_oracle_compare_off_grid_time(tmp_path, capsys):
     cfg_text = """
 problem.V.kind = linear

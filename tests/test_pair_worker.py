@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import partmob as pm
-from partmob import forces, reconstruct
+from partmob import cli, forces
 from partmob.forces import FORK_MIN_PARTICLES, PairWorker, particle_forces
 from partmob.solver import NonFiniteState, StepUnderflow
 
@@ -55,8 +55,8 @@ def worker_pids(monkeypatch):
 
 
 def test_one_fork_gate():
-    # the snapshot writer and the pair worker ask the same question
-    assert reconstruct._can_fork is forces._can_fork
+    # run's stored-time split and the pair worker ask the same question
+    assert cli._can_fork is forces._can_fork
 
 
 @needs_fork
@@ -138,6 +138,7 @@ def test_stats_count_the_run(n_particles, forked, worker_pids):
     traj = morse_run(n_particles - 1, store_every=3)
     assert len(traj.times) == 5
     assert traj.stats == {"velocity_evals": 4 * 10 + 5, "halvings": 0,
+                          "steps": 10, "min_dt": 0.01 / 10,
                           "dt": 1e-3, "pair_worker": forked}
     assert len(worker_pids) == forked
 

@@ -2,13 +2,14 @@ import csv
 import os
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import partmob as pm
+from partmob import cli, reconstruct
 from partmob import diagnostics as diag
-from partmob import reconstruct
 from partmob import variational as var
 from partmob.cli import space_time_l1
 from partmob.model import cell_gauss, simpson
@@ -209,10 +210,12 @@ def test_fv_snapshot_bytes_match_csv_writer(tmp_path):
     assert path.read_bytes() == ref.read_bytes()
 
 
-# -- the snapshot writer on two processes ------------------------------------
-# Files of at least FORK_MIN_VALUES values are formatted by this process and
-# a forked worker; both paths must give the csv.writer bytes, and no write
-# may leave a child process or a temporary file behind.
+# -- the snapshot rows on two processes ---------------------------------------
+# From cli.RUN_FORK_MIN values on, run formats the first half of the stored
+# times into snapshots.csv and a forked worker the second half into a
+# temporary file, appended after the join (cli._on_two_cpus); both paths
+# must give the csv.writer bytes, and no write may leave a child process or
+# a temporary file behind.
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="the platform does not fork")
@@ -230,9 +233,17 @@ def snapshot_reference(path, fields, indices):
     return path.read_bytes()
 
 
+def on_two_cpus(fields, path):
+    """snapshots.csv of ``fields`` at ``path`` by run's split, with neither
+    diagnostics nor energy balance: the split then reads only the run's
+    times and fields."""
+    run = SimpleNamespace(times=fields.times, fields=fields)
+    cli._on_two_cpus(run, path, norms=False, edb=False)
+
+
 @pytest.fixture
 def forked(monkeypatch):
-    """Every snapshot write forks; the list of fork calls."""
+    """The list of fork calls."""
     calls = []
     fork = os.fork
 
@@ -240,8 +251,6 @@ def forked(monkeypatch):
         calls.append(os.getpid())
         return fork()
 
-    monkeypatch.setattr(reconstruct, "FORK_MIN_VALUES", 0)
-    monkeypatch.setattr(reconstruct, "_can_fork", lambda: True)
     monkeypatch.setattr(os, "fork", counted)
     return calls
 
@@ -251,19 +260,22 @@ def forked(monkeypatch):
                                     [5]])
 @pytest.mark.parametrize("two_processes", [True, False])
 def test_snapshot_bytes_on_one_and_two_processes(
-        tmp_path, short_attractive_run, monkeypatch, request, subset,
-        two_processes):
+        tmp_path, short_attractive_run, request, subset, two_processes):
     # 101 stored times, then an even count, a subset and one stored time
+    # (the worker's half is empty)
     fields = with_extreme_values(short_attractive_run.fields)
     assert len(fields.times) == 101
+    indices = range(len(fields.times)) if subset is None else subset
     calls = []
+    path = tmp_path / "snap.csv"
     if two_processes:
         calls = request.getfixturevalue("forked")
+        rows = list(indices)
+        on_two_cpus(pm.ReconstructedFields(
+            fields.times[rows], fields.edges[rows], fields.densities[rows],
+            fields.edge_velocities[rows], fields.mass), path)
     else:
-        monkeypatch.setattr(reconstruct, "FORK_MIN_VALUES", 10**12)
-    path = tmp_path / "snap.csv"
-    write_snapshots_csv(fields, path, time_indices=subset)
-    indices = range(len(fields.times)) if subset is None else subset
+        write_snapshots_csv(fields, path, time_indices=subset)
     expected = snapshot_reference(tmp_path / "ref.csv", fields, indices)
     assert path.read_bytes() == expected
     assert len(calls) == two_processes
@@ -275,16 +287,16 @@ def test_snapshot_worker_failure_is_redone_by_the_caller(
         tmp_path, short_attractive_run, monkeypatch, forked):
     fields = short_attractive_run.fields
     caller = os.getpid()
-    rows = reconstruct._snapshot_rows
+    rows = reconstruct.write_snapshot_rows
 
     def fails_in_worker(fh, fields, indices):
         if os.getpid() != caller:
             raise RuntimeError("worker failure")
         rows(fh, fields, indices)
 
-    monkeypatch.setattr(reconstruct, "_snapshot_rows", fails_in_worker)
+    monkeypatch.setattr(cli, "write_snapshot_rows", fails_in_worker)
     path = tmp_path / "snap.csv"
-    write_snapshots_csv(fields, path)
+    on_two_cpus(fields, path)
     expected = snapshot_reference(tmp_path / "ref.csv", fields,
                                   range(len(fields.times)))
     assert path.read_bytes() == expected
@@ -301,7 +313,7 @@ def test_snapshot_fork_failure_writes_in_one_process(
     monkeypatch.setattr(os, "fork", no_process)
     fields = short_attractive_run.fields
     path = tmp_path / "snap.csv"
-    write_snapshots_csv(fields, path)
+    on_two_cpus(fields, path)
     expected = snapshot_reference(tmp_path / "ref.csv", fields,
                                   range(len(fields.times)))
     assert path.read_bytes() == expected
@@ -312,16 +324,17 @@ def test_snapshot_fork_failure_writes_in_one_process(
 def test_snapshot_caller_failure_propagates_and_reaps_the_worker(
         tmp_path, short_attractive_run, monkeypatch, forked):
     caller = os.getpid()
-    rows = reconstruct._snapshot_rows
+    rows = reconstruct.write_snapshot_rows
 
     def fails_in_caller(fh, fields, indices):
         if os.getpid() == caller:
             raise RuntimeError("caller failure")
         rows(fh, fields, indices)
 
-    monkeypatch.setattr(reconstruct, "_snapshot_rows", fails_in_caller)
+    # the caller's rows go through write_snapshots_csv, the worker's not
+    monkeypatch.setattr(reconstruct, "write_snapshot_rows", fails_in_caller)
     with pytest.raises(RuntimeError, match="caller failure"):
-        write_snapshots_csv(short_attractive_run.fields, tmp_path / "s.csv")
+        on_two_cpus(short_attractive_run.fields, tmp_path / "s.csv")
     assert forked == [caller]
     assert_no_child()
     assert os.listdir(tmp_path) == ["s.csv"]
@@ -332,7 +345,7 @@ def test_snapshot_worker_prints_nothing_twice_and_leaves_no_file(
         tmp_path, short_attractive_run, capfd, forked):
     print("partial line", end="")
     print("partial error", end="", file=sys.stderr)
-    write_snapshots_csv(short_attractive_run.fields, tmp_path / "snap.csv")
+    on_two_cpus(short_attractive_run.fields, tmp_path / "snap.csv")
     out, err = capfd.readouterr()
     assert (out, err) == ("partial line", "partial error")
     assert len(forked) == 1
@@ -342,7 +355,7 @@ def test_snapshot_worker_prints_nothing_twice_and_leaves_no_file(
 
 @pytest.mark.parametrize("limit", ["no fork", "one CPU", "two threads"])
 def test_snapshot_writer_stays_inline_when_it_cannot_fork(
-        tmp_path, short_attractive_run, monkeypatch, limit):
+        tmp_path, short_attractive_run, monkeypatch, capsys, limit):
     if limit == "no fork":
         monkeypatch.delattr(os, "fork", raising=False)
     else:
@@ -352,13 +365,19 @@ def test_snapshot_writer_stays_inline_when_it_cannot_fork(
                             raising=False)
     if limit == "two threads":
         monkeypatch.setattr(threading, "active_count", lambda: 2)
-    monkeypatch.setattr(reconstruct, "FORK_MIN_VALUES", 0)
-    assert not reconstruct._can_fork()
+    monkeypatch.setattr(cli, "RUN_FORK_MIN", 0)
+    monkeypatch.setattr(cli, "run_trajectory",
+                        lambda resolved: short_attractive_run)
+    assert not cli._can_fork()
+    config = tmp_path / "run.cfg"
+    config.write_text("discretization.N = 40\ndiagnostics.norms = false\n"
+                      "diagnostics.edb = false\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(config), "--out-dir", str(out),
+                     "run"]) == cli.EXIT_OK
     fields = short_attractive_run.fields
-    path = tmp_path / "snap.csv"
-    write_snapshots_csv(fields, path, [0, 1])
-    assert path.read_bytes() == snapshot_reference(tmp_path / "ref.csv",
-                                                   fields, [0, 1])
+    assert (out / "snapshots.csv").read_bytes() == snapshot_reference(
+        tmp_path / "ref.csv", fields, range(len(fields.times)))
 
 
 # reference: the csv.writer + explicit repr formulation of the old row

@@ -266,6 +266,19 @@ def test_step_underflow_reports_cell():
     assert stats["halvings"] == 9
 
 
+def test_stats_count_the_steps_of_a_run_that_halves(reduction_problem):
+    # 16x the default step of N = 400 breaks ordering: 12 intervals of
+    # 0.2 / 12, some done as two halves
+    state = pm.quantile_partition(reduction_problem.initial, 400)
+    traj = pm.integrate(state, reduction_problem, 0.2, dt=0.016)
+    stats = traj.stats
+    assert stats["halvings"] > 0
+    # each halving turns one step into two completed ones
+    assert stats["steps"] == 12 + stats["halvings"]
+    assert stats["min_dt"] == (0.2 / 12) / 2
+    assert len(traj.times) == 13
+
+
 def test_disordered_initial_state_rejected(attractive_problem):
     s = pm.ParticleState([1.0, 0.0], h=1.0)
     with pytest.raises(ValueError):
