@@ -327,6 +327,31 @@ def _report(violations) -> int:
     return EXIT_INVARIANT if violations else EXIT_OK
 
 
+# From this many particle-steps on ((N + 1) x RK4 steps, inf for a step
+# count beyond the floats, which integrate rejects), edb-check, converge,
+# oracle-compare and entropy-check run their two independent stages on two
+# CPUs.  On |x| at N = 24 edb-check's fork won 14-15 of 21 alternating calls
+# at 2,500 particle-steps of its dt/2 run, 14-20 of 21 at 5,000 and 20-21 of
+# 21 at 10,000 (2-vCPU x86-64 VM).
+STAGE_FORK_MIN = 10_000
+
+
+def _stages(particle_steps, mine, theirs):
+    """``(mine(), theirs())``: through ``fork_join`` from ``STAGE_FORK_MIN``
+    ``particle_steps`` on where ``_can_fork()`` holds, else here in that
+    order."""
+    if particle_steps < STAGE_FORK_MIN or not _can_fork():
+        return mine(), theirs()
+    return fork_join(mine, theirs)
+
+
+def _first_state(problem, n_cells, dt):
+    """``(state0, dt)``: a run's particles at t = 0 and its step, ``dt`` or
+    the CFL guard's ``default_dt``."""
+    state0 = quantile_partition(problem.initial, n_cells)
+    return state0, default_dt(state0, problem) if dt is None else dt
+
+
 # From this many snapshot values on (stored times x (3N + 3)), run splits
 # its stored times across two CPUs: of 21 alternating in-process runs (2-vCPU
 # x86-64 VM) the split won 17-19 at 10,827-12,033 values on |x| (2 on W = 0)
@@ -417,8 +442,20 @@ def cmd_converge(cfg, args) -> int:
     if any(2 * a != b for a, b in zip(n_list[:-1], n_list[1:])):
         raise ConfigError("discretization.N_list entries must double")
     out = _out_dir(cfg, args)
-    runs = {n: _aligned_run(problem, n, t_end, 100, dt if dt else 1e-3)
-            for n in n_list}
+    dt_cap = dt if dt else 1e-3
+    *coarse, finest = n_list
+
+    def finest_run():
+        traj = _aligned_run(problem, finest, t_end, 100, dt_cap)
+        return traj.times, traj.positions, traj.velocities, traj.h, traj.stats
+
+    # at most the finest level's particle-steps: its steps are at most dt_cap
+    runs, (times, positions, velocities, h, stats) = _stages(
+        (finest + 1) * t_end / dt_cap,
+        lambda: {n: _aligned_run(problem, n, t_end, 100, dt_cap)
+                 for n in coarse},
+        finest_run)
+    runs[finest] = Trajectory(times, positions, velocities, h, problem, stats)
     table = {"N": n_list[:-1], "cauchy_diff": [], "bv_max": [],
              "edb_residual": []}
     for a, b in zip(n_list[:-1], n_list[1:]):
@@ -444,22 +481,29 @@ def cmd_oracle_compare(cfg, args) -> int:
     if (lo is None) != (hi is None) or (lo is not None and not lo < hi):
         raise ConfigError("oracle.window_lo and oracle.window_hi must be "
                           "given together, with lo < hi")
-    problem, discretization = _resolve(cfg)
-    fields = run_trajectory((problem, discretization)).fields
-    _, t_end, *_ = discretization
+    problem, (n_cells, t_end, dt, store_every) = _resolve(cfg)
     if lo is None:
         pad = 1.0 + problem.mobility.beta_max * t_end
         lo = problem.initial.x_min - pad
         hi = problem.initial.x_max + pad
     compare_times = _numbers(cfg, "oracle.compare_times", [t_end])
-    for t in compare_times:
-        try:
-            fields.index_of(t)
-        except KeyError:
-            raise ConfigError(f"oracle.compare_times entry {t!r} is not a "
-                              "stored output time") from None
-    _, fv_fields = fvmod.fv_solve(problem, (lo, hi), dx, t_end,
-                                  store_times=compare_times)
+    state0, dt = _first_state(problem, n_cells, dt)
+
+    def particles():
+        fields = integrate(state0, problem, t_end, dt=dt,
+                           store_every=store_every).fields
+        for t in compare_times:
+            try:
+                fields.index_of(t)
+            except KeyError:
+                raise ConfigError(f"oracle.compare_times entry {t!r} is not "
+                                  "a stored output time") from None
+        return fields
+
+    fields, fv_fields = _stages(
+        (n_cells + 1) * (t_end / dt), particles,
+        lambda: fvmod.fv_solve(problem, (lo, hi), dx, t_end,
+                               store_times=compare_times)[1])
     out = _out_dir(cfg, args)
     table = {"t": compare_times, "l1_error": []}
     for t in compare_times:
@@ -479,7 +523,8 @@ def cmd_entropy_check(cfg, args) -> int:
         raise ConfigError("diagnostics.entropy.phi_grid must be at least 1")
     tol = _number(cfg, "diagnostics.entropy.tol", 1e-2)
     problem, discretization = _resolve(cfg)
-    fields = run_trajectory((problem, discretization)).fields
+    traj = run_trajectory((problem, discretization))
+    fields = traj.fields
     _, t_end, *_ = discretization
     cap = problem.mobility.cap
     c_values = c_values or [0.25 * cap, 0.5 * cap, 0.75 * cap]
@@ -489,8 +534,16 @@ def cmd_entropy_check(cfg, args) -> int:
                                    problem.initial.x_max + pad,
                                    n_centers=n_centers)
     stride = max(1, len(fields.times) // 400)
-    table = diag.entropy_report(fields, problem, c_values, phis,
-                                time_stride=stride)
+    half = (len(phis) + 1) // 2
+
+    def report(bumps):
+        return lambda: diag.entropy_report(fields, problem, c_values, phis,
+                                           stride, bumps)
+
+    first, second = _stages((fields.n_cells + 1) * traj.stats["steps"],
+                            report(range(half)),
+                            report(range(half, len(phis))))
+    table = {key: first[key] + second[key] for key in first}
     out = _out_dir(cfg, args)
     diag.write_entropy_csv(table, out / "entropy.csv")
     worst = min(table["residual"])
@@ -504,20 +557,9 @@ def cmd_entropy_check(cfg, args) -> int:
     return EXIT_OK
 
 
-# From this many particle-steps on ((N + 1) x steps of the dt/2 run),
-# edb-check runs its half-step run in a fork_join worker beside the main
-# run.  On |x| at N = 24 the fork won 14-15 of 21 alternating calls at
-# 2,500 particle-steps, 14-20 of 21 at 5,000 and 20-21 of 21 at 10,000
-# (2-vCPU x86-64 VM).
-HALF_STEP_FORK_MIN = 10_000
-
-
 def cmd_edb_check(cfg, args) -> int:
     problem, (n_cells, t_end, dt, store_every) = _resolve(cfg)
-    state0 = quantile_partition(problem.initial, n_cells)
-    if dt is None:
-        dt = default_dt(state0, problem)
-    balance = []
+    state0, dt = _first_state(problem, n_cells, dt)
 
     def main_run():
         # its arrays are freed on return, before a half-step run here
@@ -534,27 +576,17 @@ def cmd_edb_check(cfg, args) -> int:
         var.write_gradient_csv(table, out / "variational.csv")
         residual, tol, violations = _edb_balance(table)
         print(f"edb residual: {residual:.6e} (tolerance {tol:.3e})")
-        balance[:] = residual, violations
-
-    import mmap     # on this command only, as in _on_two_cpus
-    half = np.frombuffer(mmap.mmap(-1, 8), count=1)    # shared with a fork
+        return residual, violations
 
     def half_run():
         # starts from the same particles and needs none of main_run's arrays
-        half[0] = var.edb_residual(integrate(state0, problem, t_end,
-                                             dt=dt / 2.0,
-                                             store_every=store_every))
+        return var.edb_residual(integrate(state0, problem, t_end,
+                                          dt=dt / 2.0,
+                                          store_every=store_every))
 
-    # particle-steps of the dt/2 run, in floats: inf for a step count
-    # beyond them, which integrate rejects
-    if (n_cells + 1) * (2.0 * t_end / dt) < HALF_STEP_FORK_MIN \
-            or not _can_fork():
-        main_run()
-        half_run()
-    else:
-        fork_join(main_run, half_run)
-    residual_half = float(half[0])
-    residual, violations = balance
+    # particle-steps of the dt/2 run, the worker's
+    (residual, violations), residual_half = _stages(
+        (n_cells + 1) * (2.0 * t_end / dt), main_run, half_run)
     ratio = residual / residual_half if residual_half > 0 else float("inf")
     print(f"half-step residual: {residual_half:.6e}  ratio={ratio:.2f}")
     return _report(violations)

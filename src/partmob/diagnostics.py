@@ -331,9 +331,11 @@ def _entropy_residuals_for_phi(fields, problem: Problem, c_values,
 
 
 def entropy_report(fields, problem: Problem, c_values, phis,
-                   time_stride: int = 1) -> dict:
+                   time_stride: int = 1, bumps: range | None = None) -> dict:
     """The ``entropy.csv`` table: one residual per (level, test function)
-    of the grid, the levels varying fastest.
+    of the grid, the levels varying fastest; with ``bumps``, the rows of
+    the test functions ``phis[i]`` for ``i`` in it.  An unlabelled test
+    function is named by its index ``i`` into ``phis``.
 
     A residual is non-negative in the vanishing-mesh limit for entropy
     solutions; a markedly negative one flags an entropy violation.  Space
@@ -341,7 +343,8 @@ def entropy_report(fields, problem: Problem, c_values, phis,
     panels), time by composite Simpson on the stored grid.
     """
     table = {"c": [], "phi_id": [], "residual": []}
-    for i, phi in enumerate(phis):
+    for i in range(len(phis)) if bumps is None else bumps:
+        phi = phis[i]
         vals = _entropy_residuals_for_phi(fields, problem, c_values, phi,
                                           time_stride)
         table["c"] += map(float, c_values)

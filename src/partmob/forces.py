@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import os
+import pickle
 import sys
+import tempfile
 import threading
 from contextlib import contextmanager
 from functools import lru_cache
@@ -165,34 +167,42 @@ def _fork(work, cpus) -> int | None:
     os._exit(0)
 
 
-def fork_join(mine, theirs) -> None:
-    """Run ``mine()`` here beside a :func:`_fork` worker running ``theirs()``
-    (results in shared memory or a file), and ``theirs()`` here after it
-    where no process could be forked or the worker failed.  While ``mine()``
-    runs, this process is pinned to its allowed CPUs other than the
-    worker's, so on two CPUs :func:`_can_fork` is False on both sides and
-    nothing forks again; its affinity is restored however ``mine()`` ends.
-    The worker is reaped on every path, killed first if ``mine()`` raises.
-    Spans of traced functions that ``theirs()`` calls in the worker stay
-    there: the caller's trace counts that time as waiting."""
+def fork_join(mine, theirs):
+    """``(mine(), theirs())``, with ``mine()`` run here beside a
+    :func:`_fork` worker running ``theirs()``, whose value comes back
+    pickled through an anonymous temporary file.  Where no process could be
+    forked or the worker failed, ``theirs()`` runs here after ``mine()``,
+    with the one-process value or exception.  While ``mine()`` runs, this
+    process is pinned to its allowed CPUs other than the worker's, so on two
+    CPUs :func:`_can_fork` is False on both sides and nothing forks again;
+    its affinity is restored however ``mine()`` ends.  The worker is reaped
+    on every path, killed first if ``mine()`` raises.  Spans of traced
+    functions that ``theirs()`` calls in the worker stay there: the
+    caller's trace counts that time as waiting."""
     cpus = _cpu_apart()
-    pid = _fork(theirs, cpus)
-    allowed = None
-    try:
-        if pid is not None and cpus:
-            allowed = os.sched_getaffinity(0)
-            os.sched_setaffinity(0, allowed - cpus)
-        mine()
-    except BaseException:
-        if pid is not None:
-            os.kill(pid, 9)     # SIGKILL, without importing signal
-            os.waitpid(pid, 0)
-        raise
-    finally:
-        if allowed:
-            os.sched_setaffinity(0, allowed)
-    if pid is None or os.waitpid(pid, 0)[1] != 0:
-        theirs()
+    with tempfile.TemporaryFile() as result:
+        def work():
+            pickle.dump(theirs(), result, pickle.HIGHEST_PROTOCOL)
+            result.flush()      # the worker exits without flushing
+        pid = _fork(work, cpus)
+        allowed = None
+        try:
+            if pid is not None and cpus:
+                allowed = os.sched_getaffinity(0)
+                os.sched_setaffinity(0, allowed - cpus)
+            value = mine()
+        except BaseException:
+            if pid is not None:
+                os.kill(pid, 9)     # SIGKILL, without importing signal
+                os.waitpid(pid, 0)
+            raise
+        finally:
+            if allowed:
+                os.sched_setaffinity(0, allowed)
+        if pid is not None and os.waitpid(pid, 0)[1] == 0:
+            result.seek(0)      # the worker wrote through the shared offset
+            return value, pickle.load(result)
+    return value, theirs()
 
 
 # From this many particles on, solver.integrate fills the dense pair

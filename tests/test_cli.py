@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -506,7 +507,7 @@ def test_edb_check_needs_three_stored_times(tmp_path, capsys, overrides):
     assert not out.exists()
 
 
-# -- edb-check's half-step run in a forked worker: from HALF_STEP_FORK_MIN
+# -- edb-check's half-step run in a forked worker: from STAGE_FORK_MIN
 # particle-steps on it runs beside the main run.  Every path must give the
 # one-process CSV bytes, lines and exit code, and leave no child behind ---
 
@@ -565,7 +566,7 @@ def test_the_half_step_worker_gives_the_one_process_outputs(
     # 25 particles x 100 half-steps: below the minimum, in one process
     off = edb_check(tmp_path, capsys, text, "off")
     assert forks == ([], [])
-    monkeypatch.setattr(cli, "HALF_STEP_FORK_MIN", 0)
+    monkeypatch.setattr(cli, "STAGE_FORK_MIN", 0)
     on = edb_check(tmp_path, capsys, text, "on")
     assert forks == ([forks[0][0]], [0])
     assert on == off
@@ -585,7 +586,7 @@ def test_a_failing_half_step_run_fails_as_in_one_process(
     # the main run checks its balance without edb_residual
     monkeypatch.setattr(var, "edb_residual", underflow)
     off = edb_check(tmp_path, capsys, BASE_CONFIG, "off")
-    monkeypatch.setattr(cli, "HALF_STEP_FORK_MIN", 0)
+    monkeypatch.setattr(cli, "STAGE_FORK_MIN", 0)
     on = edb_check(tmp_path, capsys, BASE_CONFIG, "on")
     # the worker failed, and the caller ran the half-step run again
     assert len(forks[0]) == 1 and forks[1] != [0]
@@ -602,7 +603,7 @@ def test_a_failing_main_run_reaps_the_worker(tmp_path, capsys, monkeypatch,
                                              forks):
     off = edb_check(tmp_path, capsys, BASE_CONFIG, "off",
                     "discretization.output_every=50")
-    monkeypatch.setattr(cli, "HALF_STEP_FORK_MIN", 0)
+    monkeypatch.setattr(cli, "STAGE_FORK_MIN", 0)
     on = edb_check(tmp_path, capsys, BASE_CONFIG, "on",
                    "discretization.output_every=50")
     assert len(forks[0]) == 1
@@ -612,6 +613,108 @@ def test_a_failing_main_run_reaps_the_worker(tmp_path, capsys, monkeypatch,
     assert err.startswith("config error: edb-check needs at least three "
                           "stored times; this run stored 2")
     assert not (tmp_path / "on").exists()
+
+
+# -- converge, oracle-compare and entropy-check on two CPUs: from
+# STAGE_FORK_MIN particle-steps on, each runs its two independent stages
+# through fork_join.  Forced on or off, the outputs are the same ---------
+
+REDUCTION_CONFIG = """
+problem.V.kind = linear
+problem.V.coeff = -1.0
+problem.W.kind = zero
+problem.initial.kind = parabolic_bump
+discretization.N = 20
+discretization.t_end = 0.2
+discretization.N_list = 8, 16, 32
+oracle.fv_dx = 0.02
+"""
+
+
+def outputs(tmp_path, capsys, command, name, *overrides):
+    """(exit code, stdout, stderr, {CSV name: bytes}) of ``command`` on
+    ``REDUCTION_CONFIG``."""
+    path = write_config(tmp_path, REDUCTION_CONFIG, name=f"{name}.cfg")
+    out = tmp_path / name
+    argv = ["--config", str(path), "--out-dir", str(out)]
+    for item in overrides:
+        argv += ["--override", item]
+    code = main(argv + [command])
+    captured = capsys.readouterr()
+    tables = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+    return code, captured.out, captured.err, tables
+
+
+def forced(monkeypatch, tmp_path, capsys, command, *overrides):
+    """The :func:`outputs` of ``command`` with the fork forced off, then on."""
+    monkeypatch.setattr(cli, "STAGE_FORK_MIN", float("inf"))
+    off = outputs(tmp_path, capsys, command, "off", *overrides)
+    monkeypatch.setattr(cli, "STAGE_FORK_MIN", 0)
+    return off, outputs(tmp_path, capsys, command, "on", *overrides)
+
+
+@needs_fork
+@pytest.mark.parametrize("command, table", [
+    ("converge", "refinement.csv"), ("oracle-compare", "oracle_compare.csv"),
+    ("entropy-check", "entropy.csv")])
+def test_the_stage_worker_gives_the_one_process_outputs(
+        tmp_path, capsys, monkeypatch, forks, command, table):
+    off, on = forced(monkeypatch, tmp_path, capsys, command)
+    assert forks == ([forks[0][0]], [0])
+    assert on == off
+    code, out, err, tables = off
+    assert (code, err, list(tables)) == (EXIT_OK, "", [table]) and out
+
+
+@needs_fork
+def test_converge_rebuilds_the_finest_level_from_the_worker(
+        tmp_path, capsys, monkeypatch, forks):
+    built = []
+
+    def recorded(*args):
+        built.append(pm.Trajectory(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "Trajectory", recorded)
+    monkeypatch.setattr(cli, "STAGE_FORK_MIN", 0)
+    assert outputs(tmp_path, capsys, "converge", "on")[0] == EXIT_OK
+    assert forks == ([forks[0][0]], [0])
+    problem = pm.validate(build_problem(parse_config(tmp_path / "on.cfg")))
+    here = cli._aligned_run(problem, 32, 0.2, 100, 1e-3)
+    (there,) = built
+    assert there.stats == here.stats and there.stats["velocity_evals"] > 0
+    assert there.h == here.h
+    for name in ("times", "positions", "velocities"):
+        assert getattr(there, name).tobytes() == getattr(here, name).tobytes()
+
+
+@needs_fork
+def test_a_failing_oracle_worker_fails_as_in_one_process(
+        tmp_path, capsys, monkeypatch, forks):
+    # the finite-volume support reaches a window this narrow
+    off, on = forced(monkeypatch, tmp_path, capsys, "oracle-compare",
+                     "oracle.window_lo=-1.05", "oracle.window_hi=1.05")
+    # the worker failed, and the caller ran the oracle again
+    assert len(forks[0]) == 1 and forks[1] != [0]
+    assert on == off == (EXIT_NUMERICAL, "", "numerical failure: support "
+                         "reached the window boundary; enlarge it\n", {})
+
+
+@needs_fork
+def test_a_failing_particle_side_reaps_the_oracle_worker(
+        tmp_path, capsys, monkeypatch, forks):
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    off, on = forced(monkeypatch, tmp_path, capsys, "oracle-compare",
+                     "oracle.compare_times=0.1234")
+    assert len(forks[0]) == len(forks[1]) == 1
+    assert on == off
+    code, out, err, tables = on
+    assert (code, out, tables) == (EXIT_CONFIG, "", {})
+    assert err == ("config error: oracle.compare_times entry 0.1234 is not "
+                   "a stored output time\n")
+    assert list(scratch.iterdir()) == []
 
 
 def drift_times(traj):

@@ -205,6 +205,29 @@ def test_entropy_reduction_particle_vs_reference(reduction_problem):
     assert min(table_fv["residual"]) >= -2e-2
 
 
+def test_a_split_entropy_report_keeps_the_bump_indices():
+    # entropy-check reports each half of its bumps on its own and joins
+    # the tables; an unlabelled bump keeps its index into the whole list
+    p = pm.Problem(pm.power_cap_mobility(1.0),
+                   pm.Potentials(pm.linear_potential(-1.0),
+                                 pm.no_interaction()),
+                   pm.parabolic_bump())
+    fields = pm.integrate(pm.quantile_partition(p.initial, 20), p, 0.2,
+                          dt=0.02).fields
+    phis = [diag.BumpTestFunction(a, 0.8, 0.2) for a in (-0.5, 0.0, 0.5)]
+    phis.insert(1, diag.BumpTestFunction(0.2, 1.0, 0.2, label="wide"))
+    cs = [0.25, 0.75]
+    whole = diag.entropy_report(fields, p, cs, phis)
+    assert whole["phi_id"] == ["0", "0", "wide", "wide", "2", "2", "3", "3"]
+    first = diag.entropy_report(fields, p, cs, phis, bumps=range(2))
+    second = diag.entropy_report(fields, p, cs, phis, bumps=range(2, 4))
+    assert second["phi_id"] == ["2", "2", "3", "3"]
+    joined = {key: first[key] + second[key] for key in first}
+    assert joined["c"] == whole["c"] and joined["phi_id"] == whole["phi_id"]
+    assert np.array(joined["residual"]).tobytes() == \
+        np.array(whole["residual"]).tobytes()
+
+
 def test_entropy_csv_schema(tmp_path):
     table = {"c": [0.25, 0.5], "phi_id": ["a", "b"], "residual": [0.1, -0.002]}
     path = tmp_path / "entropy.csv"
