@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import cpus
 from . import diagnostics as diag
 from . import fv as fvmod
 from . import variational as var
@@ -31,7 +32,6 @@ from .model import (InvalidProblem, Potentials, Problem, linear_potential,
                     piecewise_constant_density, power_cap_mobility,
                     quadratic_potential, simpson, tabulated_mobility,
                     uniform_density, validate, zero_potential)
-from .forces import _can_fork, fork_join
 from .quantile import QuantileError, quantile_partition
 from .reconstruct import (TimeGridMismatch, write_snapshot_rows,
                           write_snapshots_csv, write_table)
@@ -142,66 +142,58 @@ def _numbers(cfg, key, default=None, required=False, kind=float):
             for v in _as_list(_get(cfg, key, default, required))]
 
 
+def _section(cfg, section, default, makers):
+    """The model object of ``section``: ``makers[kind]()`` for the kind
+    that ``section.kind`` names, with a constructor's ``ValueError`` turned
+    into a ``ConfigError`` that names the section and the kind."""
+    kind = _get(cfg, f"{section}.kind", default)
+    if not (isinstance(kind, str) and kind in makers):     # a list too
+        raise ConfigError(f"unknown {section}.kind {kind!r}")
+    try:
+        return makers[kind]()
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{section} ({kind}): {exc}") from None
+
+
 def build_problem(cfg: dict) -> Problem:
-    mob_kind = _get(cfg, "problem.mobility.kind", "power_cap")
-    if mob_kind == "power_cap":
-        mobility = power_cap_mobility(
+    mobility = _section(cfg, "problem.mobility", "power_cap", {
+        "power_cap": lambda: power_cap_mobility(
             m_beta=_number(cfg, "problem.mobility.M_beta", 1.0),
-            gamma=_number(cfg, "problem.mobility.gamma", 1.0))
-    elif mob_kind == "tabulated":
-        mobility = tabulated_mobility(
+            gamma=_number(cfg, "problem.mobility.gamma", 1.0)),
+        "tabulated": lambda: tabulated_mobility(
             np.asarray(_numbers(cfg, "problem.mobility.samples",
                                 required=True)),
             np.asarray(_numbers(cfg, "problem.mobility.values",
-                                required=True)))
-    else:
-        raise ConfigError(f"unknown mobility kind {mob_kind!r}")
-
-    v_kind = _get(cfg, "problem.V.kind", "zero")
-    if v_kind == "zero":
-        external = zero_potential()
-    elif v_kind == "linear":
-        external = linear_potential(_number(cfg, "problem.V.coeff", 1.0))
-    elif v_kind == "quadratic":
-        external = quadratic_potential(_number(cfg, "problem.V.coeff", 1.0))
-    else:
-        raise ConfigError(f"unknown external potential kind {v_kind!r}")
-
-    w_kind = _get(cfg, "problem.W.kind", "zero")
-    if w_kind == "zero":
-        interaction = no_interaction()
-    elif w_kind == "newtonian_attractive":
-        interaction = newtonian(attractive=True)
-    elif w_kind == "newtonian_repulsive":
-        interaction = newtonian(attractive=False)
-    elif w_kind == "morse":
-        interaction = morse(*(_number(cfg, f"problem.W.{name}", required=True)
-                              for name in ("c_A", "ell_A", "c_R", "ell_R")))
-    else:
-        raise ConfigError(f"unknown interaction kind {w_kind!r}")
-
-    declared_mass = _number(cfg, "problem.m")
-    init_kind = _get(cfg, "problem.initial.kind", "parabolic_bump")
-    if init_kind == "parabolic_bump":
-        initial = parabolic_bump(
+                                required=True)))})
+    external = _section(cfg, "problem.V", "zero", {
+        "zero": zero_potential,
+        "linear": lambda: linear_potential(
+            _number(cfg, "problem.V.coeff", 1.0)),
+        "quadratic": lambda: quadratic_potential(
+            _number(cfg, "problem.V.coeff", 1.0))})
+    interaction = _section(cfg, "problem.W", "zero", {
+        "zero": no_interaction,
+        "newtonian_attractive": lambda: newtonian(attractive=True),
+        "newtonian_repulsive": lambda: newtonian(attractive=False),
+        "morse": lambda: morse(*(
+            _number(cfg, f"problem.W.{name}", required=True)
+            for name in ("c_A", "ell_A", "c_R", "ell_R")))})
+    mass = _number(cfg, "problem.m")
+    initial = _section(cfg, "problem.initial", "parabolic_bump", {
+        "parabolic_bump": lambda: parabolic_bump(
             amplitude=_number(cfg, "problem.initial.amplitude", 0.75),
             center=_number(cfg, "problem.initial.center", 0.0),
-            radius=_number(cfg, "problem.initial.radius", 1.0),
-            mass=declared_mass)
-    elif init_kind == "uniform":
-        initial = uniform_density(
+            radius=_number(cfg, "problem.initial.radius", 1.0), mass=mass),
+        "uniform": lambda: uniform_density(
             a=_number(cfg, "problem.initial.a", 0.0),
             b=_number(cfg, "problem.initial.b", 1.0),
-            height=_number(cfg, "problem.initial.height", 1.0),
-            mass=declared_mass)
-    elif init_kind == "piecewise_constant":
-        initial = piecewise_constant_density(
+            height=_number(cfg, "problem.initial.height", 1.0), mass=mass),
+        "piecewise_constant": lambda: piecewise_constant_density(
             _numbers(cfg, "problem.initial.breakpoints", required=True),
             _numbers(cfg, "problem.initial.values", required=True),
-            mass=declared_mass)
-    else:
-        raise ConfigError(f"unknown initial density kind {init_kind!r}")
-
+            mass=mass)})
     return Problem(mobility, Potentials(external, interaction), initial)
 
 
@@ -327,24 +319,6 @@ def _report(violations) -> int:
     return EXIT_INVARIANT if violations else EXIT_OK
 
 
-# From this many particle-steps on ((N + 1) x RK4 steps, inf for a step
-# count beyond the floats, which integrate rejects), edb-check, converge,
-# oracle-compare and entropy-check run their two independent stages on two
-# CPUs.  On |x| at N = 24 edb-check's fork won 14-15 of 21 alternating calls
-# at 2,500 particle-steps of its dt/2 run, 14-20 of 21 at 5,000 and 20-21 of
-# 21 at 10,000 (2-vCPU x86-64 VM).
-STAGE_FORK_MIN = 10_000
-
-
-def _stages(particle_steps, mine, theirs):
-    """``(mine(), theirs())``: through ``fork_join`` from ``STAGE_FORK_MIN``
-    ``particle_steps`` on where ``_can_fork()`` holds, else here in that
-    order."""
-    if particle_steps < STAGE_FORK_MIN or not _can_fork():
-        return mine(), theirs()
-    return fork_join(mine, theirs)
-
-
 def _first_state(problem, n_cells, dt):
     """``(state0, dt)``: a run's particles at t = 0 and its step, ``dt`` or
     the CFL guard's ``default_dt``."""
@@ -352,32 +326,23 @@ def _first_state(problem, n_cells, dt):
     return state0, default_dt(state0, problem) if dt is None else dt
 
 
-# From this many snapshot values on (stored times x (3N + 3)), run splits
-# its stored times across two CPUs: of 21 alternating in-process runs (2-vCPU
-# x86-64 VM) the split won 17-19 at 10,827-12,033 values on |x| (2 on W = 0)
-# and all 21 at 13,233 on |x|, W = 0 and morse.cfg.
-RUN_FORK_MIN = 12_000
-
-
 def _on_two_cpus(traj: Trajectory, path: Path, norms: bool, edb: bool):
     """Write ``snapshots.csv`` at ``path`` and return the per-time columns
     of ``diagnostics.csv`` and ``variational.csv`` (as ``norms`` and ``edb``
     ask), the stored times split at half between this process and a
-    ``fork_join`` worker.  The worker's rows go into a temporary file beside
-    ``path``, appended after the join; both sides' columns go into one
-    shared ``mmap``."""
-    import mmap     # on this path only
+    ``cpus.fork_join`` worker.  The worker's rows go into a temporary file
+    beside ``path``, appended after the join; its columns come back as its
+    value."""
     fields, n = traj.fields, len(traj.times)
     n_diag, half = len(diag.DIAGNOSTICS_COLUMNS), (n + 1) // 2
-    rows = n_diag + len(var.GRADIENT_COLUMNS)
-    columns = np.frombuffer(mmap.mmap(-1, 8 * rows * n),
-                            count=rows * n).reshape(rows, n)
+    columns = np.empty((n_diag + len(var.GRADIENT_COLUMNS), n))
 
     def columns_at(times):
         if norms:
             diag.diagnostics_columns(fields, times, columns[:n_diag])
         if edb:
             var.gradient_columns(traj, times, columns[n_diag:])
+        return columns[:, times]
 
     def mine():
         write_snapshots_csv(fields, path, range(half))
@@ -389,9 +354,9 @@ def _on_two_cpus(traj: Trajectory, path: Path, norms: bool, edb: bool):
             tmp.truncate()
             write_snapshot_rows(tmp, fields, range(half, n))
             tmp.flush()     # the worker exits without flushing
-            columns_at(slice(half, n))
+            return columns_at(slice(half, n))
 
-        fork_join(mine, theirs)
+        columns[:, half:] = cpus.fork_join(mine, theirs)[1]
         tmp.seek(0)
         with open(path, "ab") as fh:
             shutil.copyfileobj(tmp.buffer, fh)
@@ -404,8 +369,8 @@ def cmd_run(cfg, args) -> int:
     traj = run_trajectory(_resolve(cfg))
     out = _out_dir(cfg, args)
     fields, problem = traj.fields, traj.problem
-    split = (len(traj.times) * (3 * fields.n_cells + 3) >= RUN_FORK_MIN
-             and _can_fork())
+    split = cpus.worth_forking("run",
+                               len(traj.times) * (3 * fields.n_cells + 3))
     if split:
         norm_rows, gradient_rows = _on_two_cpus(traj, out / "snapshots.csv",
                                                 norms, edb)
@@ -450,7 +415,7 @@ def cmd_converge(cfg, args) -> int:
         return traj.times, traj.positions, traj.velocities, traj.h, traj.stats
 
     # at most the finest level's particle-steps: its steps are at most dt_cap
-    runs, (times, positions, velocities, h, stats) = _stages(
+    runs, (times, positions, velocities, h, stats) = cpus.stages(
         (finest + 1) * t_end / dt_cap,
         lambda: {n: _aligned_run(problem, n, t_end, 100, dt_cap)
                  for n in coarse},
@@ -500,7 +465,7 @@ def cmd_oracle_compare(cfg, args) -> int:
                                   "a stored output time") from None
         return fields
 
-    fields, fv_fields = _stages(
+    fields, fv_fields = cpus.stages(
         (n_cells + 1) * (t_end / dt), particles,
         lambda: fvmod.fv_solve(problem, (lo, hi), dx, t_end,
                                store_times=compare_times)[1])
@@ -540,9 +505,9 @@ def cmd_entropy_check(cfg, args) -> int:
         return lambda: diag.entropy_report(fields, problem, c_values, phis,
                                            stride, bumps)
 
-    first, second = _stages((fields.n_cells + 1) * traj.stats["steps"],
-                            report(range(half)),
-                            report(range(half, len(phis))))
+    first, second = cpus.stages((fields.n_cells + 1) * traj.stats["steps"],
+                                report(range(half)),
+                                report(range(half, len(phis))))
     table = {key: first[key] + second[key] for key in first}
     out = _out_dir(cfg, args)
     diag.write_entropy_csv(table, out / "entropy.csv")
@@ -585,7 +550,7 @@ def cmd_edb_check(cfg, args) -> int:
                                           store_every=store_every))
 
     # particle-steps of the dt/2 run, the worker's
-    (residual, violations), residual_half = _stages(
+    (residual, violations), residual_half = cpus.stages(
         (n_cells + 1) * (2.0 * t_end / dt), main_run, half_run)
     ratio = residual / residual_half if residual_half > 0 else float("inf")
     print(f"half-step residual: {residual_half:.6e}  ratio={ratio:.2f}")

@@ -2,12 +2,6 @@
 
 from __future__ import annotations
 
-import os
-import pickle
-import sys
-import tempfile
-import threading
-from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -21,10 +15,11 @@ __all__ = [
     "continuum_force",
 ]
 
-# Elements per temporary in the blocked pair loops: 128 KB of float64, the
-# default glibc mmap threshold.  Larger blocks are slower, not faster: a
-# temporary above the threshold is mapped afresh and page-faults on every
-# call.  2^13 and 2^15 measured a few per cent slower on the Morse workload.
+# Elements per temporary in the blocked pair loops: 128 KB of float64,
+# glibc's default threshold for mapping an allocation on its own.  Larger
+# blocks are slower, not faster: a temporary above the threshold is mapped
+# afresh and page-faults on every call.  2^13 and 2^15 measured a few per
+# cent slower on the Morse workload.
 BLOCK_ELEMENTS = 1 << 14
 
 
@@ -53,15 +48,15 @@ def _fill_pairs(pair: np.ndarray, x: np.ndarray, fn, odd, blocks) -> None:
 
 
 def particle_forces(state: ParticleState, potentials: Potentials,
-                    pairs: PairWorker | None = None) -> np.ndarray:
+                    pairs=None) -> np.ndarray:
     """Exact pairwise forces ``V'(x_i) + h * sum_{j != i} W'(x_i - x_j)``.
 
     The pair matrix of the odd ``W'`` is filled by :func:`_fill_pairs` and
     each row reduced whole, so the result does not depend on the block size
     and repeated runs are bit-identical.  The matrix is a transient of
-    ``8 (N + 1)^2`` bytes (1.3 MB at N = 400).  With a :class:`PairWorker`
-    of this kernel and particle count, the blocks are filled on two CPUs,
-    with the same bits.
+    ``8 (N + 1)^2`` bytes (1.3 MB at N = 400).  With a
+    :class:`~partmob.cpus.PairWorker` of this kernel and particle count,
+    the blocks are filled on two CPUs, with the same bits.
     """
     x = state.positions
     f = np.array(potentials.external.dv(x), dtype=float, copy=True)
@@ -83,7 +78,7 @@ def _is_dense(w) -> bool:
 
 
 def force_rows(positions: np.ndarray, h: float, potentials: Potentials,
-               pairs: PairWorker | None = None) -> np.ndarray:
+               pairs=None) -> np.ndarray:
     """Forces of one state or of every row of a ``(n_times, n_particles)``
     block of ordered distinct positions.
 
@@ -115,196 +110,6 @@ def rank_term(sign: int, h: float, n_particles: int) -> np.ndarray:
     term = sign * h * (2.0 * ranks - (n_particles - 1))
     term.flags.writeable = False
     return term
-
-
-# -- work on two CPUs ---------------------------------------------------
-
-def _can_fork() -> bool:
-    """A forked worker can run beside this process: the platform forks,
-    this process may use two CPUs and it runs no other thread (a fork
-    copies only the calling thread, and any lock another one holds)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return False
-    try:
-        return len(os.sched_getaffinity(0)) > 1
-    except AttributeError:      # a platform without CPU affinity
-        return (os.cpu_count() or 1) > 1
-
-
-def _cpu_apart() -> set[int] | None:
-    """The affinity for a worker: one allowed CPU other than the one this
-    process runs on now (field 39 of Linux's ``/proc/self/stat``), or None
-    where either cannot be read."""
-    try:
-        with open("/proc/self/stat", "rb") as fh:
-            # the fields from the third on follow the parenthesised name
-            running = int(fh.read().rsplit(b")", 1)[1].split()[36])
-        others = sorted(os.sched_getaffinity(0) - {running})
-    except (OSError, AttributeError, ValueError, IndexError):
-        return None
-    return set(others[:1]) or None
-
-
-def _fork(work, cpus) -> int | None:
-    """The pid of a worker forked to run ``work()`` pinned to the CPU set
-    ``cpus`` (unpinned for None) and exit, with status 0 if it returns, or
-    None where no process can be forked.  Flushed first, no buffer of the
-    standard streams is written twice."""
-    for stream in (sys.stdout, sys.stderr):
-        stream.flush()
-    try:
-        pid = os.fork()
-    except OSError:             # no process to be had
-        return None
-    if pid:
-        return pid
-    try:
-        if cpus:    # unpinned, the kernel kept both on one CPU, taking turns
-            os.sched_setaffinity(0, cpus)
-        work()
-    except BaseException:
-        os._exit(1)
-    os._exit(0)
-
-
-def fork_join(mine, theirs):
-    """``(mine(), theirs())``, with ``mine()`` run here beside a
-    :func:`_fork` worker running ``theirs()``, whose value comes back
-    pickled through an anonymous temporary file.  Where no process could be
-    forked or the worker failed, ``theirs()`` runs here after ``mine()``,
-    with the one-process value or exception.  While ``mine()`` runs, this
-    process is pinned to its allowed CPUs other than the worker's, so on two
-    CPUs :func:`_can_fork` is False on both sides and nothing forks again;
-    its affinity is restored however ``mine()`` ends.  The worker is reaped
-    on every path, killed first if ``mine()`` raises.  Spans of traced
-    functions that ``theirs()`` calls in the worker stay there: the
-    caller's trace counts that time as waiting."""
-    cpus = _cpu_apart()
-    with tempfile.TemporaryFile() as result:
-        def work():
-            pickle.dump(theirs(), result, pickle.HIGHEST_PROTOCOL)
-            result.flush()      # the worker exits without flushing
-        pid = _fork(work, cpus)
-        allowed = None
-        try:
-            if pid is not None and cpus:
-                allowed = os.sched_getaffinity(0)
-                os.sched_setaffinity(0, allowed - cpus)
-            value = mine()
-        except BaseException:
-            if pid is not None:
-                os.kill(pid, 9)     # SIGKILL, without importing signal
-                os.waitpid(pid, 0)
-            raise
-        finally:
-            if allowed:
-                os.sched_setaffinity(0, allowed)
-        if pid is not None and os.waitpid(pid, 0)[1] == 0:
-            result.seek(0)      # the worker wrote through the shared offset
-            return value, pickle.load(result)
-    return value, theirs()
-
-
-# From this many particles on, solver.integrate fills the dense pair
-# matrices of its force evaluations on two CPUs (see PairWorker).
-FORK_MIN_PARTICLES = 200
-
-
-class PairWorker:
-    """A forked process that fills the odd blocks of ``row_blocks(n, n)``
-    of :func:`particle_forces`' pair matrix for the kernel derivative
-    ``dw`` and ``n`` particles, while the caller fills the even blocks
-    with the same code.  Blocks write disjoint entries, so every entry,
-    and every row sum, keeps its one-process bits.
-
-    The two processes share an anonymous mapping that holds the positions
-    and the ``n x n`` matrix, and talk over two pipes, one byte each way
-    per call.  After any failure, of the worker or of the caller's blocks,
-    the worker is reaped and the caller fills the whole matrix in the
-    one-process order, so the same exception is raised as without the
-    worker.  The worker calls no traced function: its time falls inside
-    the span of the call that waits for it.  It exits at the end of file
-    of its command pipe, on :meth:`close` or when the caller dies.  Where
-    no process can be forked, ``pid`` is None and every fill is the caller's.
-    """
-
-    def __init__(self, dw, n: int):
-        import mmap     # imported on this path only
-        self.dw = dw
-        self.blocks = list(row_blocks(n, n))
-        shared = mmap.mmap(-1, 8 * n * (n + 1))
-        self.x = np.frombuffer(shared, count=n)
-        self.pair = np.frombuffer(shared, offset=8 * n,
-                                  count=n * n).reshape(n, n)
-        commands, self._commands = os.pipe()
-        self._replies, replies = os.pipe()
-        self.pid = _fork(lambda: self._serve(commands, replies),
-                         _cpu_apart())
-        os.close(commands)
-        os.close(replies)
-        if self.pid is None:
-            os.close(self._commands)
-            os.close(self._replies)
-
-    def _serve(self, commands: int, replies: int) -> None:
-        # the worker: one fill per command byte, until end of file
-        os.close(self._commands)
-        os.close(self._replies)
-        mine = self.blocks[1::2]
-        while os.read(commands, 1):
-            try:
-                _fill_pairs(self.pair, self.x, self.dw, True, mine)
-                done = b"\0"
-            except Exception:
-                done = b"\1"
-            os.write(replies, done)
-
-    def fill(self, x: np.ndarray) -> np.ndarray:
-        """The pair matrix of the positions ``x``, its diagonal unset; the
-        matrix is overwritten by the next call."""
-        if self.pid is not None:
-            self.x[:] = x
-            sent = done = False
-            try:
-                os.write(self._commands, b"\0")
-                sent = True
-                _fill_pairs(self.pair, x, self.dw, True, self.blocks[::2])
-                done = True
-            except Exception:   # filled again below, in one process
-                pass
-            finally:
-                if sent:
-                    done = os.read(self._replies, 1) == b"\0" and done
-            if done:
-                return self.pair
-            self.close()
-        _fill_pairs(self.pair, x, self.dw, True, self.blocks)
-        return self.pair
-
-    def close(self) -> None:
-        """Reap the worker; later fills run in this process alone."""
-        if self.pid is not None:
-            os.close(self._commands)
-            os.close(self._replies)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-
-
-@contextmanager
-def pair_worker(potentials: Potentials, n: int):
-    """A :class:`PairWorker` for ``n`` particles of a dense kernel, reaped on
-    leaving the block, or None where the pair fill stays in this process: for
-    ``|x|`` and ``W = 0``, below ``FORK_MIN_PARTICLES`` particles, where
-    :func:`_can_fork` does not hold or no process can be forked."""
-    w = potentials.interaction
-    if not _is_dense(w) or n < FORK_MIN_PARTICLES or not _can_fork():
-        yield None
-        return
-    pairs = PairWorker(w.dw, n)
-    try:
-        yield pairs if pairs.pid is not None else None
-    finally:
-        pairs.close()
 
 
 def pair_sum(points: np.ndarray, kernel) -> float:

@@ -158,12 +158,15 @@ def fv_solve(problem: Problem, window: tuple[float, float], dx: float,
         times.append(grid.t)
         profiles.append(grid.rho.copy())
         next_i += 1
-    # the grid's edges and the mobility's peak are fixed for the whole solve
+    # the grid's edges and the mobility's peak are fixed for the whole solve,
+    # and so, for W = 0, are the force V' on the edges and its CFL bound
     edges = grid.edges
     theta_max = _theta_max(problem.mobility)
+    force = None
     while grid.t < t_end - 1e-14:
-        force = _interface_force(grid, problem, edges)
-        bound = _max_dt(grid, problem, force, theta_max)
+        if force is None or not problem.potentials.interaction.is_zero:
+            force = _interface_force(grid, problem, edges)
+            bound = _max_dt(grid, problem, force, theta_max)
         dt = min(bound, t_end - grid.t)
         if next_i < len(wanted):
             dt = min(dt, wanted[next_i] - grid.t)

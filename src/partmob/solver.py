@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .forces import PairWorker, force_rows, pair_worker, row_blocks
+from .cpus import PairWorker, pair_worker
+from .forces import force_rows, row_blocks
 from .model import Problem
 from .quantile import ParticleState
 from .reconstruct import ReconstructedFields
@@ -121,10 +122,10 @@ class Trajectory:
         """The run's density/flux reconstruction, built on first use: the
         position and velocity arrays themselves, the densities
         ``h / width`` and the mass ``h * n_cells``."""
-        return ReconstructedFields(
-            self.times, self.positions,
-            self.h / np.diff(self.positions, axis=1), self.velocities,
-            self.h * self.n_cells)
+        densities = np.diff(self.positions, axis=1)
+        np.divide(self.h, densities, out=densities)     # in place, same bits
+        return ReconstructedFields(self.times, self.positions, densities,
+                                   self.velocities, self.h * self.n_cells)
 
 
 def _rk4_step(x, dt, velocity):
@@ -193,10 +194,10 @@ def integrate(initial: ParticleState, problem: Problem, t_end: float,
     rounded so that a whole number of steps ends at ``t_end``.  Step 0,
     every ``store_every``-th step and the last are stored.  A step that
     would disorder the particles is halved down to ``1e-12 * t_end`` before
-    giving up.  For a dense kernel with at least
-    ``forces.FORK_MIN_PARTICLES`` particles, the run's pair fills go to one
-    forked :class:`~partmob.forces.PairWorker`, reaped however the run
-    ends.  The trajectory's ``stats`` count what was done.
+    giving up.  Where :func:`~partmob.cpus.pair_worker` gives one, the
+    run's dense pair fills go to a forked :class:`~partmob.cpus.PairWorker`,
+    reaped however the run ends.  The trajectory's ``stats`` count what was
+    done.
     """
     if not 0.0 < t_end < np.inf:
         raise ValueError("t_end must be finite and positive")

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import partmob as pm
+# the fork harness's fixtures, for the fork cases of every test module
+from test_fork_join import forks, harness, worker_pids  # noqa: F401
 
 
 @pytest.fixture(scope="session")

@@ -4,22 +4,25 @@ import os
 import re
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_fork_join import REDUCTION
 
 import partmob as pm
-from partmob import cli, forces
+from partmob import cli
 from partmob import fv as fvmod
 from partmob import variational as var
 from partmob.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
                          ConfigError, build_problem, main, parse_config)
 from partmob.solver import StepUnderflow
 
+ROOT = Path(__file__).resolve().parents[1]
+REDUCTION_CFG = ROOT / "configs" / "reduction.cfg"
+RUN_FILES = ("snapshots.csv", "diagnostics.csv", "variational.csv")
 BASE_CONFIG = """
 # attractive kernel on the standard bump
 problem.mobility.kind = power_cap
@@ -33,12 +36,33 @@ discretization.N = 24
 discretization.t_end = 0.05
 discretization.dt = 1e-3
 """
+ZERO_CONFIG = BASE_CONFIG.replace("newtonian_attractive", "zero")
 
 
 def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def run_main(capsys, config, command, *overrides, out=None):
+    """(exit code, stdout, stderr) of ``command`` on the config file
+    ``config`` into the output directory ``out``, with each ``key=value``
+    of ``overrides``; no traceback may be printed."""
+    argv = ["--config", str(config)]
+    if out is not None:
+        argv += ["--out-dir", str(out)]
+    for item in overrides:
+        argv += ["--override", item]
+    code = main(argv + [command])
+    printed, err = capsys.readouterr()
+    assert "Traceback" not in printed + err
+    return code, printed, err
+
+
+def read_csv(path):
+    with open(path) as fh:
+        return list(csv.reader(fh))
 
 
 def test_parse_values(tmp_path):
@@ -68,170 +92,132 @@ def test_build_problem_kinds(tmp_path):
     assert p.initial.mass == pytest.approx(1.0)
 
 
-def test_run_zero_field(tmp_path):
-    cfg_text = BASE_CONFIG.replace("newtonian_attractive", "zero")
-    path = write_config(tmp_path, cfg_text)
+def test_run_zero_field(tmp_path, capsys):
     out = tmp_path / "out"
-    code = main(["--config", str(path), "--out-dir", str(out), "run"])
-    assert code == EXIT_OK
-    for name in ("snapshots.csv", "diagnostics.csv", "variational.csv"):
+    path = write_config(tmp_path, ZERO_CONFIG)
+    assert run_main(capsys, path, "run", out=out)[0] == EXIT_OK
+    for name in RUN_FILES:
         assert (out / name).exists()
-    with open(out / "snapshots.csv") as fh:
-        rows = list(csv.reader(fh))
+    rows = read_csv(out / "snapshots.csv")
     assert rows[0] == ["t", "x_left", "x_right", "rho", "u_left", "u_right"]
     # zero potentials: all stored velocities vanish
     u = np.array([[float(r[4]), float(r[5])] for r in rows[1:]])
     assert np.all(u == 0.0)
 
 
-def test_run_is_deterministic(tmp_path):
+def test_run_is_deterministic(tmp_path, capsys):
     path = write_config(tmp_path)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["--config", str(path), "--out-dir", str(out_a), "run"]) == EXIT_OK
-    assert main(["--config", str(path), "--out-dir", str(out_b), "run"]) == EXIT_OK
-    for name in ("snapshots.csv", "diagnostics.csv", "variational.csv"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    for out in ("a", "b"):
+        assert run_main(capsys, path, "run", out=tmp_path / out)[0] == EXIT_OK
+    for name in RUN_FILES:
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
 
 
-def test_run_rejects_single_cell(tmp_path):
-    path = write_config(tmp_path, BASE_CONFIG.replace(
-        "discretization.N = 24", "discretization.N = 1"))
-    assert main(["--config", str(path), "run"]) == EXIT_CONFIG
+def test_run_rejects_single_cell(tmp_path, capsys):
+    assert run_main(capsys, write_config(tmp_path), "run",
+                    "discretization.N=1")[0] == EXIT_CONFIG
 
 
-def test_run_rejects_bad_mass(tmp_path):
-    path = write_config(tmp_path, BASE_CONFIG + "problem.m = 2.0\n")
-    assert main(["--config", str(path), "run"]) == EXIT_CONFIG
+def test_run_rejects_bad_mass(tmp_path, capsys):
+    assert run_main(capsys, write_config(tmp_path), "run",
+                    "problem.m=2.0")[0] == EXIT_CONFIG
 
 
-def test_missing_config_file(tmp_path):
-    assert main(["--config", str(tmp_path / "nope.cfg"), "run"]) == EXIT_CONFIG
+def test_missing_config_file(tmp_path, capsys):
+    assert run_main(capsys, tmp_path / "nope.cfg", "run")[0] == EXIT_CONFIG
 
 
 def test_config_directory_is_config_error(tmp_path, capsys):
-    assert main(["--config", str(tmp_path), "run"]) == EXIT_CONFIG
-    out, err = capsys.readouterr()
-    assert "config error:" in err
-    assert "Traceback" not in out + err
+    code, _, err = run_main(capsys, tmp_path, "run")
+    assert code == EXIT_CONFIG and "config error:" in err
 
 
 def test_out_dir_existing_file_is_config_error(tmp_path, capsys):
-    path = write_config(tmp_path)
     blocker = tmp_path / "taken"
     blocker.write_text("")
-    assert main(["--config", str(path), "--out-dir", str(blocker),
-                 "run"]) == EXIT_CONFIG
-    out, err = capsys.readouterr()
-    assert "config error:" in err
-    assert "Traceback" not in out + err
+    code, _, err = run_main(capsys, write_config(tmp_path), "run",
+                            out=blocker)
+    assert code == EXIT_CONFIG and "config error:" in err
 
 
 def test_override_applies(tmp_path, capsys):
-    path = write_config(tmp_path)
     out = tmp_path / "o"
-    code = main(["--config", str(path), "--out-dir", str(out),
-                 "--override", "discretization.N=12", "run"])
-    assert code == EXIT_OK
-    with open(out / "snapshots.csv") as fh:
-        rows = list(csv.reader(fh))
+    assert run_main(capsys, write_config(tmp_path), "run",
+                    "discretization.N=12", out=out)[0] == EXIT_OK
+    rows = read_csv(out / "snapshots.csv")
     times = {r[0] for r in rows[1:]}
-    cells_per_time = (len(rows) - 1) / len(times)
-    assert cells_per_time == 12
+    assert (len(rows) - 1) / len(times) == 12      # cells per stored time
 
 
 def test_converge_static_problem(tmp_path, capsys):
-    cfg_text = BASE_CONFIG.replace("newtonian_attractive", "zero") + \
-        "discretization.N_list = 8, 16, 32\n"
-    path = write_config(tmp_path, cfg_text)
     out = tmp_path / "conv"
-    assert main(["--config", str(path), "--out-dir", str(out),
-                 "converge"]) == EXIT_OK
-    with open(out / "refinement.csv") as fh:
-        rows = list(csv.reader(fh))
+    assert run_main(capsys, write_config(tmp_path, ZERO_CONFIG), "converge",
+                    "discretization.N_list=8,16,32", out=out)[0] == EXIT_OK
+    rows = read_csv(out / "refinement.csv")
     assert rows[0] == ["N", "cauchy_diff", "bv_max", "edb_residual"]
     assert len(rows) == 3
     # static runs differ only by their quantile layout
     assert all(float(r[1]) < 0.2 for r in rows[1:])
 
 
-def test_converge_requires_doubling(tmp_path):
-    path = write_config(tmp_path, BASE_CONFIG +
-                        "discretization.N_list = 8, 24\n")
-    assert main(["--config", str(path), "converge"]) == EXIT_CONFIG
+def test_converge_requires_doubling(tmp_path, capsys):
+    assert run_main(capsys, write_config(tmp_path), "converge",
+                    "discretization.N_list=8,24")[0] == EXIT_CONFIG
 
 
 def test_converge_requires_two_levels(tmp_path, capsys):
-    path = write_config(tmp_path, BASE_CONFIG + "discretization.N_list = 10\n")
     out = tmp_path / "conv"
-    assert main(["--config", str(path), "--out-dir", str(out),
-                 "converge"]) == EXIT_CONFIG
-    assert "needs at least two entries" in capsys.readouterr().err
+    code, _, err = run_main(capsys, write_config(tmp_path), "converge",
+                            "discretization.N_list=10", out=out)
+    assert code == EXIT_CONFIG
+    assert "needs at least two entries" in err
     assert not out.exists()     # rejected before any run or output
 
 
-def test_oracle_compare_reduction(tmp_path):
-    cfg_text = """
-problem.V.kind = linear
-problem.V.coeff = -1.0
-problem.W.kind = zero
-problem.initial.kind = parabolic_bump
-discretization.N = 60
-discretization.t_end = 0.2
-oracle.fv_dx = 0.01
-oracle.compare_times = 0.2
-"""
-    path = write_config(tmp_path, cfg_text)
+def test_oracle_compare_reduction(tmp_path, capsys):
     out = tmp_path / "oc"
-    assert main(["--config", str(path), "--out-dir", str(out),
-                 "oracle-compare"]) == EXIT_OK
-    with open(out / "oracle_compare.csv") as fh:
-        rows = list(csv.reader(fh))
+    assert run_main(capsys, write_config(tmp_path, REDUCTION),
+                    "oracle-compare", "discretization.N=60",
+                    "oracle.fv_dx=0.01", "oracle.compare_times=0.2",
+                    out=out)[0] == EXIT_OK
+    rows = read_csv(out / "oracle_compare.csv")
     assert rows[0] == ["t", "l1_error"]
     assert float(rows[1][1]) < 0.1
 
 
 def test_entropy_check_reduction(tmp_path, capsys):
-    cfg_text = """
-problem.V.kind = linear
-problem.V.coeff = -1.0
-problem.W.kind = zero
-problem.initial.kind = parabolic_bump
-discretization.N = 60
-discretization.t_end = 0.2
-discretization.output_every = 4
-"""
-    path = write_config(tmp_path, cfg_text)
-    out = tmp_path / "ec"
-    assert main(["--config", str(path), "--out-dir", str(out),
-                 "entropy-check"]) == EXIT_OK
-    with open(out / "entropy.csv") as fh:
-        rows = list(csv.reader(fh))
+    path, out = write_config(tmp_path, REDUCTION), tmp_path / "ec"
+
+    def entropy_check(*overrides):
+        return run_main(capsys, path, "entropy-check", "discretization.N=60",
+                        "discretization.output_every=4", *overrides, out=out)
+
+    code, printed, _ = entropy_check()
+    assert code == EXIT_OK
+    rows = read_csv(out / "entropy.csv")
     assert rows[0] == ["c", "phi_id", "residual"]
     assert len(rows) == 1 + 3 * 9
-    assert "over 27 cases (9 test bumps, 3 levels)" in capsys.readouterr().out
+    assert "over 27 cases (9 test bumps, 3 levels)" in printed
     # phi_grid is rounded to a multiple of three bumps, at least three
-    assert main(["--config", str(path), "--out-dir", str(out),
-                 "--override", "diagnostics.entropy.phi_grid=4",
-                 "entropy-check"]) == EXIT_OK
-    assert "over 9 cases (3 test bumps, 3 levels)" in capsys.readouterr().out
+    code, printed, _ = entropy_check("diagnostics.entropy.phi_grid=4")
+    assert code == EXIT_OK
+    assert "over 9 cases (3 test bumps, 3 levels)" in printed
     # an unattainable tolerance turns the same run into a violation report
     # that names the bound itself
-    assert main(["--config", str(path), "--out-dir", str(out),
-                 "--override", "diagnostics.entropy.tol=-1.0",
-                 "entropy-check"]) == EXIT_INVARIANT
-    err = capsys.readouterr().err.splitlines()
+    code, _, err = entropy_check("diagnostics.entropy.tol=-1.0")
+    assert code == EXIT_INVARIANT
+    err = err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("invariant violation: entropy residual ")
     assert err[0].endswith(" below 1")
 
 
-def test_edb_check(tmp_path):
-    path = write_config(tmp_path)
+def test_edb_check(tmp_path, capsys):
     out = tmp_path / "edb"
-    assert main(["--config", str(path), "--out-dir", str(out),
-                 "edb-check"]) == EXIT_OK
-    with open(out / "variational.csv") as fh:
-        rows = list(csv.reader(fh))
+    assert run_main(capsys, write_config(tmp_path), "edb-check",
+                    out=out)[0] == EXIT_OK
+    rows = read_csv(out / "variational.csv")
     assert rows[0] == ["t", "F_h", "Fhat_h", "R_h", "R_h_star", "D_h",
                        "edb_partial"]
     # running balance defect stays tiny and the energy column never rises
@@ -240,13 +226,11 @@ def test_edb_check(tmp_path):
     assert all(b <= a + 1e-10 for a, b in zip(energies[:-1], energies[1:]))
 
 
-def test_run_diagnostics_toggles_off(tmp_path):
-    path = write_config(tmp_path, BASE_CONFIG + """
-diagnostics.norms = false
-diagnostics.edb = false
-""")
+def test_run_diagnostics_toggles_off(tmp_path, capsys):
     out = tmp_path / "min"
-    assert main(["--config", str(path), "--out-dir", str(out), "run"]) == EXIT_OK
+    assert run_main(capsys, write_config(tmp_path), "run",
+                    "diagnostics.norms=false", "diagnostics.edb=false",
+                    out=out)[0] == EXIT_OK
     assert (out / "snapshots.csv").exists()
     assert not (out / "diagnostics.csv").exists()
     assert not (out / "variational.csv").exists()
@@ -264,13 +248,10 @@ def test_run_checks_the_energy_balance_it_writes(tmp_path, capsys,
 
     monkeypatch.setattr(var, "gradient_records", recording_records)
     out = tmp_path / "run"
-    code, err = run_main(capsys, [
-        "--config", str(ROOT / "configs" / "reduction.cfg"),
-        "--out-dir", str(out),
-        "--override", "discretization.N=100",
-        "--override", "discretization.dt=0.04",
-        "--override", "discretization.t_end=0.5",
-        "--override", "discretization.output_every=1", "run"])
+    code, _, err = run_main(capsys, REDUCTION_CFG, "run",
+                            "discretization.N=100", "discretization.dt=0.04",
+                            "discretization.t_end=0.5",
+                            "discretization.output_every=1", out=out)
     assert code == EXIT_INVARIANT
     assert len(tables) == 1         # the table run writes is the one checked
     residual = var.records_residual(tables[0])
@@ -279,7 +260,7 @@ def test_run_checks_the_energy_balance_it_writes(tmp_path, capsys,
     assert err == (f"invariant violation: energy balance residual "
                    f"{residual:.3e} above the tolerance {tol:.3e}: lower "
                    "discretization.dt\n")
-    for name in ("snapshots.csv", "diagnostics.csv", "variational.csv"):
+    for name in RUN_FILES:
         assert (out / name).exists()
 
 
@@ -323,16 +304,12 @@ def test_run_checks_the_energy_balance_it_writes(tmp_path, capsys,
 def test_non_positive_steps_are_config_errors(tmp_path, capsys, override,
                                                command):
     # ``override`` holds one or more space-separated key=value entries
-    path = write_config(tmp_path, BASE_CONFIG.replace(
-        "newtonian_attractive", "zero") + "oracle.fv_dx = 0.02\n")
-    overrides = [a for item in override.split() for a in ("--override", item)]
-    code = main(["--config", str(path), "--out-dir", str(tmp_path / "out"),
-                 *overrides, command])
-    err = capsys.readouterr().err
+    path = write_config(tmp_path, ZERO_CONFIG + "oracle.fv_dx = 0.02\n")
+    code, _, err = run_main(capsys, path, command, *override.split(),
+                            out=tmp_path / "out")
     assert code == EXIT_CONFIG
     assert err.startswith("config error:")
     assert override.split("=")[0] in err
-    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["run", "entropy-check",
@@ -341,10 +318,8 @@ def test_a_horizon_beyond_the_default_steps_is_a_config_error(
         tmp_path, capsys, command):
     # t_end / default_dt overflows to inf: too many steps to count
     out = tmp_path / "out"
-    code, err = run_main(capsys, [
-        "--config", str(ROOT / "configs" / "reduction.cfg"),
-        "--out-dir", str(out), "--override", "discretization.t_end=1e306",
-        command])
+    code, _, err = run_main(capsys, REDUCTION_CFG, command,
+                            "discretization.t_end=1e306", out=out)
     assert code == EXIT_CONFIG
     assert err.startswith("config error: dt must be finite and positive, "
                           "and t_end / dt finite: t_end = 1e+306")
@@ -352,45 +327,20 @@ def test_a_horizon_beyond_the_default_steps_is_a_config_error(
 
 
 def test_oracle_compare_off_grid_time(tmp_path, capsys):
-    cfg_text = """
-problem.V.kind = linear
-problem.V.coeff = -1.0
-problem.W.kind = zero
-problem.initial.kind = parabolic_bump
-discretization.N = 20
-discretization.t_end = 0.2
-oracle.fv_dx = 0.02
-oracle.compare_times = 0.1234
-"""
-    path = write_config(tmp_path, cfg_text)
-    code = main(["--config", str(path), "--out-dir", str(tmp_path / "oc"),
-                 "oracle-compare"])
-    err = capsys.readouterr().err
+    code, _, err = run_main(capsys, write_config(tmp_path, REDUCTION),
+                            "oracle-compare", "oracle.compare_times=0.1234",
+                            out=tmp_path / "oc")
     assert code == EXIT_CONFIG
     assert err.startswith("config error:") and "0.1234" in err
-    assert "Traceback" not in err
 
 
 def test_oracle_window_too_small_is_numerical(tmp_path, capsys):
     # the drifting bump leaves a window that barely covers its support
-    cfg_text = """
-problem.V.kind = linear
-problem.V.coeff = -1.0
-problem.W.kind = zero
-problem.initial.kind = parabolic_bump
-discretization.N = 20
-discretization.t_end = 0.2
-oracle.fv_dx = 0.02
-oracle.window_lo = -1.05
-oracle.window_hi = 1.05
-"""
-    path = write_config(tmp_path, cfg_text)
-    code = main(["--config", str(path), "--out-dir", str(tmp_path / "oc"),
-                 "oracle-compare"])
-    err = capsys.readouterr().err
+    code, _, err = run_main(capsys, write_config(tmp_path, REDUCTION),
+                            "oracle-compare", "oracle.window_lo=-1.05",
+                            "oracle.window_hi=1.05", out=tmp_path / "oc")
     assert code == EXIT_NUMERICAL
     assert err.startswith("numerical failure:") and "window" in err
-    assert "Traceback" not in err
 
 
 def test_oracle_window_mismatch_is_numerical(tmp_path, capsys, monkeypatch):
@@ -402,48 +352,34 @@ def test_oracle_window_mismatch_is_numerical(tmp_path, capsys, monkeypatch):
                                             np.zeros((2, 11)), mass=0.5)
 
     monkeypatch.setattr(fvmod, "fv_solve", narrow_solve)
-    cfg_text = """
-problem.V.kind = linear
-problem.V.coeff = -1.0
-problem.W.kind = zero
-problem.initial.kind = parabolic_bump
-discretization.N = 20
-discretization.t_end = 0.05
-"""
-    path = write_config(tmp_path, cfg_text)
-    code = main(["--config", str(path), "--out-dir", str(tmp_path / "oc"),
-                 "oracle-compare"])
-    err = capsys.readouterr().err
+    code, _, err = run_main(capsys, write_config(tmp_path, REDUCTION),
+                            "oracle-compare", "discretization.t_end=0.05",
+                            out=tmp_path / "oc")
     assert code == EXIT_NUMERICAL
     assert err.startswith("numerical failure: window mismatch")
-    assert "Traceback" not in err
 
 
 def test_quantile_failure_is_numerical(tmp_path, capsys):
     # a support of width 1e-9 leaves the bisection no room to converge
-    path = write_config(tmp_path)
-    code = main(["--config", str(path), "--out-dir", str(tmp_path / "q"),
-                 "--override", "problem.initial.kind=uniform",
-                 "--override", "problem.initial.a=0",
-                 "--override", "problem.initial.b=1e-9",
-                 "--override", "problem.initial.height=1e9", "run"])
-    err = capsys.readouterr().err
+    code, _, err = run_main(capsys, write_config(tmp_path), "run",
+                            "problem.initial.kind=uniform",
+                            "problem.initial.a=0", "problem.initial.b=1e-9",
+                            "problem.initial.height=1e9", out=tmp_path / "q")
     assert code == EXIT_NUMERICAL
     assert err.startswith("numerical failure: quantile search did not "
                           "converge")
-    assert "Traceback" not in err
 
 
 def test_edb_check_prints_fresh_residual(tmp_path, capsys):
     path = write_config(tmp_path)
-    assert main(["--config", str(path), "--out-dir", str(tmp_path / "edb"),
-                 "edb-check"]) == EXIT_OK
-    printed = capsys.readouterr().out.splitlines()[0]
-    cfg = parse_config(path)
-    problem = build_problem(cfg)
+    code, printed, _ = run_main(capsys, path, "edb-check",
+                                out=tmp_path / "edb")
+    assert code == EXIT_OK
+    problem = build_problem(parse_config(path))
     state = pm.quantile_partition(problem.initial, 24)
     traj = pm.integrate(state, problem, 0.05, dt=1e-3)
-    assert printed.startswith(f"edb residual: {pm.edb_residual(traj):.6e} ")
+    assert printed.splitlines()[0].startswith(
+        f"edb residual: {pm.edb_residual(traj):.6e} ")
 
 
 @pytest.mark.parametrize("dt", [None, "2e-3"])
@@ -468,9 +404,8 @@ def test_edb_check_halves_the_runs_own_step(tmp_path, capsys, monkeypatch,
     given = "" if dt is None else f"discretization.dt = {dt}\n"
     path = write_config(tmp_path, BASE_CONFIG.replace(
         "discretization.dt = 1e-3\n", given))
-    code, _ = run_main(capsys, ["--config", str(path), "--out-dir",
-                                str(tmp_path / "edb"), "edb-check"])
-    assert code == EXIT_OK
+    assert run_main(capsys, path, "edb-check",
+                    out=tmp_path / "edb")[0] == EXIT_OK
     problem = build_problem(parse_config(path))
     state = pm.quantile_partition(problem.initial, 24)
     step = float(dt) if dt else pm.default_dt(state, problem)
@@ -481,13 +416,6 @@ def test_edb_check_halves_the_runs_own_step(tmp_path, capsys, monkeypatch,
 # -- exit codes of the stored-time errors: 1 for a config that stores too
 # few times, 3 for time grids that rounding drove apart --------------------
 
-def run_main(capsys, argv):
-    code = main(argv)
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    return code, err
-
-
 @pytest.mark.parametrize("overrides", [
     ["discretization.dt=0.05"],                                # one step
     ["discretization.output_every=50"],                        # t = 0, 0.05
@@ -495,180 +423,67 @@ def run_main(capsys, argv):
 ])
 def test_edb_check_needs_three_stored_times(tmp_path, capsys, overrides):
     # a configuration that stores too few times for Simpson's rule
-    path = write_config(tmp_path)
     out = tmp_path / "edb"
-    argv = ["--config", str(path), "--out-dir", str(out)]
-    for item in overrides:
-        argv += ["--override", item]
-    code, err = run_main(capsys, argv + ["edb-check"])
+    code, _, err = run_main(capsys, write_config(tmp_path), "edb-check",
+                            *overrides, out=out)
     assert code == EXIT_CONFIG
     assert err.startswith("config error: edb-check needs at least three "
                           "stored times; this run stored 2")
     assert not out.exists()
 
 
-# -- edb-check's half-step run in a forked worker: from STAGE_FORK_MIN
-# particle-steps on it runs beside the main run.  Every path must give the
-# one-process CSV bytes, lines and exit code, and leave no child behind ---
+# -- the second stage of edb-check, converge, oracle-compare and
+# entropy-check on two CPUs, as cases of the fork harness in
+# test_fork_join.py ----------------------------------------------------
 
-needs_fork = pytest.mark.skipif(not forces._can_fork(),
-                                reason="no second CPU, or no os.fork")
-
-MORSE_CONFIG = BASE_CONFIG.replace(
-    "newtonian_attractive", "morse\nproblem.W.c_A = 1.0\n"
-    "problem.W.ell_A = 1.0\nproblem.W.c_R = 0.5\nproblem.W.ell_R = 0.3")
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pid of every process forked, as the caller sees it, and the
-    exit status of every one reaped."""
-    pids, statuses = [], []
-    fork, waitpid = os.fork, os.waitpid
-
-    def recorded_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    def recorded_wait(pid, options):
-        reaped = waitpid(pid, options)
-        statuses.append(reaped[1])
-        return reaped
-
-    monkeypatch.setattr(os, "fork", recorded_fork)
-    monkeypatch.setattr(os, "waitpid", recorded_wait)
-    yield pids, statuses
-    with pytest.raises(ChildProcessError):
-        waitpid(-1, os.WNOHANG)
-
-
-def edb_check(tmp_path, capsys, text, name, *overrides):
-    """(exit code, stdout, stderr, variational.csv bytes or None)."""
-    path = write_config(tmp_path, text, name=f"{name}.cfg")
-    out = tmp_path / name
-    argv = ["--config", str(path), "--out-dir", str(out)]
-    for item in overrides:
-        argv += ["--override", item]
-    code = main(argv + ["edb-check"])
-    captured = capsys.readouterr()
-    table = out / "variational.csv"
-    return (code, captured.out, captured.err,
-            table.read_bytes() if table.exists() else None)
-
-
-@needs_fork
-@pytest.mark.parametrize("text", [BASE_CONFIG, MORSE_CONFIG],
-                         ids=["abs", "morse"])
-def test_the_half_step_worker_gives_the_one_process_outputs(
-        tmp_path, capsys, monkeypatch, forks, text):
-    # 25 particles x 100 half-steps: below the minimum, in one process
-    off = edb_check(tmp_path, capsys, text, "off")
-    assert forks == ([], [])
-    monkeypatch.setattr(cli, "STAGE_FORK_MIN", 0)
-    on = edb_check(tmp_path, capsys, text, "on")
-    assert forks == ([forks[0][0]], [0])
-    assert on == off
-    code, out, err, table = off
-    assert code == EXIT_OK and err == "" and table
+@pytest.mark.parametrize("kind", ["abs", "morse"])
+def test_the_half_step_worker_gives_the_one_process_outputs(harness, kind):
+    _, out, err, _ = harness.same_outputs(
+        "edb-check" if kind == "abs" else "edb-check-morse")
+    assert err == ""
     assert [line.split(":")[0] for line in out.splitlines()] == \
         ["edb residual", "half-step residual"]
 
 
-@needs_fork
-def test_a_failing_half_step_run_fails_as_in_one_process(
-        tmp_path, capsys, monkeypatch, forks):
+def test_a_failing_half_step_run_fails_as_in_one_process(harness,
+                                                         monkeypatch):
     def underflow(traj):
         raise StepUnderflow("step underflow at t=0.025: cell 3 (width "
                             "1.000e-12) keeps violating ordering")
 
     # the main run checks its balance without edb_residual
     monkeypatch.setattr(var, "edb_residual", underflow)
-    off = edb_check(tmp_path, capsys, BASE_CONFIG, "off")
-    monkeypatch.setattr(cli, "STAGE_FORK_MIN", 0)
-    on = edb_check(tmp_path, capsys, BASE_CONFIG, "on")
-    # the worker failed, and the caller ran the half-step run again
-    assert len(forks[0]) == 1 and forks[1] != [0]
-    assert on == off
-    code, out, err, table = off
-    assert code == EXIT_NUMERICAL and table
+    off = harness.outputs("edb-check", "off")
+    # the worker fails, and the caller runs the half-step run again
+    assert harness.outputs("edb-check", "on", on=True) == off
+    harness.assert_forks(1)
+    assert all(harness.statuses)
+    code, out, err, tables = off
+    assert code == EXIT_NUMERICAL and list(tables) == ["variational.csv"]
     assert out.startswith("edb residual: ") and "half-step" not in out
     assert err == "numerical failure: step underflow at t=0.025: cell 3 " \
         "(width 1.000e-12) keeps violating ordering\n"
 
 
-@needs_fork
-def test_a_failing_main_run_reaps_the_worker(tmp_path, capsys, monkeypatch,
-                                             forks):
-    off = edb_check(tmp_path, capsys, BASE_CONFIG, "off",
-                    "discretization.output_every=50")
-    monkeypatch.setattr(cli, "STAGE_FORK_MIN", 0)
-    on = edb_check(tmp_path, capsys, BASE_CONFIG, "on",
-                   "discretization.output_every=50")
-    assert len(forks[0]) == 1
-    assert on == off
-    code, out, err, table = on
-    assert (code, out, table) == (EXIT_CONFIG, "", None)
+def test_a_failing_main_run_reaps_the_worker(harness):
+    code, out, err, _ = harness.same_outputs("edb-check-too-few")
+    assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith("config error: edb-check needs at least three "
                           "stored times; this run stored 2")
-    assert not (tmp_path / "on").exists()
+    assert not (harness.tmp / "on").exists()
 
 
-# -- converge, oracle-compare and entropy-check on two CPUs: from
-# STAGE_FORK_MIN particle-steps on, each runs its two independent stages
-# through fork_join.  Forced on or off, the outputs are the same ---------
-
-REDUCTION_CONFIG = """
-problem.V.kind = linear
-problem.V.coeff = -1.0
-problem.W.kind = zero
-problem.initial.kind = parabolic_bump
-discretization.N = 20
-discretization.t_end = 0.2
-discretization.N_list = 8, 16, 32
-oracle.fv_dx = 0.02
-"""
-
-
-def outputs(tmp_path, capsys, command, name, *overrides):
-    """(exit code, stdout, stderr, {CSV name: bytes}) of ``command`` on
-    ``REDUCTION_CONFIG``."""
-    path = write_config(tmp_path, REDUCTION_CONFIG, name=f"{name}.cfg")
-    out = tmp_path / name
-    argv = ["--config", str(path), "--out-dir", str(out)]
-    for item in overrides:
-        argv += ["--override", item]
-    code = main(argv + [command])
-    captured = capsys.readouterr()
-    tables = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
-    return code, captured.out, captured.err, tables
-
-
-def forced(monkeypatch, tmp_path, capsys, command, *overrides):
-    """The :func:`outputs` of ``command`` with the fork forced off, then on."""
-    monkeypatch.setattr(cli, "STAGE_FORK_MIN", float("inf"))
-    off = outputs(tmp_path, capsys, command, "off", *overrides)
-    monkeypatch.setattr(cli, "STAGE_FORK_MIN", 0)
-    return off, outputs(tmp_path, capsys, command, "on", *overrides)
-
-
-@needs_fork
 @pytest.mark.parametrize("command, table", [
     ("converge", "refinement.csv"), ("oracle-compare", "oracle_compare.csv"),
     ("entropy-check", "entropy.csv")])
-def test_the_stage_worker_gives_the_one_process_outputs(
-        tmp_path, capsys, monkeypatch, forks, command, table):
-    off, on = forced(monkeypatch, tmp_path, capsys, command)
-    assert forks == ([forks[0][0]], [0])
-    assert on == off
-    code, out, err, tables = off
+def test_the_stage_worker_gives_the_one_process_outputs(harness, command,
+                                                        table):
+    code, out, err, tables = harness.same_outputs(command)
     assert (code, err, list(tables)) == (EXIT_OK, "", [table]) and out
 
 
-@needs_fork
-def test_converge_rebuilds_the_finest_level_from_the_worker(
-        tmp_path, capsys, monkeypatch, forks):
+def test_converge_rebuilds_the_finest_level_from_the_worker(harness,
+                                                            monkeypatch):
     built = []
 
     def recorded(*args):
@@ -676,10 +491,9 @@ def test_converge_rebuilds_the_finest_level_from_the_worker(
         return built[-1]
 
     monkeypatch.setattr(cli, "Trajectory", recorded)
-    monkeypatch.setattr(cli, "STAGE_FORK_MIN", 0)
-    assert outputs(tmp_path, capsys, "converge", "on")[0] == EXIT_OK
-    assert forks == ([forks[0][0]], [0])
-    problem = pm.validate(build_problem(parse_config(tmp_path / "on.cfg")))
+    assert harness.outputs("converge", "on", on=True)[0] == EXIT_OK
+    harness.assert_forks(1)
+    problem = pm.validate(build_problem(parse_config(harness.tmp / "on.cfg")))
     here = cli._aligned_run(problem, 32, 0.2, 100, 1e-3)
     (there,) = built
     assert there.stats == here.stats and there.stats["velocity_evals"] > 0
@@ -688,33 +502,18 @@ def test_converge_rebuilds_the_finest_level_from_the_worker(
         assert getattr(there, name).tobytes() == getattr(here, name).tobytes()
 
 
-@needs_fork
-def test_a_failing_oracle_worker_fails_as_in_one_process(
-        tmp_path, capsys, monkeypatch, forks):
-    # the finite-volume support reaches a window this narrow
-    off, on = forced(monkeypatch, tmp_path, capsys, "oracle-compare",
-                     "oracle.window_lo=-1.05", "oracle.window_hi=1.05")
+def test_a_failing_oracle_worker_fails_as_in_one_process(harness):
+    assert harness.same_outputs("oracle-compare-window") == (
+        EXIT_NUMERICAL, "", "numerical failure: support reached the window "
+        "boundary; enlarge it\n", {})
     # the worker failed, and the caller ran the oracle again
-    assert len(forks[0]) == 1 and forks[1] != [0]
-    assert on == off == (EXIT_NUMERICAL, "", "numerical failure: support "
-                         "reached the window boundary; enlarge it\n", {})
+    assert all(harness.statuses)
 
 
-@needs_fork
-def test_a_failing_particle_side_reaps_the_oracle_worker(
-        tmp_path, capsys, monkeypatch, forks):
-    scratch = tmp_path / "tmp"
-    scratch.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-    off, on = forced(monkeypatch, tmp_path, capsys, "oracle-compare",
-                     "oracle.compare_times=0.1234")
-    assert len(forks[0]) == len(forks[1]) == 1
-    assert on == off
-    code, out, err, tables = on
-    assert (code, out, tables) == (EXIT_CONFIG, "", {})
-    assert err == ("config error: oracle.compare_times entry 0.1234 is not "
-                   "a stored output time\n")
-    assert list(scratch.iterdir()) == []
+def test_a_failing_particle_side_reaps_the_oracle_worker(harness):
+    assert harness.same_outputs("oracle-compare-off-grid") == (
+        EXIT_CONFIG, "", "config error: oracle.compare_times entry 0.1234 "
+        "is not a stored output time\n", {})
 
 
 def drift_times(traj):
@@ -732,10 +531,9 @@ def test_converge_levels_off_the_shared_grid_are_numerical(tmp_path, capsys,
         return drift_times(traj) if n_cells == 16 else traj
 
     monkeypatch.setattr(cli, "_aligned_run", drifting_run)
-    path = write_config(tmp_path, BASE_CONFIG +
-                        "discretization.N_list = 8, 16\n")
-    code, err = run_main(capsys, ["--config", str(path), "--out-dir",
-                                  str(tmp_path / "conv"), "converge"])
+    code, _, err = run_main(capsys, write_config(tmp_path), "converge",
+                            "discretization.N_list=8,16",
+                            out=tmp_path / "conv")
     assert code == EXIT_NUMERICAL
     assert err == ("numerical failure: refinement runs must share their "
                    "output times\n")
@@ -747,9 +545,8 @@ def test_entropy_window_off_the_horizon_is_numerical(tmp_path, capsys,
     real = cli.run_trajectory
     monkeypatch.setattr(cli, "run_trajectory",
                         lambda cfg: drift_times(real(cfg)))
-    path = write_config(tmp_path)
-    code, err = run_main(capsys, ["--config", str(path), "--out-dir",
-                                  str(tmp_path / "ec"), "entropy-check"])
+    code, _, err = run_main(capsys, write_config(tmp_path), "entropy-check",
+                            out=tmp_path / "ec")
     assert code == EXIT_NUMERICAL
     assert err == ("numerical failure: test function horizon must match the "
                    "stored window\n")
@@ -769,10 +566,8 @@ def test_entropy_keys_are_checked_before_the_run(tmp_path, capsys,
     calls = []
     monkeypatch.setattr(cli, "integrate",
                         lambda *a, **k: calls.append(1))
-    path = write_config(tmp_path)
-    code, err = run_main(capsys, ["--config", str(path), "--out-dir",
-                                  str(tmp_path / "ec"), "--override",
-                                  override, "entropy-check"])
+    code, _, err = run_main(capsys, write_config(tmp_path), "entropy-check",
+                            override, out=tmp_path / "ec")
     assert code == EXIT_CONFIG
     assert err.startswith("config error: ")
     assert key in err
@@ -786,15 +581,14 @@ def test_entropy_keys_are_checked_before_the_run(tmp_path, capsys,
 ])
 def test_morse_parameters_with_infinite_bounds_are_config_errors(
         tmp_path, capsys, override, bounds):
-    path = write_config(tmp_path, BASE_CONFIG.replace(
-        "problem.W.kind = newtonian_attractive\n",
-        "problem.W.kind = morse\nproblem.W.c_A = 1.0\nproblem.W.ell_A = 1.0\n"
-        "problem.W.c_R = 0.5\nproblem.W.ell_R = 0.3\n"))
     out = tmp_path / "out"
-    code, err = run_main(capsys, ["--config", str(path), "--out-dir",
-                                  str(out), "--override", override, "run"])
+    code, _, err = run_main(capsys, write_config(tmp_path), "run",
+                            "problem.W.kind=morse", "problem.W.c_A=1.0",
+                            "problem.W.ell_A=1.0", "problem.W.c_R=0.5",
+                            "problem.W.ell_R=0.3", override, out=out)
     assert code == EXIT_CONFIG
-    assert err.startswith("config error: Morse parameters c_attract=")
+    assert err.startswith("config error: problem.W (morse): Morse parameters "
+                          "c_attract=")
     assert err.rstrip().endswith(f"non-finite kernel bounds: {bounds}")
     assert not list(out.glob("*.csv"))
 
@@ -817,11 +611,8 @@ def test_morse_parameters_with_infinite_bounds_are_config_errors(
 def test_non_finite_numbers_and_force_bounds_fail_cleanly(
         tmp_path, capsys, overrides, command, code, named):
     out = tmp_path / "out"
-    argv = ["--config", str(ROOT / "configs" / "reduction.cfg"),
-            "--out-dir", str(out)]
-    for item in overrides.split():
-        argv += ["--override", item]
-    got, err = run_main(capsys, argv + [command])
+    got, _, err = run_main(capsys, REDUCTION_CFG, command, *overrides.split(),
+                           out=out)
     assert got == code
     assert named in err
     assert not list(out.glob("*.csv"))
@@ -854,16 +645,33 @@ HUGE = "1" + "0" * 400   # an integer beyond the float range
     ("problem.initial.amplitude=1e300 discretization.N=8 "
      "discretization.t_end=0.01 discretization.dt=1e-3", "run",
      EXIT_NUMERICAL, ["numerical failure: h1"]),
+    # a model constructor's error names the problem section and kind
+    ("problem.initial.radius=-1", "run", EXIT_CONFIG,
+     ["config error: problem.initial (parabolic_bump): amplitude and "
+      "radius must be positive"]),
+    ("problem.mobility.gamma=0.5", "run", EXIT_CONFIG,
+     ["config error: problem.mobility (power_cap): gamma must be >= 1"]),
+    ("problem.initial.kind=uniform problem.initial.a=1 problem.initial.b=0",
+     "run", EXIT_CONFIG, ["config error: problem.initial (uniform): need "
+                          "a < b"]),
+    ("problem.initial.kind=piecewise_constant problem.initial.breakpoints=0,1"
+     " problem.initial.values=1,2", "run", EXIT_CONFIG,
+     ["config error: problem.initial (piecewise_constant): need "
+      "len(breakpoints) == len(values) + 1"]),
+    ("problem.W.kind=morse problem.W.c_A=1 problem.W.ell_A=-1 "
+     "problem.W.c_R=1 problem.W.ell_R=1", "run", EXIT_CONFIG,
+     ["config error: problem.W (morse): Morse parameters must be "
+      "positive"]),
+    ("problem.W.kind=yukawa", "run", EXIT_CONFIG,
+     ["config error: unknown problem.W.kind 'yukawa'"]),
 ], ids=["N", "output_every", "N_list", "phi_grid", "dt", "N_dimension",
-        "dt_steps_run", "dt_steps_converge", "h1"])
+        "dt_steps_run", "dt_steps_converge", "h1", "radius", "gamma",
+        "uniform", "breakpoints", "morse", "kind"])
 def test_out_of_range_numbers_name_their_key(tmp_path, capsys, overrides,
                                              command, code, named):
     out = tmp_path / "out"
-    argv = ["--config", str(ROOT / "configs" / "reduction.cfg"),
-            "--out-dir", str(out)]
-    for item in overrides.split():
-        argv += ["--override", item]
-    got, err = run_main(capsys, argv + [command])
+    got, _, err = run_main(capsys, REDUCTION_CFG, command, *overrides.split(),
+                           out=out)
     assert got == code
     for key in named:
         assert key in err
@@ -882,15 +690,13 @@ def test_a_cell_above_the_density_bound_is_one_violation(tmp_path, capsys,
                              np.zeros_like(x), h=state0.h, problem=problem)
 
     monkeypatch.setattr(cli, "integrate", squeezed)
-    path = write_config(tmp_path)
     out = tmp_path / "out"
-    code, err = run_main(capsys, ["--config", str(path), "--out-dir",
-                                  str(out), "run"])
+    code, _, err = run_main(capsys, write_config(tmp_path), "run", out=out)
     assert code == EXIT_INVARIANT
     lines = err.splitlines()
     assert len(lines) == 2 and "max density" in lines[0]
     assert lines[1].startswith("invariant violation: energy balance residual")
-    for name in ("snapshots.csv", "diagnostics.csv", "variational.csv"):
+    for name in RUN_FILES:
         assert (out / name).exists()
 
 
@@ -961,7 +767,7 @@ COMMAND_VALUES = EXTREMES + (
 @settings(max_examples=60, deadline=None)
 def test_any_command_key_ends_in_an_exit_code(tmp_path_factory, overrides,
                                               command):
-    argv = ["--config", str(ROOT / "configs" / "reduction.cfg"),
+    argv = ["--config", str(REDUCTION_CFG),
             "--out-dir", str(tmp_path_factory.mktemp("out")),
             "--override", "discretization.N=8",
             "--override", "discretization.N_list=4,8",
@@ -1005,12 +811,10 @@ def test_rk45_tolerance_is_checked_before_the_partition(
     calls = []
     monkeypatch.setattr(cli, "quantile_partition",
                         lambda *a, **k: calls.append(1))
-    path = write_config(tmp_path)
     out = tmp_path / "out"
-    code, err = run_main(capsys, [
-        "--config", str(path), "--out-dir", str(out),
-        "--override", "discretization.integrator=rk45",
-        "--override", f"discretization.tolerance={tolerance}", command])
+    code, _, err = run_main(capsys, write_config(tmp_path), command,
+                            "discretization.integrator=rk45",
+                            f"discretization.tolerance={tolerance}", out=out)
     assert code == EXIT_CONFIG
     assert err.startswith("config error: discretization.integrator must be "
                           "rk4, not 'rk45'")
@@ -1021,11 +825,9 @@ def test_rk45_tolerance_is_checked_before_the_partition(
 
 def test_rk4_ignores_the_tolerance(tmp_path, capsys):
     # a tolerance left in a config from rk45 runs is not read
-    path = write_config(tmp_path)
-    code, _ = run_main(capsys, ["--config", str(path), "--out-dir",
-                                str(tmp_path / "out"), "--override",
-                                "discretization.tolerance=1", "run"])
-    assert code == EXIT_OK
+    assert run_main(capsys, write_config(tmp_path), "run",
+                    "discretization.tolerance=1",
+                    out=tmp_path / "out")[0] == EXIT_OK
 
 
 @pytest.mark.parametrize("error", [
@@ -1041,10 +843,8 @@ def test_a_run_that_cannot_be_allocated_is_a_config_error(
         raise error
 
     monkeypatch.setattr(cli, "integrate", out_of_memory)
-    path = write_config(tmp_path)
     out = tmp_path / "out"
-    code, err = run_main(capsys, ["--config", str(path), "--out-dir",
-                                  str(out), command])
+    code, _, err = run_main(capsys, write_config(tmp_path), command, out=out)
     assert code == EXIT_CONFIG
     assert err.startswith("config error: the run does not fit in memory (")
     assert f"({str(error) or 'no detail'}): " in err
@@ -1053,8 +853,6 @@ def test_a_run_that_cannot_be_allocated_is_a_config_error(
         assert key in err
     assert not list(out.glob("*.csv"))
 
-
-ROOT =Path(__file__).resolve().parents[1]
 
 # scipy is a test-only dependency: importing the CLI and running every
 # subcommand must work with it unimportable, and must not import it

@@ -243,6 +243,28 @@ def test_fv_solve_steps_through_fv_step(monkeypatch, reduction_problem):
     assert steps[-1][1] is grid
 
 
+@pytest.mark.parametrize("kernel", ["zero", "abs"])
+def test_the_w0_force_is_evaluated_once_per_solve(monkeypatch, kernel):
+    # for W = 0 the interface force is V' on the fixed edges, so it and its
+    # CFL bound hold for the whole solve; |x| needs it again every step
+    problem = pm.Problem(pm.power_cap_mobility(1.0),
+                         pm.Potentials(pm.linear_potential(-1.0),
+                                       pm.no_interaction() if kernel == "zero"
+                                       else pm.newtonian(True)),
+                         pm.parabolic_bump())
+    calls = {"continuum_force": 0, "fv_step": 0}
+    for name in calls:
+        def counted(*args, real=getattr(fvmod, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fvmod, name, counted)
+    pm.fv_solve(problem, (-3.0, 3.0), 0.02, 0.2)
+    assert calls["fv_step"] > 1
+    assert calls["continuum_force"] == (1 if kernel == "zero"
+                                        else calls["fv_step"])
+
+
 def test_cfl_violation_raised_against_a_given_bound():
     p = reduction_problem_with(pm.parabolic_bump())
     grid = make_grid(p, (-2.0, 2.0), 0.01)

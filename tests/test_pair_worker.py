@@ -1,21 +1,24 @@
-"""Dense pair fills on two CPUs: forces.PairWorker and its use in
-solver.integrate.  Every path must give the one-process bits and raise the
-one-process exception, and no path may leave a child process behind."""
+"""Dense pair fills on two CPUs: cpus.PairWorker and its use in
+solver.integrate.  The forced on/off, failing worker and failed fork cases
+run the fork harness of test_fork_join.py on its "pair-worker" path; the
+others are the pair worker's own: its bits over random states, its
+threshold, and the one-process exception of a raising kernel or run."""
 
+import ast
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_fork_join import needs_fork
 
 import partmob as pm
-from partmob import cli, forces
-from partmob.forces import FORK_MIN_PARTICLES, PairWorker, particle_forces
+from partmob import cpus, forces
+from partmob.cpus import FORK_MIN_PARTICLES, PairWorker
+from partmob.forces import particle_forces
 from partmob.solver import NonFiniteState, StepUnderflow
-
-needs_fork = pytest.mark.skipif(not forces._can_fork(),
-                                reason="no second CPU, or no os.fork")
 
 
 def gaussian_kernel():
@@ -40,23 +43,29 @@ def assert_reaped(pid):
         os.waitpid(pid, os.WNOHANG)
 
 
-@pytest.fixture
-def worker_pids(monkeypatch):
-    """The pid of every PairWorker that integrate forks."""
-    pids = []
-
-    class Recorded(PairWorker):
-        def __init__(self, dw, n):
-            super().__init__(dw, n)
-            pids.append(self.pid)
-
-    monkeypatch.setattr(forces, "PairWorker", Recorded)
-    return pids
-
-
 def test_one_fork_gate():
-    # run's stored-time split and the pair worker ask the same question
-    assert cli._can_fork is forces._can_fork
+    # run's stored-time split, the stage workers and the pair worker ask
+    # one gate, cpus.worth_forking, the one caller of _can_fork
+    callers = []
+    for module in Path(cpus.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(module.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [fn.name for call in ast.walk(fn)
+                            if isinstance(call, ast.Call)
+                            and getattr(call.func, "id", "") == "_can_fork"]
+    assert callers == ["worth_forking"]
+
+
+def test_integrate_with_the_worker_matches_one_process(harness):
+    harness.same_outputs("pair-worker")
+
+
+def test_a_failed_fork_leaves_the_fills_to_the_caller(harness):
+    harness.worker_failure("pair-worker", "fork")
+
+
+def test_a_failing_worker_is_replaced_by_the_caller(harness):
+    harness.worker_failure("pair-worker")
 
 
 @needs_fork
@@ -100,37 +109,6 @@ def morse_run(n_cells, **kwargs):
 
 
 @needs_fork
-def test_integrate_with_the_worker_matches_one_process(monkeypatch,
-                                                       worker_pids):
-    two = morse_run(FORK_MIN_PARTICLES + 40, store_every=3)
-    assert two.stats["pair_worker"] and len(worker_pids) == 1
-    assert_reaped(worker_pids[0])
-    monkeypatch.setattr(forces, "_can_fork", lambda: False)
-    one = morse_run(FORK_MIN_PARTICLES + 40, store_every=3)
-    assert not one.stats["pair_worker"] and len(worker_pids) == 1
-    assert two.positions.tobytes() == one.positions.tobytes()
-    assert two.velocities.tobytes() == one.velocities.tobytes()
-    assert two.stats == {**one.stats, "pair_worker": True}
-
-
-@needs_fork
-def test_a_failed_fork_leaves_the_fills_to_the_caller(monkeypatch):
-    one = morse_run(FORK_MIN_PARTICLES + 40, store_every=3)
-
-    def no_process():
-        raise BlockingIOError("fork: resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", no_process)
-    worker = PairWorker(pm.morse(1.0, 1.0, 0.5, 0.3).dw, FORK_MIN_PARTICLES)
-    assert worker.pid is None
-    worker.close()
-    two = morse_run(FORK_MIN_PARTICLES + 40, store_every=3)
-    assert not two.stats["pair_worker"]
-    assert two.positions.tobytes() == one.positions.tobytes()
-    assert two.stats == {**one.stats, "pair_worker": False}
-
-
-@needs_fork
 @pytest.mark.parametrize("n_particles, forked", [
     (FORK_MIN_PARTICLES - 1, False), (FORK_MIN_PARTICLES, True)])
 def test_stats_count_the_run(n_particles, forked, worker_pids):
@@ -164,32 +142,6 @@ def failing_kernel(fails):
 
     return pm.regular_interaction(morse.w, dw, morse.d2w, morse.sup_dw,
                                   morse.sup_d2w, morse.lip_d2w)
-
-
-@needs_fork
-def test_a_failing_worker_is_replaced_by_the_caller():
-    caller = os.getpid()
-
-    def in_worker(d):
-        if os.getpid() != caller:
-            raise RuntimeError("worker failure")
-
-    kernel = failing_kernel(in_worker)
-    state = random_state(2 * FORK_MIN_PARTICLES, 3)
-    n = len(state.positions)
-    expected = particle_forces(state, with_kernel(pm.morse(1.0, 1.0, 0.5,
-                                                           0.3)))
-    worker = PairWorker(kernel.dw, n)
-    pid = worker.pid
-    try:
-        got = particle_forces(state, with_kernel(kernel), worker)
-        # reaped at the failure; the next call runs in this process alone
-        assert worker.pid is None
-        assert_reaped(pid)
-        again = particle_forces(state, with_kernel(kernel), worker)
-    finally:
-        worker.close()
-    assert got.tobytes() == expected.tobytes() == again.tobytes()
 
 
 @needs_fork

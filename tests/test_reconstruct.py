@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import partmob as pm
-from partmob import cli, reconstruct
+from partmob import cli, cpus, reconstruct
 from partmob import diagnostics as diag
 from partmob import variational as var
 from partmob.cli import space_time_l1
@@ -181,18 +181,22 @@ def with_extreme_values(fields):
     return pm.ReconstructedFields(times, edges, rho, vel, fields.mass)
 
 
+def snapshot_reference(path, fields, indices):
+    csv_writer_snapshots(path, [(fields.times[k], fields.edges[k],
+                                 fields.densities[k], fields.edge_velocities[k])
+                                for k in indices])
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("subset", [None, [0, 1, 7, 3, -1]])
 def test_snapshot_bytes_match_csv_writer(tmp_path, short_attractive_run,
                                          subset):
-    fields = short_attractive_run.fields
-    fields = with_extreme_values(fields)
-    path, ref = tmp_path / "snap.csv", tmp_path / "ref.csv"
+    fields = with_extreme_values(short_attractive_run.fields)
+    path = tmp_path / "snap.csv"
     pm.write_snapshots_csv(fields, path, time_indices=subset)
     indices = range(len(fields.times)) if subset is None else subset
-    csv_writer_snapshots(ref, [(fields.times[k], fields.edges[k],
-                                fields.densities[k], fields.edge_velocities[k])
-                               for k in indices])
-    assert path.read_bytes() == ref.read_bytes()
+    assert path.read_bytes() == snapshot_reference(tmp_path / "ref.csv",
+                                                   fields, indices)
 
 
 def test_fv_snapshot_bytes_match_csv_writer(tmp_path):
@@ -211,27 +215,11 @@ def test_fv_snapshot_bytes_match_csv_writer(tmp_path):
 
 
 # -- the snapshot rows on two processes ---------------------------------------
-# From cli.RUN_FORK_MIN values on, run formats the first half of the stored
+# From cpus.RUN_FORK_MIN values on, run formats the first half of the stored
 # times into snapshots.csv and a forked worker the second half into a
 # temporary file, appended after the join (cli._on_two_cpus); both paths
-# must give the csv.writer bytes, and no write may leave a child process or
-# a temporary file behind.
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
-                                reason="the platform does not fork")
-
-
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def snapshot_reference(path, fields, indices):
-    csv_writer_snapshots(path, [(fields.times[k], fields.edges[k],
-                                 fields.densities[k], fields.edge_velocities[k])
-                                for k in indices])
-    return path.read_bytes()
-
+# must give the csv.writer bytes.  The failure cases are the run paths of
+# the fork harness in test_fork_join.py.
 
 def on_two_cpus(fields, path):
     """snapshots.csv of ``fields`` at ``path`` by run's split, with neither
@@ -241,35 +229,18 @@ def on_two_cpus(fields, path):
     cli._on_two_cpus(run, path, norms=False, edb=False)
 
 
-@pytest.fixture
-def forked(monkeypatch):
-    """The list of fork calls."""
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
-@needs_fork
 @pytest.mark.parametrize("subset", [None, range(100), [0, 1, 7, 3, -1],
                                     [5]])
 @pytest.mark.parametrize("two_processes", [True, False])
 def test_snapshot_bytes_on_one_and_two_processes(
-        tmp_path, short_attractive_run, request, subset, two_processes):
+        tmp_path, short_attractive_run, forks, subset, two_processes):
     # 101 stored times, then an even count, a subset and one stored time
     # (the worker's half is empty)
     fields = with_extreme_values(short_attractive_run.fields)
     assert len(fields.times) == 101
     indices = range(len(fields.times)) if subset is None else subset
-    calls = []
     path = tmp_path / "snap.csv"
     if two_processes:
-        calls = request.getfixturevalue("forked")
         rows = list(indices)
         on_two_cpus(pm.ReconstructedFields(
             fields.times[rows], fields.edges[rows], fields.densities[rows],
@@ -278,79 +249,16 @@ def test_snapshot_bytes_on_one_and_two_processes(
         write_snapshots_csv(fields, path, time_indices=subset)
     expected = snapshot_reference(tmp_path / "ref.csv", fields, indices)
     assert path.read_bytes() == expected
-    assert len(calls) == two_processes
-    assert_no_child()
+    assert len(forks[0]) == (two_processes and hasattr(os, "fork"))
 
 
-@needs_fork
-def test_snapshot_worker_failure_is_redone_by_the_caller(
-        tmp_path, short_attractive_run, monkeypatch, forked):
-    fields = short_attractive_run.fields
-    caller = os.getpid()
-    rows = reconstruct.write_snapshot_rows
-
-    def fails_in_worker(fh, fields, indices):
-        if os.getpid() != caller:
-            raise RuntimeError("worker failure")
-        rows(fh, fields, indices)
-
-    monkeypatch.setattr(cli, "write_snapshot_rows", fails_in_worker)
-    path = tmp_path / "snap.csv"
-    on_two_cpus(fields, path)
-    expected = snapshot_reference(tmp_path / "ref.csv", fields,
-                                  range(len(fields.times)))
-    assert path.read_bytes() == expected
-    assert forked == [caller]
-    assert_no_child()
-
-
-@needs_fork
-def test_snapshot_fork_failure_writes_in_one_process(
-        tmp_path, short_attractive_run, monkeypatch, forked):
-    def no_process():
-        raise BlockingIOError("fork: resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", no_process)
-    fields = short_attractive_run.fields
-    path = tmp_path / "snap.csv"
-    on_two_cpus(fields, path)
-    expected = snapshot_reference(tmp_path / "ref.csv", fields,
-                                  range(len(fields.times)))
-    assert path.read_bytes() == expected
-    assert sorted(os.listdir(tmp_path)) == ["ref.csv", "snap.csv"]
-
-
-@needs_fork
-def test_snapshot_caller_failure_propagates_and_reaps_the_worker(
-        tmp_path, short_attractive_run, monkeypatch, forked):
-    caller = os.getpid()
-    rows = reconstruct.write_snapshot_rows
-
-    def fails_in_caller(fh, fields, indices):
-        if os.getpid() == caller:
-            raise RuntimeError("caller failure")
-        rows(fh, fields, indices)
-
-    # the caller's rows go through write_snapshots_csv, the worker's not
-    monkeypatch.setattr(reconstruct, "write_snapshot_rows", fails_in_caller)
-    with pytest.raises(RuntimeError, match="caller failure"):
-        on_two_cpus(short_attractive_run.fields, tmp_path / "s.csv")
-    assert forked == [caller]
-    assert_no_child()
-    assert os.listdir(tmp_path) == ["s.csv"]
-
-
-@needs_fork
 def test_snapshot_worker_prints_nothing_twice_and_leaves_no_file(
-        tmp_path, short_attractive_run, capfd, forked):
+        tmp_path, short_attractive_run, capfd, forks):
     print("partial line", end="")
     print("partial error", end="", file=sys.stderr)
     on_two_cpus(short_attractive_run.fields, tmp_path / "snap.csv")
-    out, err = capfd.readouterr()
-    assert (out, err) == ("partial line", "partial error")
-    assert len(forked) == 1
+    assert capfd.readouterr() == ("partial line", "partial error")
     assert os.listdir(tmp_path) == ["snap.csv"]
-    assert_no_child()
 
 
 @pytest.mark.parametrize("limit", ["no fork", "one CPU", "two threads"])
@@ -365,10 +273,10 @@ def test_snapshot_writer_stays_inline_when_it_cannot_fork(
                             raising=False)
     if limit == "two threads":
         monkeypatch.setattr(threading, "active_count", lambda: 2)
-    monkeypatch.setattr(cli, "RUN_FORK_MIN", 0)
+    monkeypatch.setattr(cpus, "RUN_FORK_MIN", 0)
     monkeypatch.setattr(cli, "run_trajectory",
                         lambda resolved: short_attractive_run)
-    assert not cli._can_fork()
+    assert not cpus.worth_forking("run", 1)
     config = tmp_path / "run.cfg"
     config.write_text("discretization.N = 40\ndiagnostics.norms = false\n"
                       "diagnostics.edb = false\n")

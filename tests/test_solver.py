@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,18 +162,27 @@ def test_cell_bounds_match_whole_array_formulas(monkeypatch, budget):
 
 
 def test_fields_are_lazy_and_share_the_run_arrays(attractive_problem):
-    s = pm.quantile_partition(attractive_problem.initial, 20)
-    traj = pm.integrate(s, attractive_problem, 0.05, dt=1e-3)
+    s = pm.quantile_partition(attractive_problem.initial, 200)
+    traj = pm.integrate(s, attractive_problem, 0.5, dt=1e-3)
     assert "fields" not in vars(traj)
     pm.edb_residual(traj)
     assert "fields" not in vars(traj)
-    fields = traj.fields
+    tracemalloc.start()
+    try:
+        fields = traj.fields
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert fields is traj.fields
     assert fields.times is traj.times
     assert fields.edges is traj.positions
     assert fields.edge_velocities is traj.velocities
-    assert np.array_equal(fields.densities,
-                          traj.h / np.diff(traj.positions, axis=1))
+    # h / width divided into np.diff's result in place: one densities
+    # array of 0.8 MB is built, beside a buffer of about 130 KB for the
+    # subtraction of the strided columns
+    assert fields.densities.nbytes <= peak < 1.5 * fields.densities.nbytes
+    assert fields.densities.tobytes() == \
+        (traj.h / np.diff(traj.positions, axis=1)).tobytes()
     assert fields.mass == traj.h * traj.n_cells
 
 
