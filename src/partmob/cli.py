@@ -27,11 +27,13 @@ from . import cpus
 from . import diagnostics as diag
 from . import fv as fvmod
 from . import variational as var
-from .model import (InvalidProblem, Potentials, Problem, linear_potential,
-                    morse, newtonian, no_interaction, parabolic_bump,
-                    piecewise_constant_density, power_cap_mobility,
-                    quadratic_potential, simpson, tabulated_mobility,
-                    uniform_density, validate, zero_potential)
+from .model import (MASS_MISMATCH, NEGATIVE_DENSITY, NON_MONOTONE_MOBILITY,
+                    UNBOUNDED_SUPPORT, InvalidProblem, Potentials, Problem,
+                    linear_potential, morse, newtonian, no_interaction,
+                    parabolic_bump, piecewise_constant_density,
+                    power_cap_mobility, quadratic_potential, simpson,
+                    tabulated_mobility, uniform_density, validate,
+                    zero_potential)
 from .quantile import QuantileError, quantile_partition
 from .reconstruct import (TimeGridMismatch, write_snapshot_rows,
                           write_snapshots_csv, write_table)
@@ -233,10 +235,28 @@ def _discretization(cfg):
     return n_cells, t_end, dt, store_every
 
 
+# the config section behind each issue code of validate()
+_ISSUE_SECTIONS = {NON_MONOTONE_MOBILITY: "problem.mobility",
+                   UNBOUNDED_SUPPORT: "problem.initial",
+                   NEGATIVE_DENSITY: "problem.initial",
+                   MASS_MISMATCH: "problem.initial"}
+
+
 def _resolve(cfg):
     """``(problem, discretization)``: the validated problem and
-    :func:`_discretization`'s tuple, checked in that order."""
-    return validate(build_problem(cfg)), _discretization(cfg)
+    :func:`_discretization`'s tuple, checked in that order.  An invalid
+    problem is a ``ConfigError`` naming each issue's section and code, as
+    :func:`_section` names a constructor's section and kind."""
+    try:
+        problem = validate(build_problem(cfg))
+    except InvalidProblem as exc:
+        sections = dict(_ISSUE_SECTIONS)
+        if "problem.m" in cfg:      # the declared mass is the config's
+            sections[MASS_MISMATCH] = "problem.m"
+        raise ConfigError("; ".join(
+            f"{sections[issue.code]} ({issue.code}): {issue.message}"
+            for issue in exc.issues)) from None
+    return problem, _discretization(cfg)
 
 
 def run_trajectory(resolved) -> Trajectory:
@@ -370,7 +390,7 @@ def cmd_run(cfg, args) -> int:
     out = _out_dir(cfg, args)
     fields, problem = traj.fields, traj.problem
     split = cpus.worth_forking("run",
-                               len(traj.times) * (3 * fields.n_cells + 3))
+                               len(traj.times) * (fields.n_cells + 1))
     if split:
         norm_rows, gradient_rows = _on_two_cpus(traj, out / "snapshots.csv",
                                                 norms, edb)
@@ -595,7 +615,7 @@ def main(argv=None) -> int:
             TimeGridMismatch, fvmod.CflViolation, fvmod.WindowExceeded) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, InvalidProblem, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         hint = (": raise discretization.dt" if isinstance(exc, TooManySteps)
                 else "")
         print(f"config error: {exc}{hint}", file=sys.stderr)

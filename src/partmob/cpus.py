@@ -18,13 +18,15 @@ from .forces import _fill_pairs, _is_dense, row_blocks
 from .model import Potentials
 
 # The least work per path that forks, each set by alternating in-process
-# runs on a 2-vCPU x86-64 VM.  run's stored-time split counts snapshot
-# values, stored times x (3N + 3): of 21 runs it won 17-19 at 10,827-12,033
-# values on |x| (2 on W = 0) and all 21 at 13,233 on |x|, W = 0 and Morse.
-RUN_FORK_MIN = 12_000
-# The second stages count particle-steps, (N + 1) x RK4 steps: on |x| at
-# N = 24 edb-check's fork won 14-15 of 21 calls at 2,500 particle-steps of
-# its dt/2 run, 14-20 at 5,000 and 20-21 at 10,000.
+# runs on a 2-vCPU x86-64 VM.  run's stored-time split and the second
+# stages count particles times their rows: run's particle-rows are stored
+# times x (N + 1), the stages' particle-steps (N + 1) x RK4 steps.  Of 21
+# runs, run's split won 17-19 at 3,609-4,011 particle-rows on |x| (2 on
+# W = 0) and all 21 at 4,411 on |x|, W = 0 and Morse; two later rounds on
+# W = 0 at 3,609-4,646 (N = 100, 200, 400) won 2-19, with no trend.
+RUN_FORK_MIN = 4_000
+# On |x| at N = 24 edb-check's fork won 14-15 of 21 calls at 2,500
+# particle-steps of its dt/2 run, 14-20 at 5,000 and 20-21 at 10,000.
 STAGE_FORK_MIN = 10_000
 # The pair worker counts particles: below about 130 there is one block of
 # rows to fill; a call took 0.77 of the one-process time at 150 and 0.65
@@ -46,9 +48,10 @@ def _can_fork() -> bool:
 
 def worth_forking(path: str, work: float) -> bool:
     """The one gate: whether ``work`` of ``path`` goes to a second CPU.  It
-    does from the path's threshold on (``"run"``: ``RUN_FORK_MIN`` snapshot
-    values, ``"stages"``: ``STAGE_FORK_MIN`` particle-steps, ``"pairs"``:
-    ``FORK_MIN_PARTICLES`` particles) where :func:`_can_fork` holds."""
+    does from the path's threshold on (``"run"``: ``RUN_FORK_MIN``
+    particle-rows, ``"stages"``: ``STAGE_FORK_MIN`` particle-steps,
+    ``"pairs"``: ``FORK_MIN_PARTICLES`` particles) where :func:`_can_fork`
+    holds."""
     minimum = {"run": RUN_FORK_MIN, "stages": STAGE_FORK_MIN,
                "pairs": FORK_MIN_PARTICLES}[path]
     return work >= minimum and _can_fork()

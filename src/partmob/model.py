@@ -296,8 +296,8 @@ def linear_potential(slope: float) -> ExternalPotential:
     a = float(slope)
     return ExternalPotential(
         lambda x: a * np.asarray(x, dtype=float),
-        lambda x: np.full_like(np.asarray(x, dtype=float), a),
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        lambda x: np.full(np.shape(x), a),
+        lambda x: np.zeros(np.shape(x)),
         0.0, 0.0,
     )
 
@@ -307,7 +307,7 @@ def quadratic_potential(curvature: float = 1.0) -> ExternalPotential:
     return ExternalPotential(
         lambda x: 0.5 * a * np.asarray(x, dtype=float) ** 2,
         lambda x: a * np.asarray(x, dtype=float),
-        lambda x: np.full_like(np.asarray(x, dtype=float), a),
+        lambda x: np.full(np.shape(x), a),
         abs(a), 0.0,
     )
 

@@ -18,7 +18,6 @@ from partmob import fv as fvmod
 from partmob import variational as var
 from partmob.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK,
                          ConfigError, build_problem, main, parse_config)
-from partmob.solver import StepUnderflow
 
 ROOT = Path(__file__).resolve().parents[1]
 REDUCTION_CFG = ROOT / "configs" / "reduction.cfg"
@@ -119,9 +118,37 @@ def test_run_rejects_single_cell(tmp_path, capsys):
                     "discretization.N=1")[0] == EXIT_CONFIG
 
 
+# each issue code of validate() names its config section; a given
+# problem.m is test_run_rejects_bad_mass's
+@pytest.mark.parametrize("overrides, issues", [
+    (("problem.mobility.M_beta=1e10", "problem.mobility.gamma=3"),
+     ["problem.mobility (NonMonotoneMobility)"]),
+    (("problem.initial.center=1e308", "problem.initial.radius=1e308"),
+     ["problem.initial (UnboundedSupport)"]),
+    (("problem.initial.kind=piecewise_constant",
+      "problem.initial.breakpoints=0,1,2", "problem.initial.values=1,-0.5"),
+     ["problem.initial (NegativeDensity)"] * 2),
+    (("problem.initial.kind=uniform", "problem.initial.height=0"),
+     ["problem.initial (MassMismatch)"])],     # a profile of mass 0
+    ids=["NonMonotoneMobility", "UnboundedSupport", "NegativeDensity",
+         "MassMismatch"])
+def test_an_invalid_problem_names_each_issues_section(tmp_path, capsys,
+                                                      overrides, issues):
+    out = tmp_path / "out"
+    code, printed, err = run_main(capsys, write_config(tmp_path), "run",
+                                  *overrides, out=out)
+    assert (code, printed, out.exists()) == (EXIT_CONFIG, "", False)
+    assert err.startswith("config error: ")
+    assert [issue.split(":")[0] for issue in
+            err.removeprefix("config error: ").split("; ")] == issues
+
+
 def test_run_rejects_bad_mass(tmp_path, capsys):
-    assert run_main(capsys, write_config(tmp_path), "run",
-                    "problem.m=2.0")[0] == EXIT_CONFIG
+    assert run_main(capsys, write_config(tmp_path), "run", "problem.m=2.0") \
+        == (EXIT_CONFIG, "", "config error: problem.m (MassMismatch): density "
+            "integrates to 1, declared mass is 2; problem.m (MassMismatch): "
+            "cumulative function does not reach the declared mass at the "
+            "right support endpoint\n")
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -159,6 +186,21 @@ def test_converge_static_problem(tmp_path, capsys):
     assert len(rows) == 3
     # static runs differ only by their quantile layout
     assert all(float(r[1]) < 0.2 for r in rows[1:])
+
+
+@pytest.mark.parametrize("config, n_list", [
+    ("reduction.cfg", (50, 100, 200, 400)), ("attractive.cfg", (10, 20, 40))],
+    ids=["reduction", "attractive"])
+def test_every_converge_level_holds_the_energy_balance(config, n_list):
+    # the edb_residual converge prints for a level is its run's, below
+    # run's tolerance: _aligned_run keeps every step at most default_dt
+    problem, (_, t_end, dt, _) = cli._resolve(parse_config(ROOT / "configs"
+                                                           / config))
+    for n in n_list:
+        traj = cli._aligned_run(problem, n, t_end, 100, dt or 1e-3)
+        residual, tol, violations = cli._edb_balance(
+            var.gradient_records(traj))
+        assert var.edb_residual(traj) == residual < tol and violations == []
 
 
 def test_converge_requires_doubling(tmp_path, capsys):
@@ -445,26 +487,6 @@ def test_the_half_step_worker_gives_the_one_process_outputs(harness, kind):
         ["edb residual", "half-step residual"]
 
 
-def test_a_failing_half_step_run_fails_as_in_one_process(harness,
-                                                         monkeypatch):
-    def underflow(traj):
-        raise StepUnderflow("step underflow at t=0.025: cell 3 (width "
-                            "1.000e-12) keeps violating ordering")
-
-    # the main run checks its balance without edb_residual
-    monkeypatch.setattr(var, "edb_residual", underflow)
-    off = harness.outputs("edb-check", "off")
-    # the worker fails, and the caller runs the half-step run again
-    assert harness.outputs("edb-check", "on", on=True) == off
-    harness.assert_forks(1)
-    assert all(harness.statuses)
-    code, out, err, tables = off
-    assert code == EXIT_NUMERICAL and list(tables) == ["variational.csv"]
-    assert out.startswith("edb residual: ") and "half-step" not in out
-    assert err == "numerical failure: step underflow at t=0.025: cell 3 " \
-        "(width 1.000e-12) keeps violating ordering\n"
-
-
 def test_a_failing_main_run_reaps_the_worker(harness):
     code, out, err, _ = harness.same_outputs("edb-check-too-few")
     assert (code, out) == (EXIT_CONFIG, "")
@@ -482,30 +504,10 @@ def test_the_stage_worker_gives_the_one_process_outputs(harness, command,
     assert (code, err, list(tables)) == (EXIT_OK, "", [table]) and out
 
 
-def test_converge_rebuilds_the_finest_level_from_the_worker(harness,
-                                                            monkeypatch):
-    built = []
-
-    def recorded(*args):
-        built.append(pm.Trajectory(*args))
-        return built[-1]
-
-    monkeypatch.setattr(cli, "Trajectory", recorded)
-    assert harness.outputs("converge", "on", on=True)[0] == EXIT_OK
-    harness.assert_forks(1)
-    problem = pm.validate(build_problem(parse_config(harness.tmp / "on.cfg")))
-    here = cli._aligned_run(problem, 32, 0.2, 100, 1e-3)
-    (there,) = built
-    assert there.stats == here.stats and there.stats["velocity_evals"] > 0
-    assert there.h == here.h
-    for name in ("times", "positions", "velocities"):
-        assert getattr(there, name).tobytes() == getattr(here, name).tobytes()
-
-
 def test_a_failing_oracle_worker_fails_as_in_one_process(harness):
     assert harness.same_outputs("oracle-compare-window") == (
         EXIT_NUMERICAL, "", "numerical failure: support reached the window "
-        "boundary; enlarge it\n", {})
+        "boundary; enlarge it\n", None)
     # the worker failed, and the caller ran the oracle again
     assert all(harness.statuses)
 
@@ -513,7 +515,7 @@ def test_a_failing_oracle_worker_fails_as_in_one_process(harness):
 def test_a_failing_particle_side_reaps_the_oracle_worker(harness):
     assert harness.same_outputs("oracle-compare-off-grid") == (
         EXIT_CONFIG, "", "config error: oracle.compare_times entry 0.1234 "
-        "is not a stored output time\n", {})
+        "is not a stored output time\n", None)
 
 
 def drift_times(traj):

@@ -1,28 +1,38 @@
-"""One harness for every path that runs work on a second CPU
-(``partmob.cpus``): run's stored-time split on |x|, Morse and W = 0, the
-second stage of edb-check, converge, oracle-compare and entropy-check, and
-integrate's pair worker.
+"""The fork harness (``partmob.cpus``), and every fork case with a
+property of its own.  The harness runs every forked path: run's
+stored-time split on |x|, Morse and W = 0, the second stage of edb-check,
+converge, oracle-compare and entropy-check, and integrate's pair worker.  On each, forced on and off give the same CSV
+bytes, stdout, stderr and exit code, the path's own; the worker exits as
+declared; a failing worker or fork is redone by the caller; a failing or
+interrupted caller reaps the worker and leaves no temporary file; one
+allowed CPU, no ``os.fork`` and a second thread fork nothing; no child is
+left.  Under ``taskset -c 0`` every forced-on case runs too, with fork
+counts of 0.  Then come one path's cases, fork_join's and _fork's own, the
+pair worker's, and which fork each benchmark command makes."""
 
-On every path, forced on and forced off give the same CSV bytes, stdout,
-stderr and exit code; a failing worker (or a failed fork) is redone by the
-caller; a failing caller reaps the worker and leaves no temporary file;
-one allowed CPU forks nothing; and no child process is left behind.  Where
-``_can_fork()`` is False (under ``taskset -c 0``) every forced-on case runs
-too, and its fork counts must be 0."""
-
+import ast
 import os
+import re
 import sys
 import tempfile
+import threading
 from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import partmob as pm
 from partmob import cli, cpus, forces
 from partmob import diagnostics as diag
 from partmob import fv as fvmod
 from partmob import variational as var
+from partmob.cli import build_problem, parse_config
+from partmob.cpus import FORK_MIN_PARTICLES, PairWorker
+from partmob.forces import particle_forces
+from partmob.solver import StepUnderflow
 
 ROOT = Path(__file__).resolve().parents[1]
 CAN_FORK = cpus._can_fork()
@@ -59,35 +69,45 @@ RUN_FILES = ("diagnostics.csv", "snapshots.csv", "variational.csv")
 
 # text: the config; gate: the worth_forking path forced on; sides: the
 # functions that only the two sides of the fork call, which a failure
-# check makes raise on one side; code and files: the exit code and CSVs
-Fork = namedtuple("Fork", "command text overrides gate sides code files")
+# check makes raise on one side; code, out and err: the exit code and the
+# patterns of stdout and stderr; worker: the worker's exit code, None where
+# the caller may kill it first; files: the CSVs, None for no directory
+Fork = namedtuple("Fork", "command text overrides gate sides code out err "
+                          "worker files")
 RUN_SIDES = ((cli, "write_snapshots_csv"), (diag, "diagnostics_columns"),
              (var, "gradient_columns"))
 STAGE = {"command": "edb-check", "text": ABS, "overrides": (),
          "gate": "stages", "sides": ((cli, "integrate"),), "code": 0,
-         "files": ("variational.csv",)}
+         "out": r"edb residual: \S+ \(tolerance \S+\)\n"
+                r"half-step residual: \S+  ratio=\S+\n",
+         "err": "", "worker": 0, "files": ("variational.csv",)}
 RUN = dict(STAGE, command="run", gate="run", sides=RUN_SIDES,
-           files=RUN_FILES)
+           out="run ok: 31 stored times, outputs in OUT\n", files=RUN_FILES)
 PATHS = {
     "run-abs": Fork(**RUN),
     "run-morse": Fork(**dict(RUN, text=MORSE)),
     "run-zero": Fork(**dict(RUN, text=ZERO)),
     "edb-check": Fork(**STAGE),
-    "converge": Fork(**dict(STAGE, command="converge", text=REDUCTION,
-                            files=("refinement.csv",))),
+    # one line per refinement pair of N_list
+    "converge": Fork(**dict(
+        STAGE, command="converge", text=REDUCTION, files=("refinement.csv",),
+        out=r"(N= +\d+  cauchy=\S+  bv_max=\S+  edb=\S+\n){2}")),
     "oracle-compare": Fork(**dict(
         STAGE, command="oracle-compare", text=REDUCTION,
         sides=((cli, "integrate"), (fvmod, "fv_solve")),
-        files=("oracle_compare.csv",))),
+        out=r"t=0\.2  l1_error=\S+\n", files=("oracle_compare.csv",))),
     "entropy-check": Fork(**dict(
         STAGE, command="entropy-check", text=REDUCTION,
-        sides=((diag, "entropy_report"),), files=("entropy.csv",))),
+        sides=((diag, "entropy_report"),), files=("entropy.csv",),
+        out=r"entropy residuals: min=\S+ over 27 cases "
+            r"\(9 test bumps, 3 levels\)\n")),
     # 201 particles fill 3 blocks of rows; 3 stored times stay below the
     # split, which is forced off here anyway.  The caller fills its blocks
     # by cpus' binding of _fill_pairs, or all of them by forces' own
     "pair-worker": Fork(**dict(
         RUN, text=MORSE, gate="pairs",
         sides=((cpus, "_fill_pairs"), (forces, "_fill_pairs")),
+        out="run ok: 3 stored times, outputs in OUT\n",
         overrides=("discretization.N=200", "discretization.t_end=0.01",
                    "discretization.output_every=5"))),
 }
@@ -101,27 +121,39 @@ ENDINGS = {
     # (exit 2) after every CSV is written
     "run-balance": Fork(**dict(
         RUN, text=(ROOT / "configs" / "reduction.cfg").read_text(), code=2,
+        out="", err=r"invariant violation: energy balance residual \S+ above "
+        r"the tolerance \S+: lower discretization\.dt\n",
         overrides=("discretization.N=100", "discretization.dt=0.04",
                    "discretization.t_end=0.5",
                    "discretization.output_every=1"))),
     # densities of 1e300 square past the float range in the h1 norm: exit 3
     # with snapshots.csv alone
-    "run-h1": Fork(**dict(RUN, text=ZERO, code=3, files=("snapshots.csv",),
-                          overrides=("problem.initial.amplitude=1e300",
-                                     "discretization.N=8"))),
+    "run-h1": Fork(**dict(
+        RUN, text=ZERO, code=3, files=("snapshots.csv",), out="",
+        err="numerical failure: h1 norm at t=0 is not finite: the densities' "
+        "squares leave the float range\n",
+        overrides=("problem.initial.amplitude=1e300", "discretization.N=8"))),
     "edb-check-morse": Fork(**dict(STAGE, text=MORSE)),
     # two stored times: the caller's main run fails before the output
     # directory is made, and the worker is killed
     "edb-check-too-few": Fork(**dict(
-        STAGE, code=1, files=(),
+        STAGE, code=1, out="", worker=None, files=None,
+        err=r"config error: edb-check needs at least three stored times; "
+        r"this run stored 2: lower discretization\.dt or "
+        r"discretization\.output_every\n",
         overrides=("discretization.output_every=50",))),
-    # the finite-volume support reaches a window this narrow in the worker
+    # the finite-volume support reaches a window this narrow in the worker,
+    # which fails; the caller runs the oracle again and fails the same way
     "oracle-compare-window": Fork(**dict(
-        PATHS["oracle-compare"]._asdict(), code=3, files=(),
+        PATHS["oracle-compare"]._asdict(), code=3, out="", worker=1,
+        files=None, err="numerical failure: support reached the window "
+        "boundary; enlarge it\n",
         overrides=("oracle.window_lo=-1.05", "oracle.window_hi=1.05"))),
     # the caller's particle side rejects a time it did not store
     "oracle-compare-off-grid": Fork(**dict(
-        PATHS["oracle-compare"]._asdict(), code=1, files=(),
+        PATHS["oracle-compare"]._asdict(), code=1, out="", worker=None,
+        files=None, err=r"config error: oracle\.compare_times entry 0\.1234 "
+        r"is not a stored output time\n",
         overrides=("oracle.compare_times=0.1234",))),
 }
 ALL = {**PATHS, **ENDINGS}
@@ -186,9 +218,9 @@ class Harness:
 
     def outputs(self, name, label, on=False):
         """(exit code, stdout, stderr, {file: bytes}) of path ``name``, into
-        the output directory ``label`` (named OUT in stdout), with the
-        path's gate forced on, every gate off, or for ``on=None`` the
-        thresholds as they are."""
+        the output directory ``label`` (named OUT in stdout; None for the
+        files where it is not made), with the path's gate forced on, every
+        gate off, or for ``on=None`` the thresholds as they are."""
         path = ALL[name]
         for gate, minimum in GATES.items() if on is not None else ():
             self.monkeypatch.setattr(
@@ -202,7 +234,7 @@ class Harness:
         code = cli.main(argv + [path.command])
         captured = self.capfd.readouterr()
         files = ({p.name: p.read_bytes() for p in sorted(out.iterdir())}
-                 if out.exists() else {})
+                 if out.exists() else None)
         return code, captured.out.replace(str(out), "OUT"), captured.err, files
 
     def assert_forks(self, n):
@@ -226,14 +258,20 @@ class Harness:
             self.monkeypatch.setattr(module, attr, failing)
 
     def same_outputs(self, name):
-        """The path's outputs, checked to be the same forced off and on."""
+        """The path's outputs, checked to be its own and the same forced off
+        and on, and returned."""
         path = ALL[name]
-        off = self.outputs(name, "off")
+        off = code, out, err, files = self.outputs(name, "off")
         assert self.pids == []
         on = self.outputs(name, "on", on=True)
         self.assert_forks(1)
         assert on == off
-        assert (off[0], sorted(off[3])) == (path.code, sorted(path.files))
+        if path.worker is not None:
+            assert [os.waitstatus_to_exitcode(s) for s in self.statuses] \
+                == [path.worker] * len(self.pids)
+        assert code == path.code and (files if files is None
+                                      else tuple(files)) == path.files
+        assert re.fullmatch(path.out, out) and re.fullmatch(path.err, err)
         return off
 
     def worker_failure(self, name, failure="worker"):
@@ -257,9 +295,9 @@ class Harness:
         self.assert_forks(1)
         assert all(p.suffix == ".csv" for p in (self.tmp / "on").glob("*"))
 
-    def one_cpu(self, name):
-        """On one allowed CPU, the forced-on path forks and pins nothing
-        and gives the outputs without the fork."""
+    def one_process(self, name):
+        """Where no process can fork, the forced-on path forks and pins
+        nothing and gives the outputs without the fork."""
         pins = []
         with self.monkeypatch.context() as m:
             m.setattr(os, "sched_setaffinity",
@@ -290,6 +328,11 @@ def test_a_failing_caller_reaps_the_worker(name, harness):
     harness.caller_failure(name)
 
 
+@pytest.mark.parametrize("name", PATHS)
+def test_an_interrupted_caller_reaps_the_worker(name, harness):
+    harness.caller_failure(name, KeyboardInterrupt)
+
+
 @pytest.fixture
 def pinned(request):
     """This process pinned to ``request.param`` of its allowed CPUs, as on
@@ -307,12 +350,87 @@ def pinned(request):
 @pytest.mark.parametrize("pinned", [1], indirect=True)
 def test_one_allowed_cpu_forks_and_pins_nothing(pinned, harness):
     for name in PATHS:
-        harness.one_cpu(name)
+        harness.one_process(name)
     assert os.sched_getaffinity(0) == pinned
 
 
-# -- fork_join itself: both sides' values, a failed worker's side run
-# again here, and the caller kept off the worker's CPU -------------------
+@pytest.mark.parametrize("limit", ["no fork", "two threads"])
+def test_a_process_that_cannot_fork_runs_every_path_here(limit, harness,
+                                                         monkeypatch):
+    if limit == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+    assert not cpus._can_fork()
+    for name in PATHS:
+        harness.one_process(name)
+
+
+# -- the cases of one path ------------------------------------------------
+
+@pytest.mark.parametrize("threshold, n_forks", [(775, 1), (776, 0)])
+def test_the_run_threshold_counts_particle_rows(threshold, n_forks, harness,
+                                                monkeypatch):
+    # 31 stored times x (24 + 1) particles
+    monkeypatch.setattr(cpus, "RUN_FORK_MIN", threshold)
+    assert harness.outputs("run-abs", "run", on=None)[0] == cli.EXIT_OK
+    harness.assert_forks(n_forks)
+
+
+def test_small_runs_stay_in_one_process(tmp_path, capfd, forks):
+    # the benchmark's traced N = 20 run: 21 stored times x 21 particles;
+    # the figure configs (1001 x 201) and morse.cfg (11 x 401) split
+    assert 21 * 21 < cpus.RUN_FORK_MIN <= 11 * 401 < 1_001 * 201
+    code = cli.main(["--config", str(ROOT / "configs" / "attractive.cfg"),
+                     "--out-dir", str(tmp_path), "--override",
+                     "discretization.N=20", "--override",
+                     "discretization.t_end=0.02", "run"])
+    assert code == cli.EXIT_OK
+    assert "run ok: 21 stored times" in capfd.readouterr().out
+    assert forks[0] == []
+
+
+def test_a_failing_half_step_run_fails_as_in_one_process(harness,
+                                                         monkeypatch):
+    def underflow(traj):
+        raise StepUnderflow("step underflow at t=0.025")
+
+    # the main run checks its balance without edb_residual; the worker
+    # fails, and the caller runs the half-step run again
+    monkeypatch.setattr(var, "edb_residual", underflow)
+    off = code, out, err, tables = harness.outputs("edb-check", "off")
+    assert harness.outputs("edb-check", "on", on=True) == off
+    harness.assert_forks(1)
+    assert all(harness.statuses)
+    assert (code, err, list(tables)) == (
+        cli.EXIT_NUMERICAL, "numerical failure: step underflow at t=0.025\n",
+        ["variational.csv"])
+    assert out.startswith("edb residual: ") and "half-step" not in out
+
+
+def test_converge_rebuilds_the_finest_level_from_the_worker(harness,
+                                                            monkeypatch):
+    built = []
+
+    def recorded(*args):
+        built.append(pm.Trajectory(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "Trajectory", recorded)
+    assert harness.outputs("converge", "on", on=True)[0] == cli.EXIT_OK
+    harness.assert_forks(1)
+    problem = pm.validate(build_problem(parse_config(harness.tmp / "on.cfg")))
+    here = cli._aligned_run(problem, 32, 0.2, 100, 1e-3)
+    (there,) = built
+    assert there.stats == here.stats and there.stats["velocity_evals"] > 0
+    assert there.h == here.h
+    for name in ("times", "positions", "velocities"):
+        assert getattr(there, name).tobytes() == getattr(here, name).tobytes()
+
+
+# -- fork_join and _fork themselves: both sides' values, a failed
+# worker's side run again here, the caller kept off the worker's CPU, and
+# text printed before a fork printed once --------------------------------
 
 @needs_fork
 @needs_affinity
@@ -365,6 +483,142 @@ def test_a_failed_worker_runs_theirs_here(forks):
 
     assert cpus.fork_join(lambda: "mine", theirs) == ("mine", "here")
     assert len(forks[0]) == 1 and forks[1] != [0]
+
+
+@needs_fork
+def test_a_fork_prints_what_came_before_it_once(capfd, monkeypatch, forks):
+    # a worker that prints flushes the buffers it inherited, which _fork
+    # empties first; these streams buffer, as a file or pipe would
+    with open(os.dup(1), "w") as out, open(os.dup(2), "w") as err:
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        for stream in (out, err):
+            print("unflushed", end="", file=stream)
+        os.waitpid(cpus._fork(lambda: [print(" worker", file=stream,
+                                             flush=True)
+                                       for stream in (out, err)], None), 0)
+    assert capfd.readouterr() == ("unflushed worker\n",) * 2
+
+
+# -- the one gate, and the pair worker: the kernels it skips, its bits
+# over random states, its stats and threshold, and a raising kernel
+
+def test_one_fork_gate():
+    # run's stored-time split, the stage workers and the pair worker ask
+    # one gate, cpus.worth_forking, the one caller of _can_fork
+    callers = []
+    for module in Path(cpus.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(module.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [fn.name for call in ast.walk(fn)
+                            if isinstance(call, ast.Call)
+                            and getattr(call.func, "id", "") == "_can_fork"]
+    assert callers == ["worth_forking"]
+
+
+@pytest.mark.parametrize("name", ["run-abs", "run-zero"])
+def test_abs_and_zero_kernels_never_fork_a_pair_worker(name, harness,
+                                                       monkeypatch):
+    # from any particle count on, only a dense kernel forks the pair worker
+    monkeypatch.setattr(cpus, "FORK_MIN_PARTICLES", 0)
+    assert harness.outputs(name, "run", on=None)[0] == cli.EXIT_OK
+    harness.assert_forks(0)
+
+
+def gaussian_kernel():
+    # dw is odd bit for bit: (-2 * -d) == 2 * d and (-d * -d) == d * d
+    return pm.regular_interaction(lambda x: np.exp(-x * x),
+                                  lambda x: -2.0 * x * np.exp(-x * x),
+                                  lambda x: (4.0 * x * x - 2.0)
+                                  * np.exp(-x * x), 1.0, 2.0, 5.0)
+
+
+def random_state(n, seed, span=1.0):
+    x = np.unique(np.random.default_rng(seed).uniform(-span, span, n))
+    return pm.ParticleState(x, h=1.0 / (len(x) - 1))
+
+
+def with_kernel(kernel):
+    return pm.Potentials(pm.zero_potential(), kernel)
+
+
+@needs_fork
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(100, 2 * FORK_MIN_PARTICLES + 20),
+       seed=st.integers(0, 2**32 - 1),
+       params=st.tuples(st.floats(0.1, 5.0), st.floats(0.05, 3.0),
+                        st.floats(0.1, 5.0), st.floats(0.05, 3.0)),
+       gaussian=st.booleans())
+@example(n=150, seed=1, params=(1.0, 1.0, 0.5, 0.3), gaussian=False)
+@example(n=200, seed=2, params=(1.0, 1.0, 0.5, 0.3), gaussian=True)
+def test_worker_forces_equal_inline_bits(n, seed, params, gaussian):
+    kernel = gaussian_kernel() if gaussian else pm.morse(*params)
+    state = random_state(n, seed)
+    n = len(state.positions)
+    blocks = len(list(forces.row_blocks(n, n)))
+    if (n, seed) == (150, 1):
+        assert blocks == 2      # an even count: the worker fills the last
+    if (n, seed) == (200, 2):
+        assert blocks == 3      # an odd count: the caller fills the last
+    potentials = with_kernel(kernel)
+    inline = particle_forces(state, potentials)
+    worker = PairWorker(kernel.dw, n)
+    try:
+        for _ in range(2):      # the shared matrix is reused
+            got = particle_forces(state, potentials, worker)
+            assert got.tobytes() == inline.tobytes()
+        assert worker.pid is not None
+    finally:
+        worker.close()
+    with pytest.raises(ChildProcessError):     # reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("n_particles, forked", [
+    (FORK_MIN_PARTICLES - 1, False), (FORK_MIN_PARTICLES, True)])
+def test_stats_count_the_run(n_particles, forked, worker_pids):
+    # 10 steps, stored at steps 0, 3, 6, 9 and 10
+    problem = pm.Problem(pm.power_cap_mobility(1.0),
+                         with_kernel(pm.morse(1.0, 1.0, 0.5, 0.3)),
+                         pm.parabolic_bump())
+    state = pm.quantile_partition(problem.initial, n_particles - 1)
+    traj = pm.integrate(state, problem, 0.01, dt=1e-3, store_every=3)
+    assert len(traj.times) == 5
+    assert traj.stats == {"velocity_evals": 4 * 10 + 5, "halvings": 0,
+                          "steps": 10, "min_dt": 0.01 / 10,
+                          "dt": 1e-3, "pair_worker": forked}
+    assert len(worker_pids) == forked
+
+
+@needs_fork
+def test_a_raising_kernel_raises_the_inline_exception(forks):
+    # Morse, but every block past the first raises, naming its shape:
+    # inline, block 1 (the worker's) raises first, and so must the
+    # two-process fill
+    state = random_state(2 * FORK_MIN_PARTICLES, 4)
+    n = len(state.positions)
+    morse = pm.morse(1.0, 1.0, 0.5, 0.3)
+
+    def dw(d):
+        if d.shape[1] < n:
+            raise ValueError(f"block of shape {d.shape}")
+        return morse.dw(d)
+
+    potentials = with_kernel(pm.regular_interaction(
+        morse.w, dw, morse.d2w, morse.sup_dw, morse.sup_d2w, morse.lip_d2w))
+    with pytest.raises(ValueError) as inline:
+        particle_forces(state, potentials)
+    worker = PairWorker(dw, n)
+    try:
+        with pytest.raises(ValueError) as two:
+            particle_forces(state, potentials, worker)
+    finally:
+        worker.close()
+    second = list(forces.row_blocks(n, n))[1]
+    assert str(two.value) == str(inline.value) == (
+        f"block of shape {(second.stop - second.start, n - second.start)}")
+    assert len(forks[0]) == 1
 
 
 # -- which benchmark command forks what, at the thresholds as set --------

@@ -52,6 +52,25 @@ def test_negative_density_rejected():
     assert any(i.code == NEGATIVE_DENSITY for i in issues)
 
 
+@pytest.mark.parametrize("x", [0.25, np.linspace(-1.0, 1.0, 5),
+                               np.arange(6).reshape(2, 3)],
+                         ids=["0-d", "1-d", "2-d"])
+@pytest.mark.parametrize("a", [-1.0, -0.0, 0.7])
+def test_constant_derivatives_are_fresh_float_arrays(x, a):
+    # the bits, dtype and shape of the full_like forms they replaced
+    full = np.full_like(np.asarray(x, dtype=float), a)
+    zeros = np.zeros_like(full)
+    linear, quadratic = pm.linear_potential(a), pm.quadratic_potential(a)
+    for derivative, expected in ((linear.dv, full), (linear.d2v, zeros),
+                                 (quadratic.d2v, full),
+                                 (pm.zero_potential().d2v, zeros)):
+        got, again = derivative(x), derivative(x)
+        assert (type(got), got.dtype, got.shape, got.tobytes()) == (
+            np.ndarray, expected.dtype, expected.shape, expected.tobytes())
+        assert got.flags.writeable and not (np.shares_memory(got, x) or
+                                            np.shares_memory(got, again))
+
+
 def test_theta_trivial_values():
     p = make_problem()
     assert p.mobility.theta(0.0) == 0.0

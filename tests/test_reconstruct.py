@@ -1,6 +1,5 @@
 import csv
 import os
-import sys
 import threading
 from types import SimpleNamespace
 
@@ -215,19 +214,11 @@ def test_fv_snapshot_bytes_match_csv_writer(tmp_path):
 
 
 # -- the snapshot rows on two processes ---------------------------------------
-# From cpus.RUN_FORK_MIN values on, run formats the first half of the stored
-# times into snapshots.csv and a forked worker the second half into a
-# temporary file, appended after the join (cli._on_two_cpus); both paths
-# must give the csv.writer bytes.  The failure cases are the run paths of
-# the fork harness in test_fork_join.py.
-
-def on_two_cpus(fields, path):
-    """snapshots.csv of ``fields`` at ``path`` by run's split, with neither
-    diagnostics nor energy balance: the split then reads only the run's
-    times and fields."""
-    run = SimpleNamespace(times=fields.times, fields=fields)
-    cli._on_two_cpus(run, path, norms=False, edb=False)
-
+# From cpus.RUN_FORK_MIN particle-rows on, run formats the first half of the
+# stored times into snapshots.csv and a forked worker the second half into
+# a temporary file, appended after the join (cli._on_two_cpus); both paths
+# must give the csv.writer bytes.  Its forks and failures are the run paths
+# of the fork harness in test_fork_join.py.
 
 @pytest.mark.parametrize("subset", [None, range(100), [0, 1, 7, 3, -1],
                                     [5]])
@@ -241,24 +232,19 @@ def test_snapshot_bytes_on_one_and_two_processes(
     indices = range(len(fields.times)) if subset is None else subset
     path = tmp_path / "snap.csv"
     if two_processes:
+        # run's split with neither diagnostics nor energy balance reads only
+        # the run's times and fields
         rows = list(indices)
-        on_two_cpus(pm.ReconstructedFields(
+        split = pm.ReconstructedFields(
             fields.times[rows], fields.edges[rows], fields.densities[rows],
-            fields.edge_velocities[rows], fields.mass), path)
+            fields.edge_velocities[rows], fields.mass)
+        cli._on_two_cpus(SimpleNamespace(times=split.times, fields=split),
+                         path, norms=False, edb=False)
     else:
         write_snapshots_csv(fields, path, time_indices=subset)
     expected = snapshot_reference(tmp_path / "ref.csv", fields, indices)
     assert path.read_bytes() == expected
     assert len(forks[0]) == (two_processes and hasattr(os, "fork"))
-
-
-def test_snapshot_worker_prints_nothing_twice_and_leaves_no_file(
-        tmp_path, short_attractive_run, capfd, forks):
-    print("partial line", end="")
-    print("partial error", end="", file=sys.stderr)
-    on_two_cpus(short_attractive_run.fields, tmp_path / "snap.csv")
-    assert capfd.readouterr() == ("partial line", "partial error")
-    assert os.listdir(tmp_path) == ["snap.csv"]
 
 
 @pytest.mark.parametrize("limit", ["no fork", "one CPU", "two threads"])
